@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import json
 import subprocess
-import urllib.error
-import urllib.request
 
 
 class ScorerFailure(Exception):
@@ -45,6 +43,11 @@ def score_via_subprocess(command: list[str], payload: dict, timeout: float = 30.
 
 def score_via_http(url: str, payload: dict, timeout: float = 30.0) -> float:
     """POST the JSON payload; the response body is a single float line."""
+    # imported here: urllib.request pulls in http.client, a large share of
+    # start-up time for a transport that most runs never use
+    import urllib.error
+    import urllib.request
+
     req = urllib.request.Request(
         url,
         data=json.dumps(payload).encode("utf-8"),

@@ -9,6 +9,7 @@ I/O or format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -224,16 +225,7 @@ def cmd_eval(args) -> int:
         raise ValueError("batch file must be a JSON array")
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(
-                pool.map(
-                    lambda e: metrics.evaluate_pair(e["pred"], e["gt"], e["kind"]),
-                    entries,
-                )
-            )
-        rows = [
-            {"index": i, "kind": entries[i]["kind"], "metrics": {r.name: r.value for r in rep}}
-            for i, rep in enumerate(reports)
-        ]
+            rows = metrics.evaluate_batch(entries, pool.map)
     else:
         rows = metrics.evaluate_batch(entries)
     print(_format_eval_table(rows))
@@ -377,13 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built once per process: in-process callers of main() would otherwise
+    # rebuild every subparser, and leave cyclic garbage, on each command.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         _diag("io", str(exc))
+        return EXIT_IO
+    except metrics.BatchFormatError as exc:
+        _diag(type(exc).__name__, str(exc))
         return EXIT_IO
     except _DOMAIN_ERRORS as exc:
         _diag(type(exc).__name__, str(exc))

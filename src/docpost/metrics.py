@@ -1,12 +1,13 @@
 """Evaluation metrics: string edit distance, tree edit distance over table
 structures (TEDS / TEDS-S), and reading-order edit distance.
 
-The tree distance is the Zhang-Shasha ordered tree edit distance with unit
-insert/delete costs. Two rename cost models are provided: structure-only
-(tag signatures must match, content ignored) and content-aware (tag mismatch
-costs 1, tag match costs the normalized edit distance between cell
-contents). Span values are folded into the tag signature, so span mistakes
-count as structural errors.
+The string distance is the bit-parallel Levenshtein algorithm of Myers
+(1999) as formulated by Hyyrö (2003). The tree distance is the Zhang-Shasha
+ordered tree edit distance with unit insert/delete costs. Two rename cost
+models are provided: structure-only (tag signatures must match, content
+ignored) and content-aware (tag mismatch costs 1, tag match costs the
+normalized edit distance between cell contents). Span values are folded
+into the tag signature, so span mistakes count as structural errors.
 """
 
 from __future__ import annotations
@@ -20,23 +21,77 @@ class GtParseError(Exception):
     """The ground-truth side of a table comparison must parse."""
 
 
+class BatchFormatError(Exception):
+    """An evaluation batch entry is not a ``{"pred", "gt", "kind"}`` object."""
+
+
 # -- sequence edit distance ------------------------------------------------------
 
 
+def _myers(pattern, text) -> int:
+    """Edit distance between a non-empty ``pattern`` and ``text``.
+
+    Bit-parallel dynamic program of Myers (1999) in the form of Hyyrö (2003):
+    bit ``i`` of ``vp`` / ``vn`` says that DP cell ``(i + 1, j)`` is one more /
+    one less than cell ``(i, j)``, so each text token advances a whole column
+    of the table with a few integer operations. Python ints act as unbounded
+    two's-complement bit vectors; masking ``vp`` keeps every vector m bits wide.
+    """
+    masks: dict = {}  # bit i of masks[token] is set where pattern[i] == token
+    bit = 1
+    for token in pattern:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    m = len(pattern)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, dist = full, 0, m
+    get = masks.get
+    for token in text:
+        eq = get(token, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+    return dist
+
+
+def _token_ids(a, b) -> tuple[list[int], list[int]]:
+    """Number the tokens of ``a`` and ``b`` so that tokens equal under ``==``
+    share a number; for token types that cannot be hashed."""
+    seen: list = []
+
+    def number(token) -> int:
+        for k, other in enumerate(seen):
+            if other == token:
+                return k
+        seen.append(token)
+        return len(seen) - 1
+
+    return [number(t) for t in a], [number(t) for t in b]
+
+
 def _levenshtein(a, b) -> int:
-    """Unit-cost edit distance over any two indexable token sequences."""
+    """Unit-cost edit distance over any two indexable token sequences.
+
+    Hashable tokens are matched as dict keys (identity, then ``==``).
+    """
+    if a == b:
+        return 0
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i in range(1, len(a) + 1):
-        current = [i] + [0] * len(b)
-        for j in range(1, len(b) + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            current[j] = min(
-                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost
-            )
-        previous = current
-    return previous[len(b)]
+    if not b:
+        return len(a)
+    try:
+        return _myers(a, b)
+    except TypeError:
+        return _myers(*_token_ids(a, b))
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -92,12 +147,33 @@ STRUCTURE_ONLY = "structure"
 CONTENT_AWARE = "content"
 
 
-def _rename_cost(a: DocTree, b: DocTree, cost_model: str) -> float:
-    if a.tag != b.tag:
-        return 1.0
-    if cost_model == STRUCTURE_ONLY:
-        return 0.0
-    return normalized_edit_distance(a.content, b.content)
+def _rename_costs(
+    a_nodes: list[DocTree], b_nodes: list[DocTree], cost_model: str
+) -> list[list[float]]:
+    """``costs[i][j]`` is the rename cost of ``a_nodes[i]`` into ``b_nodes[j]``.
+
+    A tag mismatch costs 1; matching tags cost the normalized edit distance
+    of the contents, which the structure-only model treats as all empty.
+    Each distinct (tag, content) key on either side is costed once.
+    """
+    content = cost_model == CONTENT_AWARE
+    b_keys: dict[tuple[str, str], int] = {}
+    b_index = [
+        b_keys.setdefault((n.tag, n.content if content else ""), len(b_keys))
+        for n in b_nodes
+    ]
+    rows: dict[tuple[str, str], list[float]] = {}
+    costs = []
+    for node in a_nodes:
+        tag, text = key = (node.tag, node.content if content else "")
+        if key not in rows:
+            by_key = [
+                normalized_edit_distance(text, other) if other_tag == tag else 1.0
+                for other_tag, other in b_keys
+            ]
+            rows[key] = [by_key[k] for k in b_index]
+        costs.append(rows[key])
+    return costs
 
 
 class _Annotated:
@@ -106,24 +182,20 @@ class _Annotated:
     def __init__(self, root: DocTree):
         self.nodes: list[DocTree] = []
         self.lmds: list[int] = []
-        self.keyroots: list[int] = []
-        lmd_of: dict[int, int] = {}
-
-        def walk(node: DocTree) -> int:
-            child_ids = [walk(child) for child in node.children]
-            my_id = len(self.nodes)
-            self.nodes.append(node)
-            lmd_of[my_id] = lmd_of[child_ids[0]] if child_ids else my_id
-            self.lmds.append(lmd_of[my_id])
-            return my_id
-
-        walk(root)
-        seen: set[int] = set()
-        for i in range(len(self.nodes) - 1, -1, -1):
-            if self.lmds[i] not in seen:
-                self.keyroots.append(i)
-                seen.add(self.lmds[i])
-        self.keyroots.sort()
+        # The leftmost leaf of a subtree is the first of its nodes in
+        # postorder, so a node's lmd is the node count when its visit starts.
+        stack: list[tuple[DocTree, int]] = [(root, -1)]
+        while stack:
+            node, start = stack.pop()
+            if start >= 0:
+                self.nodes.append(node)
+                self.lmds.append(start)
+            else:
+                stack.append((node, len(self.nodes)))
+                stack.extend((child, -1) for child in reversed(node.children))
+        # a keyroot is the highest node with its lmd
+        highest = {lmd: i for i, lmd in enumerate(self.lmds)}
+        self.keyroots: list[int] = sorted(highest.values())
 
 
 def tree_edit_distance(
@@ -137,39 +209,86 @@ def tree_edit_distance(
         raise ValueError(f"unknown cost model {cost_model!r}")
     if t1 is None or t2 is None:
         return float((t1.size() if t1 else 0) + (t2.size() if t2 else 0))
+    if t1 == t2:
+        return 0.0
     A, B = _Annotated(t1), _Annotated(t2)
-    na, nb = len(A.nodes), len(B.nodes)
-    treedist = [[0.0] * nb for _ in range(na)]
+    rename = _rename_costs(A.nodes, B.nodes, cost_model)
+    lmds_a = A.lmds
+    treedist = [[0.0] * len(B.nodes) for _ in A.nodes]
+    # Per keyroot j of B: its first node lj, and for each forest column
+    # y = bj - lj + 1 the offset q of B.lmds[bj] from lj (0: a whole subtree).
+    b_forests, b_leaves = [], []
+    for j in B.keyroots:
+        lj = B.lmds[j]
+        if lj == j:
+            b_leaves.append(j)
+        qs = [0] + [B.lmds[bj] - lj for bj in range(lj, j + 1)]
+        b_forests.append((lj, qs, [float(y) for y in range(len(qs))]))
+    b_inner = [forest for forest in b_forests if len(forest[1]) > 2]
 
+    # The loops below take the min of the textbook recurrence's three sums
+    # with explicit compares; a tie keeps an equal value, so every distance
+    # is bit-identical to min(...) over the full fd table.
     for i in A.keyroots:
-        for j in B.keyroots:
-            li, lj = A.lmds[i], B.lmds[j]
-            m, n = i - li + 2, j - lj + 2
-            fd = [[0.0] * n for _ in range(m)]
-            for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + 1.0
-            for y in range(1, n):
-                fd[0][y] = fd[0][y - 1] + 1.0
-            for x in range(1, m):
+        li = lmds_a[i]
+        forests = b_forests
+        if li == i:
+            # leaf against leaf: rename costs are at most 1, so the one DP
+            # cell min(2.0, 2.0, 0.0 + rename) is the rename cost itself
+            td, ren = treedist[i], rename[i]
+            for j in b_leaves:
+                td[j] = ren[j]
+            forests = b_inner
+        for lj, qs, first_row in forests:
+            n = len(qs)
+            fd = [first_row]  # fd[x][y]: forest li..li+x-1 against lj..lj+y-1
+            for ai in range(li, i + 1):
+                up = fd[-1]
+                td = treedist[ai]
+                row = up[:]  # a buffer of the right length; all cells are set
+                left = row[0] = up[0] + 1.0
+                p = lmds_a[ai] - li
+                fp, ren = fd[p], rename[ai]
                 for y in range(1, n):
-                    ai, bj = x + li - 1, y + lj - 1
-                    if A.lmds[ai] == li and B.lmds[bj] == lj:
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1.0,
-                            fd[x][y - 1] + 1.0,
-                            fd[x - 1][y - 1]
-                            + _rename_cost(A.nodes[ai], B.nodes[bj], cost_model),
-                        )
-                        treedist[ai][bj] = fd[x][y]
+                    bj = y + lj - 1
+                    v = up[y] + 1.0
+                    w = left + 1.0
+                    if w < v:
+                        v = w
+                    q = qs[y]
+                    if q == 0 and p == 0:  # subtree against subtree
+                        w = up[y - 1] + ren[bj]
+                        if w < v:
+                            v = w
+                        td[bj] = v
                     else:
-                        p = A.lmds[ai] - li
-                        q = B.lmds[bj] - lj
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1.0,
-                            fd[x][y - 1] + 1.0,
-                            fd[p][q] + treedist[ai][bj],
-                        )
-    return treedist[na - 1][nb - 1]
+                        w = fp[q] + td[bj]
+                        if w < v:
+                            v = w
+                    row[y] = left = v
+                fd.append(row)
+    return treedist[-1][-1]
+
+
+def _table_trees(pred_html: str, gt_html: str) -> tuple[DocTree | None, DocTree]:
+    """Trees of both tables; ``None`` for an unparseable prediction."""
+    try:
+        gt_tree = grid_to_tree(parse_grid(gt_html))
+    except TableError as exc:
+        raise GtParseError(str(exc)) from exc
+    try:
+        return grid_to_tree(parse_grid(pred_html)), gt_tree
+    except TableError:
+        return None, gt_tree
+
+
+def _similarity(pred_tree: DocTree | None, gt_tree: DocTree, cost_model: str) -> float:
+    if pred_tree is None:
+        return 0.0
+    dist = tree_edit_distance(pred_tree, gt_tree, cost_model)
+    # The distance can exceed the larger node count (a 3x1 table against a
+    # 1x4 one costs 7.03 over 7 nodes), so clamp at 0.
+    return max(0.0, 1.0 - dist / max(pred_tree.size(), gt_tree.size(), 1))
 
 
 def teds(pred_html: str, gt_html: str, structure_only: bool = False) -> float:
@@ -178,17 +297,10 @@ def teds(pred_html: str, gt_html: str, structure_only: bool = False) -> float:
     An unparseable prediction scores 0; an unparseable ground truth raises
     :class:`GtParseError`.
     """
-    try:
-        gt_tree = grid_to_tree(parse_grid(gt_html))
-    except TableError as exc:
-        raise GtParseError(str(exc)) from exc
-    try:
-        pred_tree = grid_to_tree(parse_grid(pred_html))
-    except TableError:
-        return 0.0
-    model = STRUCTURE_ONLY if structure_only else CONTENT_AWARE
-    dist = tree_edit_distance(pred_tree, gt_tree, model)
-    return 1.0 - dist / max(pred_tree.size(), gt_tree.size(), 1)
+    pred_tree, gt_tree = _table_trees(pred_html, gt_html)
+    return _similarity(
+        pred_tree, gt_tree, STRUCTURE_ONLY if structure_only else CONTENT_AWARE
+    )
 
 
 # -- batch evaluation ----------------------------------------------------------------
@@ -223,10 +335,15 @@ def evaluate_pair(pred, gt, kind: str) -> list[MetricReport]:
             ),
         ]
     if kind == "table":
+        pred_tree, gt_tree = _table_trees(pred, gt)
         return [
-            MetricReport("teds", teds(pred, gt), "1 - TED / max(nodes)"),
             MetricReport(
-                "teds_structure", teds(pred, gt, structure_only=True), "structure-only rename"
+                "teds", _similarity(pred_tree, gt_tree, CONTENT_AWARE), "1 - TED / max(nodes)"
+            ),
+            MetricReport(
+                "teds_structure",
+                _similarity(pred_tree, gt_tree, STRUCTURE_ONLY),
+                "structure-only rename",
             ),
         ]
     if kind == "order":
@@ -240,16 +357,27 @@ def evaluate_pair(pred, gt, kind: str) -> list[MetricReport]:
     raise ValueError(f"unknown evaluation kind {kind!r}")
 
 
-def evaluate_batch(entries: list[dict]) -> list[dict]:
-    """Evaluate ``[{"pred", "gt", "kind"}, ...]``; one result row per entry."""
-    results = []
+_ENTRY_FIELDS = ("pred", "gt", "kind")
+
+
+def _check_batch(entries: list) -> None:
     for pos, entry in enumerate(entries):
-        reports = evaluate_pair(entry["pred"], entry["gt"], entry["kind"])
-        results.append(
-            {
-                "index": pos,
-                "kind": entry["kind"],
-                "metrics": {r.name: r.value for r in reports},
-            }
-        )
-    return results
+        if not isinstance(entry, dict):
+            raise BatchFormatError(f"entry {pos} is not an object")
+        missing = [name for name in _ENTRY_FIELDS if name not in entry]
+        if missing:
+            raise BatchFormatError(f"entry {pos} lacks {', '.join(missing)}")
+
+
+def evaluate_batch(entries: list[dict], map_fn=map) -> list[dict]:
+    """Evaluate ``[{"pred", "gt", "kind"}, ...]``; one result row per entry.
+
+    Every entry is checked before any is scored (:class:`BatchFormatError`).
+    ``map_fn`` applies the per-entry scoring, e.g. an executor's ``map``.
+    """
+    _check_batch(entries)
+    reports = map_fn(lambda e: evaluate_pair(e["pred"], e["gt"], e["kind"]), entries)
+    return [
+        {"index": pos, "kind": entry["kind"], "metrics": {r.name: r.value for r in rep}}
+        for pos, (entry, rep) in enumerate(zip(entries, reports))
+    ]

@@ -12,8 +12,9 @@ import random
 from docpost.metrics import CONTENT_AWARE, DocTree, normalized_edit_distance
 
 
-def levenshtein_full_matrix(a: str, b: str) -> int:
-    """Textbook DP with the complete (m+1) x (n+1) table."""
+def levenshtein_full_matrix(a, b) -> int:
+    """Textbook DP with the complete (m+1) x (n+1) table, over two strings
+    or two token lists compared with ``==``."""
     m, n = len(a), len(b)
     d = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(m + 1):

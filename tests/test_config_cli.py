@@ -129,6 +129,26 @@ def test_cli_eval_jobs_preserves_order(tmp_path, capsys):
     assert [r["index"] for r in rows] == list(range(8))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"pred": "abc", "gt": "abd"}, "entry 1 lacks kind"),
+        ({"kind": "text"}, "entry 1 lacks pred, gt"),
+        ("abc", "entry 1 is not an object"),
+    ],
+)
+def test_cli_eval_malformed_entry_exit2(tmp_path, capsys, jobs, entry, message):
+    batch = [{"pred": "abc", "gt": "abc", "kind": "text"}, entry]
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps(batch))
+    assert main(["eval", str(batch_path), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "BatchFormatError", "message": message}
+
+
 def test_cli_eval_missing_file(capsys):
     assert main(["eval", "/nonexistent/batch.json"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -1,7 +1,8 @@
+import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import exhaustive_tree_distance, levenshtein_full_matrix, random_tree
@@ -19,9 +20,13 @@ from docpost.metrics import (
     teds,
     tree_edit_distance,
 )
+from docpost import metrics
 from docpost.table_grid import parse_grid
 
 short_text = st.text(max_size=20)
+# small alphabets (one letter outside the BMP) so that long strings share
+# many tokens and the distance is far from its length bound
+long_text = st.text(alphabet=st.sampled_from("ab\U0001F600\u00e9 "), max_size=300)
 
 
 # -- edit distance ------------------------------------------------------------
@@ -49,6 +54,41 @@ def test_edit_distance_metric_axioms(a, b, c):
     assert ab == edit_distance(b, a)
     assert (ab == 0) == (a == b)
     assert ab <= edit_distance(a, c) + edit_distance(c, b)
+
+
+def apply_edits(text: str, edits) -> str:
+    chars = list(text)
+    for pos, char, op in edits:
+        pos = pos % (len(chars) + 1)
+        if op == "insert" or pos == len(chars):
+            chars.insert(pos, char)
+        elif op == "delete":
+            del chars[pos]
+        else:
+            chars[pos] = char
+    return "".join(chars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=long_text,
+    b=long_text,
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 300),
+            st.sampled_from("ab\U0001F600\u00e9 "),
+            st.sampled_from(["insert", "delete", "replace"]),
+        ),
+        max_size=40,
+    ),
+)
+@example(a="a" * 64, b="a" * 63 + "b", edits=[])
+@example(a="\U0001F600" * 65, b="", edits=[])
+def test_edit_distance_long_strings_match_full_matrix_oracle(a, b, edits):
+    near = apply_edits(a, edits)
+    assert edit_distance(a, near) == levenshtein_full_matrix(a, near)
+    assert edit_distance(near, a) == levenshtein_full_matrix(near, a)
+    assert edit_distance(a, b) == levenshtein_full_matrix(a, b)
 
 
 def test_normalized_edit_distance_bounds():
@@ -151,6 +191,7 @@ def test_grid_to_tree_shape():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=262143)  # a 3x1 table against a 1x4 one: TED exceeds max(nodes)
 def test_teds_bounds_and_self_similarity(seed):
     from conftest import random_grid
     from docpost.table_grid import serialize_grid
@@ -162,6 +203,52 @@ def test_teds_bounds_and_self_similarity(seed):
     assert teds(h1, h1) == 1.0
     score = teds(h1, h2)
     assert 0.0 <= score <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_evaluate_pair_table_matches_teds(seed):
+    from conftest import random_grid
+    from docpost.table_grid import serialize_grid
+
+    rng = random.Random(seed)
+    h1 = serialize_grid(random_grid(rng, rng.randint(1, 5), rng.randint(1, 5)))
+    h2 = serialize_grid(random_grid(rng, rng.randint(1, 5), rng.randint(1, 5)))
+    values = {r.name: r.value for r in evaluate_pair(h1, h2, "table")}
+    assert values == {
+        "teds": teds(h1, h2),
+        "teds_structure": teds(h1, h2, structure_only=True),
+    }
+
+
+def test_evaluate_pair_table_parses_each_side_once(monkeypatch):
+    calls = []
+
+    def counting_parse_grid(html):
+        calls.append(html)
+        return parse_grid(html)
+
+    monkeypatch.setattr(metrics, "parse_grid", counting_parse_grid)
+    pred = GT.replace(">1<", ">7<")
+    evaluate_pair(pred, GT, "table")
+    assert sorted(calls) == sorted([pred, GT])
+    calls.clear()
+    evaluate_pair("not a table", GT, "table")
+    assert len(calls) == 2
+
+
+def test_teds_leaves_no_cyclic_trees():
+    pred = GT.replace(">1<", ">7<")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        teds(pred, GT)
+        gc.collect()
+        trees = [obj for obj in gc.garbage if isinstance(obj, DocTree)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert trees == []
 
 
 # -- reading order ----------------------------------------------------------------------
@@ -182,6 +269,26 @@ def test_reading_order_one_insertion():
 
 def test_reading_order_accepts_strings():
     assert reading_order_edit("a b c", "a b c") == 0.0
+
+
+order_token = st.one_of(
+    st.integers(0, 5),
+    st.sampled_from(["p", "q", "r"]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.lists(st.lists(st.integers(0, 1), max_size=1), max_size=1),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pred=st.lists(order_token, max_size=40),
+    gt=st.lists(order_token, max_size=40),
+)
+@example(pred=[[1, [2]], [3]], gt=[[1, [2]], [4]])
+@example(pred=[0, 1, 2, 3], gt=[0, 1, 9, 2, 3])
+def test_reading_order_matches_token_oracle(pred, gt):
+    expected = levenshtein_full_matrix(pred, gt) / max(len(pred), len(gt), 1)
+    assert reading_order_edit(pred, gt) == expected
 
 
 # -- batch ---------------------------------------------------------------------------------
