@@ -2,12 +2,19 @@
 
 Protocol: one JSON object per request line, one float in [0, 1] per response
 line. Shared by the table-merge continuation scorer and the reward scorer.
+A scorer is any callable that maps such a payload dict to its float and
+raises :class:`ScorerFailure` when it cannot.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import shlex
 import subprocess
+from collections.abc import Callable
+
+Scorer = Callable[[dict], float]
 
 
 class ScorerFailure(Exception):
@@ -60,3 +67,13 @@ def score_via_http(url: str, payload: dict, timeout: float = 30.0) -> float:
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise ScorerFailure(str(exc)) from exc
     return _parse_score(body)
+
+
+def external_scorer(cmd: str, url: str) -> Scorer | None:
+    """The scorer behind a command line or an HTTP URL, or ``None`` when
+    neither is set. The command wins when both are."""
+    if cmd:
+        return functools.partial(score_via_subprocess, shlex.split(cmd))
+    if url:
+        return functools.partial(score_via_http, url)
+    return None

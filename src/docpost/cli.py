@@ -12,10 +12,10 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import idtp, layout, metrics, rewards, table_grid, table_merge
+from ._external import ScorerFailure
 from .config import Config, ConfigError, apply_env_overrides, load_config
 
 EXIT_OK = 0
@@ -39,6 +39,10 @@ _DOMAIN_ERRORS = (
     ConfigError,
     ValueError,
 )
+
+
+class FormatError(Exception):
+    """An input file is valid JSON but not of the documented shape."""
 
 
 def _diag(kind: str, message: str) -> None:
@@ -65,12 +69,27 @@ def _parse_bbox(text: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
 def _parse_detections(data) -> list[idtp.ImageDetection]:
     if not isinstance(data, list):
-        raise ValueError("detections file must be a JSON array")
-    return [
-        idtp.ImageDetection(tuple(d["bbox"]), float(d["confidence"])) for d in data
-    ]
+        raise FormatError("detections file must be a JSON array")
+    detections = []
+    for pos, d in enumerate(data):
+        bbox = d.get("bbox") if isinstance(d, dict) else None
+        if not (
+            isinstance(bbox, list)
+            and len(bbox) == 4
+            and all(map(_is_number, bbox))
+            and _is_number(d.get("confidence"))
+        ):
+            raise FormatError(
+                f'detection {pos} is not a {{"bbox": [x1, y1, x2, y2], "confidence": f}} object'
+            )
+        detections.append(idtp.ImageDetection(tuple(bbox), float(d["confidence"])))
+    return detections
 
 
 def _load_image(path: str) -> idtp.PixelBuffer:
@@ -220,14 +239,7 @@ def _format_eval_table(rows: list[dict]) -> str:
 
 
 def cmd_eval(args) -> int:
-    entries = _read_json(args.batch)
-    if not isinstance(entries, list):
-        raise ValueError("batch file must be a JSON array")
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = metrics.evaluate_batch(entries, pool.map)
-    else:
-        rows = metrics.evaluate_batch(entries)
+    rows = metrics.evaluate_batch(_read_json(args.batch))
     print(_format_eval_table(rows))
     if args.json_out:
         Path(args.json_out).write_text(
@@ -236,12 +248,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _candidate_htmls(candidates) -> list[str]:
+    if not isinstance(candidates, list):
+        raise FormatError("candidates file must be a JSON array")
+    htmls = []
+    for pos, candidate in enumerate(candidates):
+        html = candidate.get("html") if isinstance(candidate, dict) else candidate
+        if not isinstance(html, str):
+            raise FormatError(
+                f'candidate {pos} is neither an HTML string nor an object with an "html" string'
+            )
+        htmls.append(html)
+    return htmls
+
+
 def cmd_reward(args) -> int:
     cfg = _load_cfg(args)
-    candidates = _read_json(args.candidates)
-    if not isinstance(candidates, list):
-        raise ValueError("candidates file must be a JSON array")
-    htmls = [c["html"] if isinstance(c, dict) else c for c in candidates]
+    htmls = _candidate_htmls(_read_json(args.candidates))
     gt_html = Path(args.gt).read_text(encoding="utf-8")
     if args.expected_placeholders is not None:
         expected = args.expected_placeholders
@@ -259,7 +282,13 @@ def cmd_reward(args) -> int:
                 rendered = rewards.render_candidate(html)
             except table_grid.TableError:
                 rendered = ""
-            model_score = scorer.score(gt_html, html, rendered)
+            model_score = scorer(
+                {
+                    "original_descriptor": gt_html,
+                    "candidate_html": html,
+                    "rendered_canonical": rendered,
+                }
+            )
             row["model_score"] = model_score
             row["reward"] = rewards.composite_reward(report.score, model_score, cfg.w_rule)
         reward_values.append(row["reward"])
@@ -349,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run metrics over a batch file")
     p.add_argument("batch", help='JSON array of {"pred", "gt", "kind"}')
     p.add_argument("--json-out", help="also write rows as JSON")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted and ignored: entries are scored serially"
+    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reward", help="score candidate tables against a ground truth")
@@ -383,7 +414,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         _diag("io", str(exc))
         return EXIT_IO
-    except metrics.BatchFormatError as exc:
+    except (FormatError, metrics.BatchFormatError, ScorerFailure) as exc:
         _diag(type(exc).__name__, str(exc))
         return EXIT_IO
     except _DOMAIN_ERRORS as exc:

@@ -9,22 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import shlex
 from dataclasses import dataclass, fields
 
+from ._external import Scorer, external_scorer
 from .idtp import IdtpConfig
-from .rewards import (
-    HttpRewardScorer,
-    RewardScorer,
-    RuleWeights,
-    SubprocessRewardScorer,
-)
-from .table_merge import (
-    ContinuationScorer,
-    HttpContinuationScorer,
-    MergeConfig,
-    SubprocessContinuationScorer,
-)
+from .rewards import RuleWeights
+from .table_merge import MergeConfig
 
 ENV_PREFIX = "DOCPOST_"
 
@@ -80,19 +70,11 @@ class Config:
     def rule_weights_obj(self) -> RuleWeights:
         return RuleWeights(*self.rule_weights)
 
-    def continuation_scorer(self) -> ContinuationScorer | None:
-        if self.continuation_scorer_cmd:
-            return SubprocessContinuationScorer(shlex.split(self.continuation_scorer_cmd))
-        if self.continuation_scorer_url:
-            return HttpContinuationScorer(self.continuation_scorer_url)
-        return None
+    def continuation_scorer(self) -> Scorer | None:
+        return external_scorer(self.continuation_scorer_cmd, self.continuation_scorer_url)
 
-    def reward_scorer(self) -> RewardScorer | None:
-        if self.reward_scorer_cmd:
-            return SubprocessRewardScorer(shlex.split(self.reward_scorer_cmd))
-        if self.reward_scorer_url:
-            return HttpRewardScorer(self.reward_scorer_url)
-        return None
+    def reward_scorer(self) -> Scorer | None:
+        return external_scorer(self.reward_scorer_cmd, self.reward_scorer_url)
 
 
 def _parse_value(text: str):

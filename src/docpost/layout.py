@@ -15,14 +15,10 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ._external import Scorer
 from .idtp import IdtpConfig, ImageDetection, plan_masks, restore_images
 from .table_grid import TableError, parse_grid, serialize_grid
-from .table_merge import (
-    ContinuationScorer,
-    MergeConfig,
-    Pattern,
-    merge_fragment_sequence_with_plans,
-)
+from .table_merge import MergeConfig, Pattern, merge_fragment_sequence_with_plans
 
 
 class LayoutSyntaxError(Exception):
@@ -300,7 +296,7 @@ class PipelineConfig:
     idtp: IdtpConfig = field(default_factory=IdtpConfig)
     output_format: OutputFormat = OutputFormat.MARKDOWN
     include_headers_footers: bool = False
-    scorer: ContinuationScorer | None = None
+    scorer: Scorer | None = None
 
 
 @dataclass

@@ -22,7 +22,8 @@ class GtParseError(Exception):
 
 
 class BatchFormatError(Exception):
-    """An evaluation batch entry is not a ``{"pred", "gt", "kind"}`` object."""
+    """An evaluation batch is not an array of ``{"pred", "gt", "kind"}``
+    objects whose sides the kind can score."""
 
 
 # -- sequence edit distance ------------------------------------------------------
@@ -358,26 +359,48 @@ def evaluate_pair(pred, gt, kind: str) -> list[MetricReport]:
 
 
 _ENTRY_FIELDS = ("pred", "gt", "kind")
+# JSON types each kind can score: a table side is HTML, a text or order side
+# is a string or an array of tokens.
+_SIDE_TYPES = {
+    "table": ((str,), "a string"),
+    "text": ((str, list), "a string or an array"),
+    "order": ((str, list), "a string or an array"),
+}
 
 
-def _check_batch(entries: list) -> None:
+def _check_batch(entries) -> None:
+    if not isinstance(entries, list):
+        raise BatchFormatError("batch must be a JSON array")
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise BatchFormatError(f"entry {pos} is not an object")
         missing = [name for name in _ENTRY_FIELDS if name not in entry]
         if missing:
             raise BatchFormatError(f"entry {pos} lacks {', '.join(missing)}")
+        kind = entry["kind"]
+        if not isinstance(kind, str) or kind not in _SIDE_TYPES:
+            raise BatchFormatError(f"entry {pos} has unknown kind {kind!r}")
+        types, described = _SIDE_TYPES[kind]
+        for name in ("pred", "gt"):
+            if not isinstance(entry[name], types):
+                raise BatchFormatError(f"entry {pos} {name} must be {described} for kind {kind}")
 
 
-def evaluate_batch(entries: list[dict], map_fn=map) -> list[dict]:
+def evaluate_batch(entries: list[dict]) -> list[dict]:
     """Evaluate ``[{"pred", "gt", "kind"}, ...]``; one result row per entry.
 
-    Every entry is checked before any is scored (:class:`BatchFormatError`).
-    ``map_fn`` applies the per-entry scoring, e.g. an executor's ``map``.
+    The whole batch is checked before any entry is scored
+    (:class:`BatchFormatError`); entries are then scored one after another.
     """
     _check_batch(entries)
-    reports = map_fn(lambda e: evaluate_pair(e["pred"], e["gt"], e["kind"]), entries)
     return [
-        {"index": pos, "kind": entry["kind"], "metrics": {r.name: r.value for r in rep}}
-        for pos, (entry, rep) in enumerate(zip(entries, reports))
+        {
+            "index": pos,
+            "kind": entry["kind"],
+            "metrics": {
+                r.name: r.value
+                for r in evaluate_pair(entry["pred"], entry["gt"], entry["kind"])
+            },
+        }
+        for pos, entry in enumerate(entries)
     ]

@@ -2,8 +2,8 @@
 and seeded table perturbations for preference-pair generation.
 
 The rule half of the composite reward checks structural sanity of a
-candidate table; the learned half is behind a pluggable scorer that receives
-the original-table descriptor, the candidate HTML, and its canonical
+candidate table; the learned half comes from an external scorer that
+receives the original-table descriptor, the candidate HTML, and its canonical
 re-serialization (standing in for a rendered image).
 """
 
@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from ._external import score_via_http, score_via_subprocess
 from .table_grid import (
     GridCell,
     TableError,
@@ -101,41 +100,6 @@ def rule_checks(
 
 
 # -- composite reward ------------------------------------------------------------
-
-
-class RewardScorer:
-    """Learned visual-consistency scorer over (original, candidate, render)."""
-
-    def score(self, original_descriptor: str, candidate_html: str, rendered_canonical: str) -> float:
-        raise NotImplementedError
-
-
-class SubprocessRewardScorer(RewardScorer):
-    def __init__(self, command: list[str], timeout: float = 30.0):
-        self.command = command
-        self.timeout = timeout
-
-    def score(self, original_descriptor, candidate_html, rendered_canonical):
-        payload = {
-            "original_descriptor": original_descriptor,
-            "candidate_html": candidate_html,
-            "rendered_canonical": rendered_canonical,
-        }
-        return score_via_subprocess(self.command, payload, self.timeout)
-
-
-class HttpRewardScorer(RewardScorer):
-    def __init__(self, url: str, timeout: float = 30.0):
-        self.url = url
-        self.timeout = timeout
-
-    def score(self, original_descriptor, candidate_html, rendered_canonical):
-        payload = {
-            "original_descriptor": original_descriptor,
-            "candidate_html": candidate_html,
-            "rendered_canonical": rendered_canonical,
-        }
-        return score_via_http(self.url, payload, self.timeout)
 
 
 def composite_reward(rule_score: float, model_score: float, w_rule: float = 0.5) -> float:

@@ -272,13 +272,19 @@ def parse_table_html(html: str) -> TableFragment:
     return TableFragment(rows)
 
 
+# The HTML table model's span limits: larger values are clamped to them.
+MAX_COLSPAN = 1000
+MAX_ROWSPAN = 65534
+
+
 def normalize_grid(fragment: TableFragment) -> TableGrid:
     """Lay out a fragment with the standard HTML table algorithm.
 
     Each cell lands at the leftmost free column of its row and claims its
-    span rectangle. Ragged rows are padded with empty 1x1 cells, rowspans
-    overflowing the bottom edge are clipped; both are recorded in
-    ``grid.warnings`` instead of raised.
+    span rectangle. Ragged rows are padded with empty 1x1 cells; rowspans
+    overflowing the bottom edge, and spans over the HTML limits
+    (:data:`MAX_COLSPAN`, :data:`MAX_ROWSPAN`), are clipped. All of these are
+    recorded in ``grid.warnings`` instead of raised.
     """
     n_rows = len(fragment.rows)
     warnings: list[str] = []
@@ -300,20 +306,22 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
             row = occ[r]
             while cursor < len(row) and row[cursor] is not None:
                 cursor += 1
-            rowspan = raw.rowspan
-            if r + rowspan > n_rows:
-                rowspan = n_rows - r
+            rowspan = min(raw.rowspan, MAX_ROWSPAN, n_rows - r)
+            if rowspan != raw.rowspan:
                 warnings.append(
                     f"clipped rowspan {raw.rowspan}->{rowspan} at ({r},{cursor})"
                 )
+            colspan = min(raw.colspan, MAX_COLSPAN)
+            if colspan != raw.colspan:
+                warnings.append(
+                    f"clipped colspan {raw.colspan}->{colspan} at ({r},{cursor})"
+                )
             idx = len(cells)
-            cells.append(
-                GridCell(r, cursor, rowspan, raw.colspan, raw.content, raw.is_header)
-            )
+            cells.append(GridCell(r, cursor, rowspan, colspan, raw.content, raw.is_header))
             for rr in range(r, r + rowspan):
-                for cc in range(cursor, cursor + raw.colspan):
+                for cc in range(cursor, cursor + colspan):
                     claim(rr, cc, idx)
-            cursor += raw.colspan
+            cursor += colspan
 
     n_cols = max((len(row) for row in occ), default=0)
     for r in range(n_rows):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ._external import ScorerFailure, score_via_http, score_via_subprocess
+from ._external import Scorer, ScorerFailure
 from .table_grid import (
     GridCell,
     TableGrid,
@@ -95,7 +95,7 @@ class MergeConfig:
     continuation_threshold: float = 0.5
 
 
-# -- continuation scorers -----------------------------------------------------
+# -- continuation heuristic ---------------------------------------------------
 
 TERMINAL_PUNCTUATION = ".!?;:"
 # Characters that essentially never start a fresh cell value. Digits are
@@ -103,64 +103,29 @@ TERMINAL_PUNCTUATION = ".!?;:"
 CONTINUATION_CHARS = set(",;:)]}%")
 
 
-class ContinuationScorer:
-    """Scores how likely B's first row continues A's last row, in [0, 1]."""
-
-    def score(self, tail_cells: list[str], head_cells: list[str], column_map: list[int]) -> float:
-        raise NotImplementedError
-
-
-class HeuristicContinuationScorer(ContinuationScorer):
+def heuristic_continuation_score(
+    tail_cells: list[str], head_cells: list[str], column_map: list[int]
+) -> float:
     """Baseline: 1.0 when any aligned boundary pair looks like a split cell.
 
     A pair fires when the tail cell is non-empty without terminal
     punctuation and the head cell starts with a lowercase letter or a
     continuation character.
     """
-
-    def score(self, tail_cells, head_cells, column_map):
-        for b_col, head in enumerate(head_cells):
-            a_col = column_map[b_col] if b_col < len(column_map) else b_col
-            if a_col >= len(tail_cells):
-                continue
-            tail = tail_cells[a_col].strip()
-            head = head.strip()
-            if not tail or not head:
-                continue
-            if tail[-1] in TERMINAL_PUNCTUATION:
-                continue
-            first = head[0]
-            if first.islower() or first in CONTINUATION_CHARS:
-                return 1.0
-        return 0.0
-
-
-class SubprocessContinuationScorer(ContinuationScorer):
-    def __init__(self, command: list[str], timeout: float = 30.0):
-        self.command = command
-        self.timeout = timeout
-
-    def score(self, tail_cells, head_cells, column_map):
-        payload = {
-            "tail_cells": tail_cells,
-            "head_cells": head_cells,
-            "column_map": list(column_map),
-        }
-        return score_via_subprocess(self.command, payload, self.timeout)
-
-
-class HttpContinuationScorer(ContinuationScorer):
-    def __init__(self, url: str, timeout: float = 30.0):
-        self.url = url
-        self.timeout = timeout
-
-    def score(self, tail_cells, head_cells, column_map):
-        payload = {
-            "tail_cells": tail_cells,
-            "head_cells": head_cells,
-            "column_map": list(column_map),
-        }
-        return score_via_http(self.url, payload, self.timeout)
+    for b_col, head in enumerate(head_cells):
+        a_col = column_map[b_col] if b_col < len(column_map) else b_col
+        if a_col >= len(tail_cells):
+            continue
+        tail = tail_cells[a_col].strip()
+        head = head.strip()
+        if not tail or not head:
+            continue
+        if tail[-1] in TERMINAL_PUNCTUATION:
+            continue
+        first = head[0]
+        if first.islower() or first in CONTINUATION_CHARS:
+            return 1.0
+    return 0.0
 
 
 # -- decision operations ------------------------------------------------------
@@ -231,7 +196,7 @@ def align_schemas(a: TableGrid, b: TableGrid) -> list[int]:
 def classify_continuation(
     a: TableGrid,
     b: TableGrid,
-    scorer: ContinuationScorer | None = None,
+    scorer: Scorer | None = None,
     cfg: MergeConfig | None = None,
     column_map: list[int] | None = None,
 ) -> ContinuationDecision:
@@ -245,17 +210,20 @@ def classify_continuation(
         column_map = align_schemas(a, b)
     tail = a.row_contents(a.n_rows - 1)
     head = b.row_contents(0)
-    source = DecisionSource.HEURISTIC
-    heuristic = HeuristicContinuationScorer()
-    if scorer is None or isinstance(scorer, HeuristicContinuationScorer):
-        score = heuristic.score(tail, head, column_map)
-    else:
+    if scorer is not None:
+        payload = {"tail_cells": tail, "head_cells": head, "column_map": list(column_map)}
         try:
-            score = scorer.score(tail, head, column_map)
-            source = DecisionSource.EXTERNAL_SCORER
+            score = scorer(payload)
         except ScorerFailure:
-            score = heuristic.score(tail, head, column_map)
-    return ContinuationDecision(score >= cfg.continuation_threshold, score, source)
+            pass
+        else:
+            return ContinuationDecision(
+                score >= cfg.continuation_threshold, score, DecisionSource.EXTERNAL_SCORER
+            )
+    score = heuristic_continuation_score(tail, head, column_map)
+    return ContinuationDecision(
+        score >= cfg.continuation_threshold, score, DecisionSource.HEURISTIC
+    )
 
 
 def _join_separator(tail: str, head: str) -> str:
@@ -277,7 +245,7 @@ def _build_boundary_join(a: TableGrid, b: TableGrid, column_map: list[int]) -> t
 def decide_merge(
     a: TableGrid,
     b: TableGrid,
-    scorer: ContinuationScorer | None = None,
+    scorer: Scorer | None = None,
     cfg: MergeConfig | None = None,
 ) -> MergePlan:
     """Hybrid decision: header rule first, then continuation classification.
@@ -425,7 +393,7 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
 
 def merge_fragment_sequence(
     fragments: list[TableGrid],
-    scorer: ContinuationScorer | None = None,
+    scorer: Scorer | None = None,
     cfg: MergeConfig | None = None,
 ) -> list[TableGrid]:
     """Greedy left-to-right fold of fragments in reading order."""
@@ -435,7 +403,7 @@ def merge_fragment_sequence(
 
 def merge_fragment_sequence_with_plans(
     fragments: list[TableGrid],
-    scorer: ContinuationScorer | None = None,
+    scorer: Scorer | None = None,
     cfg: MergeConfig | None = None,
 ) -> tuple[list[TableGrid], list[MergePlan]]:
     """Fold fragments and keep the pairwise decisions for reporting.

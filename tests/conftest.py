@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import http.server
+import json
 import random
+import shlex
+import sys
+import threading
 
 from docpost.table_grid import GridCell, TableGrid, grid_from_cells
 from docpost.table_merge import slice_rows
@@ -114,3 +120,49 @@ def split_row_mid_word(grid: TableGrid, split_row: int, col: int, cut: int):
         else:
             cells.append(c)
     return top, grid_from_cells(bottom.n_rows, grid.n_cols, cells)
+
+
+# -- external scorers ---------------------------------------------------------------
+
+CONTINUATION_KEYS = {"tail_cells", "head_cells", "column_map"}
+REWARD_KEYS = {"original_descriptor", "candidate_html", "rendered_canonical"}
+
+
+def keyset_scorer_cmd(keys: set[str], score: float) -> str:
+    """Command line of a scorer that prints ``score`` only when the payload's
+    keys are exactly ``keys``; any other payload gets no answer, a failure."""
+    script = (
+        "import json, sys\n"
+        f"if sorted(json.loads(sys.stdin.readline())) == {sorted(keys)!r}:\n"
+        f"    print({score!r})\n"
+    )
+    return shlex.join([sys.executable, "-c", script])
+
+
+@contextlib.contextmanager
+def scorer_server(body: bytes):
+    """HTTP scorer answering every POST with ``body``. Yields its URL and the
+    list of ``(Content-Type, payload)`` pairs it has received."""
+    received = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            data = self.rfile.read(int(self.headers["Content-Length"]))
+            received.append((self.headers["Content-Type"], json.loads(data)))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/score", received
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)

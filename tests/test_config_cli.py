@@ -1,7 +1,10 @@
 import json
+import shlex
+import sys
 
 import pytest
 
+from conftest import REWARD_KEYS, keyset_scorer_cmd, scorer_server
 from docpost.cli import main
 from docpost.config import (
     Config,
@@ -73,6 +76,17 @@ def test_config_env_overrides():
     assert cfg.include_headers_footers is True
 
 
+def test_config_scorers_share_one_transport():
+    assert Config().continuation_scorer() is None and Config().reward_scorer() is None
+    # the command wins over the URL; nothing listens on the URL
+    cfg = Config(
+        reward_scorer_cmd=keyset_scorer_cmd(REWARD_KEYS, 0.25),
+        reward_scorer_url="http://127.0.0.1:9/score",
+    )
+    payload = {"original_descriptor": "", "candidate_html": "", "rendered_canonical": ""}
+    assert cfg.reward_scorer()(payload) == 0.25
+
+
 def test_config_dump_deterministic():
     assert dumps_config(Config()) == dumps_config(Config())
 
@@ -129,6 +143,9 @@ def test_cli_eval_jobs_preserves_order(tmp_path, capsys):
     assert [r["index"] for r in rows] == list(range(8))
 
 
+NOT_AN_ARRAY = object()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
     "entry, message",
@@ -136,10 +153,26 @@ def test_cli_eval_jobs_preserves_order(tmp_path, capsys):
         ({"pred": "abc", "gt": "abd"}, "entry 1 lacks kind"),
         ({"kind": "text"}, "entry 1 lacks pred, gt"),
         ("abc", "entry 1 is not an object"),
+        (
+            {"pred": 5, "gt": "a", "kind": "text"},
+            "entry 1 pred must be a string or an array for kind text",
+        ),
+        (
+            {"pred": [1], "gt": 5, "kind": "order"},
+            "entry 1 gt must be a string or an array for kind order",
+        ),
+        (
+            {"pred": ["<table>"], "gt": "<table>", "kind": "table"},
+            "entry 1 pred must be a string for kind table",
+        ),
+        ({"pred": "a", "gt": "a", "kind": "audio"}, "entry 1 has unknown kind 'audio'"),
+        (NOT_AN_ARRAY, "batch must be a JSON array"),
     ],
 )
 def test_cli_eval_malformed_entry_exit2(tmp_path, capsys, jobs, entry, message):
     batch = [{"pred": "abc", "gt": "abc", "kind": "text"}, entry]
+    if entry is NOT_AN_ARRAY:
+        batch = batch[0]  # valid JSON, but an object
     batch_path = tmp_path / "batch.json"
     batch_path.write_text(json.dumps(batch))
     assert main(["eval", str(batch_path), "--jobs", jobs]) == 2
@@ -230,6 +263,105 @@ def test_cli_reward(tmp_path, capsys):
     assert rows[0]["rule"]["well_formed"] and rows[0]["reward"] == 1.0
     assert not rows[1]["rule"]["well_formed"]
     assert rows[0]["advantage"] > 0 > rows[1]["advantage"]
+
+
+def _reward_files(tmp_path, candidates):
+    gt_path = tmp_path / "gt.html"
+    gt_path.write_text(FRAG_A)
+    cand_path = tmp_path / "cands.json"
+    cand_path.write_text(json.dumps(candidates))
+    return str(cand_path), str(gt_path)
+
+
+def test_cli_reward_external_scorer_subprocess(tmp_path, capsys, monkeypatch):
+    # the scorer answers only a payload with exactly the protocol's keys
+    monkeypatch.setenv("DOCPOST_REWARD_SCORER_CMD", keyset_scorer_cmd(REWARD_KEYS, 0.25))
+    assert main(["reward", *_reward_files(tmp_path, [FRAG_A])]) == 0
+    row = json.loads(capsys.readouterr().out)["candidates"][0]
+    assert row["model_score"] == 0.25 and row["reward"] == 0.625
+
+
+def test_cli_reward_external_scorer_http(tmp_path, capsys, monkeypatch):
+    with scorer_server(b"0.5\n") as (url, received):
+        monkeypatch.setenv("DOCPOST_REWARD_SCORER_URL", url)
+        assert main(["reward", *_reward_files(tmp_path, [{"html": FRAG_A}])]) == 0
+    assert json.loads(capsys.readouterr().out)["candidates"][0]["model_score"] == 0.5
+    [(content_type, payload)] = received
+    assert content_type == "application/json"
+    assert set(payload) == REWARD_KEYS
+    assert payload["original_descriptor"] == payload["candidate_html"] == FRAG_A
+
+
+def test_cli_reward_scorer_failure_exit2(tmp_path, capsys, monkeypatch):
+    cmd = shlex.join([sys.executable, "-c", "import sys; sys.exit(3)"])
+    monkeypatch.setenv("DOCPOST_REWARD_SCORER_CMD", cmd)
+    assert main(["reward", *_reward_files(tmp_path, [FRAG_A])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ScorerFailure" and "exited 3" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "candidates, message",
+    [
+        ([{"text": FRAG_A}], 'candidate 0 is neither an HTML string nor an object with an "html" string'),
+        ([FRAG_A, 5], 'candidate 1 is neither an HTML string nor an object with an "html" string'),
+        ({"html": FRAG_A}, "candidates file must be a JSON array"),
+    ],
+)
+def test_cli_reward_malformed_candidates_exit2(tmp_path, capsys, candidates, message):
+    assert main(["reward", *_reward_files(tmp_path, candidates)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "FormatError", "message": message}
+
+
+DETECTION_SHAPE = '{"bbox": [x1, y1, x2, y2], "confidence": f}'
+
+
+@pytest.mark.parametrize(
+    "detections, message",
+    [
+        ([{"confidence": 0.9}], f"detection 0 is not a {DETECTION_SHAPE} object"),
+        ([{"bbox": [4, 3, 8, 6]}], f"detection 0 is not a {DETECTION_SHAPE} object"),
+        (
+            [{"bbox": [4, 3, 8, 6], "confidence": 0.9}, {"bbox": [4, 3, 8], "confidence": 0.9}],
+            f"detection 1 is not a {DETECTION_SHAPE} object",
+        ),
+        ([[4, 3, 8, 6]], f"detection 0 is not a {DETECTION_SHAPE} object"),
+        ({"bbox": [4, 3, 8, 6], "confidence": 0.9}, "detections file must be a JSON array"),
+    ],
+)
+def test_cli_mask_malformed_detections_exit2(tmp_path, capsys, detections, message):
+    img_path = tmp_path / "page.ppm"
+    img_path.write_bytes(write_ppm(PixelBuffer(20, 10, b"\xff" * 600)))
+    det_path = tmp_path / "det.json"
+    det_path.write_text(json.dumps(detections))
+    argv = ["mask", str(img_path), str(det_path), "--table-bbox", "2,2,18,9"]
+    assert main([*argv, "--out-prefix", str(tmp_path / "t0")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "FormatError", "message": message}
+
+
+def test_cli_assemble_malformed_detections_exit2(tmp_path, capsys):
+    det_dir = tmp_path / "dets"
+    det_dir.mkdir()
+    (det_dir / "page0_el0.json").write_text(json.dumps([{"bbox": [0, 0, 5, 5]}]))
+    layout_path = tmp_path / "layout.json"
+    layout_path.write_text(
+        json.dumps([{"bbox": [0, 0, 50, 10], "index": 0, "label": "table", "rotation": 0}])
+    )
+    fixture_path = tmp_path / "rec.json"
+    fixture_path.write_text(json.dumps({"0": {"content": FRAG_A, "kind": "table"}}))
+    argv = ["assemble", str(layout_path), str(fixture_path), "-o", str(tmp_path / "doc.md")]
+    assert main([*argv, "--detections-dir", str(det_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "FormatError",
+        "message": f"detection 0 is not a {DETECTION_SHAPE} object",
+    }
 
 
 def test_cli_pairs(tmp_path, capsys):

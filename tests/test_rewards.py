@@ -1,12 +1,12 @@
 import random
 import statistics
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grid
+from conftest import REWARD_KEYS, keyset_scorer_cmd, random_grid
+from docpost._external import external_scorer
 from docpost.metrics import teds
 from docpost.rewards import (
     EmptyGroup,
@@ -15,7 +15,6 @@ from docpost.rewards import (
     PrefPair,
     RewardGroup,
     RuleWeights,
-    SubprocessRewardScorer,
     composite_reward,
     group_advantages,
     perturb_table,
@@ -103,9 +102,14 @@ def test_render_candidate_is_canonical():
 
 
 def test_subprocess_reward_scorer():
-    cmd = [sys.executable, "-c", "import sys; sys.stdin.readline(); print(0.25)"]
-    scorer = SubprocessRewardScorer(cmd)
-    assert scorer.score("orig", VALID, render_candidate(VALID)) == 0.25
+    # the scorer answers only a payload with exactly the protocol's keys
+    scorer = external_scorer(keyset_scorer_cmd(REWARD_KEYS, 0.25), "")
+    payload = {
+        "original_descriptor": "orig",
+        "candidate_html": VALID,
+        "rendered_canonical": render_candidate(VALID),
+    }
+    assert scorer(payload) == 0.25
 
 
 # -- group advantages -----------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grid
+from docpost.rewards import rule_checks
 from docpost.table_grid import (
     GridCell,
     MalformedMarkup,
@@ -127,6 +128,24 @@ def test_normalize_clips_overflowing_rowspan():
     assert grid.n_rows == 1
     assert grid.cells[0].rowspan == 1
     assert any("clipped" in w for w in grid.warnings)
+
+
+def test_normalize_clamps_colspan_to_html_limit():
+    html = '<table><tr><td colspan="1000000">x</td></tr><tr><td>y</td></tr></table>'
+    grid = parse_grid(html)
+    assert (grid.n_rows, grid.n_cols) == (2, 1000)
+    assert grid.cells[0].colspan == 1000
+    assert "clipped colspan 1000000->1000 at (0,0)" in grid.warnings
+    assert not rule_checks(html).rectangular
+
+
+def test_normalize_clamps_rowspan_to_html_limit():
+    grid = parse_grid(
+        '<table><tr><td rowspan="70000">x</td></tr>' + "<tr></tr>" * 65535 + "</table>"
+    )
+    assert (grid.n_rows, grid.n_cols) == (65536, 1)
+    assert grid.cells[0].rowspan == 65534
+    assert "clipped rowspan 70000->65534 at (0,0)" in grid.warnings
 
 
 def test_normalize_span_conflict():

@@ -1,14 +1,20 @@
-import contextlib
-import http.server
 import random
+import shlex
 import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grid, split_row_mid_word, split_with_header_copy
+from conftest import (
+    CONTINUATION_KEYS,
+    keyset_scorer_cmd,
+    random_grid,
+    scorer_server,
+    split_row_mid_word,
+    split_with_header_copy,
+)
+from docpost._external import external_scorer
 from docpost.table_grid import (
     GridCell,
     detect_header_rows,
@@ -19,13 +25,11 @@ from docpost.table_grid import (
 from docpost.table_merge import (
     BoundaryJoin,
     DecisionSource,
-    HttpContinuationScorer,
     MatchKind,
     MergeConfig,
     MergePlan,
     Pattern,
     PlanMismatch,
-    SubprocessContinuationScorer,
     Unalignable,
     align_schemas,
     classify_continuation,
@@ -134,58 +138,43 @@ def test_continuation_mid_token_punctuation_fires():
 
 
 def test_external_scorer_subprocess():
-    cmd = [sys.executable, "-c", "import sys; sys.stdin.readline(); print(0.9)"]
+    # the scorer answers only a payload with exactly the protocol's keys
+    scorer = external_scorer(keyset_scorer_cmd(CONTINUATION_KEYS, 0.9), "")
     a = grid_of([["Done.", "x"]])
     b = grid_of([["Done.", "y"]])
-    d = classify_continuation(a, b, SubprocessContinuationScorer(cmd))
+    d = classify_continuation(a, b, scorer)
     assert d.score == 0.9 and d.is_row_split
     assert d.source is DecisionSource.EXTERNAL_SCORER
 
 
 def test_external_scorer_failure_falls_back():
-    cmd = [sys.executable, "-c", "import sys; sys.exit(3)"]
+    cmd = shlex.join([sys.executable, "-c", "import sys; sys.exit(3)"])
     a = grid_of([["No punctuation here", "x"]])
     b = grid_of([["lowercase start", "y"]])
-    d = classify_continuation(a, b, SubprocessContinuationScorer(cmd))
+    d = classify_continuation(a, b, external_scorer(cmd, ""))
     assert d.source is DecisionSource.HEURISTIC
     assert d.is_row_split  # heuristic fires on the lowercase head
-
-
-@contextlib.contextmanager
-def scorer_server(body: bytes):
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/score"
-    finally:
-        server.shutdown()
 
 
 def test_external_scorer_http():
     a = grid_of([["Done.", "x"]])
     b = grid_of([["Done.", "y"]])
-    with scorer_server(b"0.8\n") as url:
-        d = classify_continuation(a, b, HttpContinuationScorer(url))
+    with scorer_server(b"0.8\n") as (url, received):
+        d = classify_continuation(a, b, external_scorer("", url))
     assert d.score == 0.8 and d.source is DecisionSource.EXTERNAL_SCORER
+    assert received == [
+        (
+            "application/json",
+            {"tail_cells": ["Done.", "x"], "head_cells": ["Done.", "y"], "column_map": [0, 1]},
+        )
+    ]
 
 
 def test_external_scorer_http_garbage_falls_back():
     a = grid_of([["Done.", "Over."]])
     b = grid_of([["Fresh", "Start"]])
-    with scorer_server(b"not a number\n") as url:
-        d = classify_continuation(a, b, HttpContinuationScorer(url))
+    with scorer_server(b"not a number\n") as (url, _):
+        d = classify_continuation(a, b, external_scorer("", url))
     assert d.source is DecisionSource.HEURISTIC
     assert not d.is_row_split  # heuristic sees terminated tails
 
