@@ -319,10 +319,13 @@ def cmd_pairs(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         for source in sources:
             gt_html = source.read_text(encoding="utf-8")
+            if args.seeds <= 0:  # no pair is attempted, so nothing is parsed
+                continue
+            grid = table_grid.parse_grid(gt_html)
             for seed in range(args.seeds):
                 for kind in kinds:
                     try:
-                        pair = rewards.perturb_table(gt_html, kind, seed)
+                        pair = rewards.perturb_table(grid, kind, seed)
                     except rewards.InapplicablePerturbation:
                         skipped += 1
                         continue

@@ -197,11 +197,12 @@ def _rebuild_from_occupancy(occ_rows: list[list[int]], cells_by_id) -> TableGrid
 
 
 def _swap_cells(grid: TableGrid, rng: random.Random) -> TableGrid:
+    keys = [normalize_text(c.content) for c in grid.cells]
     candidates = [
         (i, j)
-        for i in range(len(grid.cells))
-        for j in range(i + 1, len(grid.cells))
-        if normalize_text(grid.cells[i].content) != normalize_text(grid.cells[j].content)
+        for i in range(len(keys))
+        for j in range(i + 1, len(keys))
+        if keys[i] != keys[j]
     ]
     if not candidates:
         raise InapplicablePerturbation("all cells have identical content")
@@ -316,15 +317,19 @@ _PERTURBATIONS = {
 }
 
 
-def perturb_table(gt_html: str, kind: PerturbationKind, rng_seed: int) -> PrefPair:
+def perturb_table(
+    gt: str | TableGrid, kind: PerturbationKind, rng_seed: int
+) -> PrefPair:
     """Derive a visually inconsistent negative from the ground truth.
 
+    ``gt`` is the ground-truth HTML or its already parsed grid; passing the
+    grid lets callers that perturb one table many times parse it once.
     Exactly one seeded perturbation of the given kind is applied; the
     positive side is the canonical serialization of the parsed ground truth.
     Raises :class:`InapplicablePerturbation` when the table cannot support
     the perturbation or it would leave the table unchanged.
     """
-    grid = parse_grid(gt_html)
+    grid = parse_grid(gt) if isinstance(gt, str) else gt
     positive = serialize_grid(grid)
     rng = random.Random(rng_seed)
     negative_grid = _PERTURBATIONS[kind](grid, rng)

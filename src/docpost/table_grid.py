@@ -275,6 +275,9 @@ def parse_table_html(html: str) -> TableFragment:
 # The HTML table model's span limits: larger values are clamped to them.
 MAX_COLSPAN = 1000
 MAX_ROWSPAN = 65534
+# Upper bound on n_rows * n_cols of a normalized grid; larger tables are
+# rejected as malformed, since padding would make one cell per position.
+MAX_GRID_POSITIONS = 100_000
 
 
 def normalize_grid(fragment: TableFragment) -> TableGrid:
@@ -284,7 +287,9 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
     span rectangle. Ragged rows are padded with empty 1x1 cells; rowspans
     overflowing the bottom edge, and spans over the HTML limits
     (:data:`MAX_COLSPAN`, :data:`MAX_ROWSPAN`), are clipped. All of these are
-    recorded in ``grid.warnings`` instead of raised.
+    recorded in ``grid.warnings`` instead of raised. A grid that would have
+    more than :data:`MAX_GRID_POSITIONS` positions raises
+    :class:`MalformedMarkup` before the cell that would widen it is placed.
     """
     n_rows = len(fragment.rows)
     warnings: list[str] = []
@@ -315,6 +320,10 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
             if colspan != raw.colspan:
                 warnings.append(
                     f"clipped colspan {raw.colspan}->{colspan} at ({r},{cursor})"
+                )
+            if n_rows * (cursor + colspan) > MAX_GRID_POSITIONS:
+                raise MalformedMarkup(
+                    f"table exceeds {MAX_GRID_POSITIONS} grid positions at ({r},{cursor})"
                 )
             idx = len(cells)
             cells.append(GridCell(r, cursor, rowspan, colspan, raw.content, raw.is_header))

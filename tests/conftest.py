@@ -13,6 +13,12 @@ import threading
 from docpost.table_grid import GridCell, TableGrid, grid_from_cells
 from docpost.table_merge import slice_rows
 
+# One row of 200 cells 1000 wide over a one-cell row: 5,043 bytes that would
+# lay out as a 2x200,000 grid, over table_grid.MAX_GRID_POSITIONS.
+WIDE_ROW_TABLE = (
+    "<table><tr>" + '<td colspan="1000">x</td>' * 200 + "</tr><tr><td>y</td></tr></table>"
+)
+
 # Alphabet deliberately avoids markup metacharacters so serialized content
 # survives the tag-soup parser byte-for-byte.
 WORDS = (

@@ -2,7 +2,8 @@
 
 These deliberately use different algorithms from the library: the tree
 distance enumerates every valid edit mapping instead of running the
-dynamic program, and the string distance fills the full textbook matrix.
+dynamic program, the string distance fills the full textbook matrix, and
+the swap-cell candidates normalize both cells of every pair afresh.
 """
 
 from __future__ import annotations
@@ -10,6 +11,18 @@ from __future__ import annotations
 import random
 
 from docpost.metrics import CONTENT_AWARE, DocTree, normalized_edit_distance
+from docpost.table_grid import TableGrid, normalize_text
+
+
+def swap_candidates_reference(grid: TableGrid) -> list[tuple[int, int]]:
+    """Cell pairs ``(i, j)``, ``i < j``, whose contents differ after
+    normalization, in row-major order, normalizing both cells of every pair."""
+    return [
+        (i, j)
+        for i in range(len(grid.cells))
+        for j in range(i + 1, len(grid.cells))
+        if normalize_text(grid.cells[i].content) != normalize_text(grid.cells[j].content)
+    ]
 
 
 def levenshtein_full_matrix(a, b) -> int:

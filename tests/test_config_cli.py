@@ -1,10 +1,11 @@
 import json
 import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import REWARD_KEYS, keyset_scorer_cmd, scorer_server
+from conftest import REWARD_KEYS, WIDE_ROW_TABLE, keyset_scorer_cmd, scorer_server
 from docpost.cli import main
 from docpost.config import (
     Config,
@@ -15,6 +16,7 @@ from docpost.config import (
     parse_config_text,
     save_config,
 )
+from docpost import rewards, table_grid
 from docpost.idtp import read_ppm, write_ppm, PixelBuffer
 from docpost.table_grid import parse_grid
 
@@ -387,6 +389,87 @@ def test_cli_pairs(tmp_path, capsys):
     lines = [json.loads(l) for l in out_path.read_text().splitlines()]
     assert summary["written"] == len(lines) == 4
     assert all(l["positive"] != l["negative"] for l in lines)
+
+
+PAIRS_FIXTURE = Path(__file__).parent / "fixtures" / "pairs"
+
+
+def _records_by_table(path):
+    records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    for record in records:
+        record["source"] = Path(record["source"]).name
+    return records
+
+
+def test_cli_pairs_matches_recorded_output(tmp_path, capsys):
+    out_path = tmp_path / "pairs.jsonl"
+    assert main(["pairs", str(PAIRS_FIXTURE), "--seeds", "3", "--out", str(out_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["written"], summary["skipped"]) == (36, 0)
+    assert _records_by_table(out_path) == _records_by_table(PAIRS_FIXTURE / "expected.jsonl")
+
+
+def test_cli_pairs_parses_each_table_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_parse_grid(html):
+        calls.append(html)
+        return parse_grid(html)
+
+    monkeypatch.setattr(table_grid, "parse_grid", counting_parse_grid)
+    monkeypatch.setattr(rewards, "parse_grid", counting_parse_grid)
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    tables = [FRAG_A, FRAG_B, (PAIRS_FIXTURE / "staff.html").read_text()]
+    for k, html in enumerate(tables):
+        (gt_dir / f"t{k}.html").write_text(html)
+    out_path = tmp_path / "pairs.jsonl"
+    assert main(["pairs", str(gt_dir), "--seeds", "3", "--out", str(out_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["written"] + summary["skipped"] == len(tables) * 3 * len(rewards.PerturbationKind)
+    assert sorted(calls) == sorted(tables)
+
+
+def test_cli_pairs_seeds_zero_skips_unparseable(tmp_path, capsys):
+    gt_path = tmp_path / "gt.html"
+    gt_path.write_text("no table here")
+    out_path = tmp_path / "pairs.jsonl"
+    assert main(["pairs", str(gt_path), "--seeds", "0", "--out", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["written"] == 0
+    assert out_path.read_text() == ""
+
+
+def test_cli_pairs_unparseable_exit1(tmp_path, capsys):
+    gt_path = tmp_path / "gt.html"
+    gt_path.write_text("no table here")
+    out_path = tmp_path / "pairs.jsonl"
+    assert main(["pairs", str(gt_path), "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "NoTableFound",
+        "message": "no <table> element in input",
+    }
+
+
+def test_cli_reward_scores_oversized_grid_not_well_formed(tmp_path, capsys):
+    cand_path, gt_path = _reward_files(tmp_path, [WIDE_ROW_TABLE, FRAG_A])
+    assert main(["reward", cand_path, gt_path]) == 0
+    rows = json.loads(capsys.readouterr().out)["candidates"]
+    assert rows[0]["rule"]["well_formed"] is False
+    assert rows[1]["rule"]["well_formed"] is True
+
+
+def test_cli_eval_oversized_ground_truth_exit1(tmp_path, capsys):
+    batch_path = tmp_path / "batch.json"
+    batch_path.write_text(json.dumps([{"pred": FRAG_A, "gt": WIDE_ROW_TABLE, "kind": "table"}]))
+    assert main(["eval", str(batch_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "GtParseError"
+    assert "grid positions" in diag["message"]
 
 
 def test_cli_assemble_single_page(tmp_path, capsys):

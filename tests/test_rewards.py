@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REWARD_KEYS, keyset_scorer_cmd, random_grid
+from oracles import swap_candidates_reference
 from docpost._external import external_scorer
 from docpost.metrics import teds
 from docpost.rewards import (
@@ -20,6 +21,7 @@ from docpost.rewards import (
     perturb_table,
     render_candidate,
     rule_checks,
+    _swap_cells,
 )
 from docpost.table_grid import parse_grid, serialize_grid
 
@@ -249,3 +251,58 @@ def test_pref_pair_round_trips_json():
     d = pair.to_dict()
     assert d["perturbation"] == "swap_cells"
     assert PrefPair(d["positive"], d["negative"], PerturbationKind(d["perturbation"])) == pair
+
+
+# Few distinct contents, with case and whitespace variants that normalize
+# alike, so swap candidates skip many pairs and some tables have none.
+_DUP_CONTENTS = ("Core", " core", "CORE ", "Data", "12", "12 ", "", '<img src="a.png">')
+
+
+def _dup_content(rng, row, col):
+    return rng.choice(_DUP_CONTENTS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n_rows=st.integers(1, 6),
+    n_cols=st.integers(1, 5),
+)
+def test_perturb_table_same_from_html_or_parsed_grid(seed, n_rows, n_cols):
+    rng = random.Random(seed)
+    html = serialize_grid(
+        random_grid(rng, n_rows, n_cols, header_rows=rng.randint(0, 1), content=_dup_content)
+    )
+    grid = parse_grid(html)  # one grid reused for every call: it must not be mutated
+
+    def outcome(gt, kind, s):
+        try:
+            return perturb_table(gt, kind, s)
+        except InapplicablePerturbation as exc:
+            return str(exc)
+
+    for kind in PerturbationKind:
+        for s in range(3):
+            assert outcome(html, kind, s) == outcome(grid, kind, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n_rows=st.integers(1, 8),
+    n_cols=st.integers(1, 6),
+)
+def test_swap_cells_picks_reference_pair(seed, n_rows, n_cols):
+    rng = random.Random(seed)
+    grid = random_grid(rng, n_rows, n_cols, content=_dup_content)
+    candidates = swap_candidates_reference(grid)
+    if not candidates:
+        with pytest.raises(InapplicablePerturbation):
+            _swap_cells(grid, random.Random(seed))
+        return
+    i, j = random.Random(seed).choice(candidates)
+    swapped = _swap_cells(grid, random.Random(seed))
+    expected = [c.content for c in grid.cells]
+    expected[i], expected[j] = expected[j], expected[i]
+    assert [c.content for c in swapped.cells] == expected
+    assert swapped.occupancy == grid.occupancy

@@ -1,17 +1,20 @@
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grid
+from conftest import WIDE_ROW_TABLE, random_grid
 from docpost.rewards import rule_checks
 from docpost.table_grid import (
+    MAX_GRID_POSITIONS,
     GridCell,
     MalformedMarkup,
     NoTableFound,
     RawCell,
     SpanConflict,
+    TableError,
     TableFragment,
     detect_header_rows,
     grid_to_fragment,
@@ -148,6 +151,31 @@ def test_normalize_clamps_rowspan_to_html_limit():
     assert "clipped rowspan 70000->65534 at (0,0)" in grid.warnings
 
 
+# The slowest grid the cap admits: 100x1000 with 99,001 padded cells.
+PADDED_AT_CAP_TABLE = (
+    '<table><tr><td colspan="1000">x</td></tr>' + "<tr><td>y</td></tr>" * 99 + "</table>"
+)
+
+
+def test_normalize_rejects_grid_over_position_cap():
+    start = time.perf_counter()
+    with pytest.raises(MalformedMarkup, match="grid positions"):
+        parse_grid(WIDE_ROW_TABLE)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_normalize_position_cap_counts_rows():
+    row = '<tr><td colspan="1000">x</td></tr>'
+    assert parse_grid("<table>" + row * 100 + "</table>").n_cols == 1000
+    with pytest.raises(MalformedMarkup, match="grid positions"):
+        parse_grid("<table>" + row * 101 + "</table>")
+
+
+def test_normalize_accepts_grid_at_position_cap():
+    grid = parse_grid("<table><tr>" + '<td colspan="1000">x</td>' * 100 + "</tr></table>")
+    assert grid.n_rows * grid.n_cols == MAX_GRID_POSITIONS
+
+
 def test_normalize_span_conflict():
     # colspan=2 in row 1 would jump over the slot owned by b's rowspan.
     frag = parse_table_html(
@@ -244,6 +272,57 @@ def test_exact_partition_of_random_fragments(seed, n_rows, n_cols):
             assert cell.anchor_col <= c < cell.anchor_col + cell.colspan
             seen.add(idx)
     assert seen == set(range(len(grid.cells)))
+
+
+# -- tag-soup fuzz ---------------------------------------------------------
+
+_SPAN_VALUES = st.one_of(
+    st.integers(-2, 12),
+    st.integers(0, 10**7),
+    st.sampled_from(["", "x", " 3 ", "1e3", "2.5", "9" * 5000]),
+)
+
+
+@st.composite
+def _cell_tag(draw):
+    attrs = "".join(
+        f' {name}="{draw(_SPAN_VALUES)}"'
+        for name in ("rowspan", "colspan")
+        if draw(st.booleans())
+    )
+    slash = "/" if draw(st.integers(0, 7)) == 0 else ""
+    return f"<{draw(st.sampled_from(['td', 'th']))}{attrs}{slash}>"
+
+
+_SOUP_TOKEN = st.one_of(
+    st.sampled_from([
+        "<table>", "</table>", "<tr>", "</tr>", "</td>", "</th>", "<thead>",
+        "</thead>", "<tbody>", "</tbody>", '<img src="a.png">', "<!-- note -->",
+        "<", "</", "<!", "&amp;", "&#x41;", "<b>", "</b>",
+    ]),
+    _cell_tag(),
+    st.text(alphabet="ab <>/&;=\"'\n", max_size=6),
+    # a run of rows, so that wide cells can reach MAX_GRID_POSITIONS
+    st.integers(1, 150).map(lambda n: "<tr><td>r</td></tr>" * n),
+)
+_TAG_SOUP = st.tuples(st.booleans(), st.lists(_SOUP_TOKEN, max_size=80)).map(
+    lambda t: ("<table>" if t[0] else "") + "".join(t[1])
+)
+
+
+# The slowest grid the cap admits (PADDED_AT_CAP_TABLE) parses in about
+# 0.5 s on a 2-vCPU x86-64 VM under CPython 3.11; the deadline leaves 4x.
+@settings(max_examples=300, deadline=2000)
+@given(html=_TAG_SOUP)
+@example(html=WIDE_ROW_TABLE)
+@example(html=PADDED_AT_CAP_TABLE)
+def test_parse_grid_tag_soup_returns_bounded_grid_or_table_error(html):
+    try:
+        grid = parse_grid(html)
+    except TableError:
+        return
+    assert grid.n_rows * grid.n_cols <= MAX_GRID_POSITIONS
+    assert all(len(row) == grid.n_cols for row in grid.occupancy)
 
 
 def test_normalize_is_idempotent():
