@@ -92,6 +92,25 @@ def _parse_detections(data) -> list[idtp.ImageDetection]:
     return detections
 
 
+def _parse_placeholder_map(data) -> idtp.PlaceholderMap:
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError('placeholder map must be an object with an "entries" array')
+    for pos, e in enumerate(entries):
+        bbox = e.get("bbox") if isinstance(e, dict) else None
+        if not (
+            isinstance(bbox, list)
+            and len(bbox) == 4
+            and all(type(v) is int for v in (e.get("id"), *bbox))
+            and isinstance(e.get("image_ref", ""), str)
+        ):
+            raise FormatError(
+                f'placeholder entry {pos} is not a {{"id": k, "bbox": [x1, y1, x2, y2], '
+                f'"image_ref": s}} object with integer id and bbox'
+            )
+    return idtp.PlaceholderMap.from_dict(data)
+
+
 def _load_image(path: str) -> idtp.PixelBuffer:
     raw = Path(path).read_bytes()
     if raw[:2] == b"P6":
@@ -198,7 +217,7 @@ def cmd_mask(args) -> int:
 def cmd_restore(args) -> int:
     cfg = _load_cfg(args)
     html = Path(args.html).read_text(encoding="utf-8")
-    pmap = idtp.PlaceholderMap.from_dict(_read_json(args.map))
+    pmap = _parse_placeholder_map(_read_json(args.map))
     result = idtp.restore_images(html, pmap, cfg.idtp_config(), strict_ids=args.strict_ids)
     Path(args.out).write_text(result.html, encoding="utf-8")
     report = idtp.verify_restoration(result.html, pmap, cfg.idtp_config())

@@ -23,6 +23,26 @@ class ConfigError(Exception):
     pass
 
 
+# Config fields that hold a fraction in [0,1], and those that hold text.
+_UNIT_FIELDS = (
+    "near_threshold",
+    "continuation_threshold",
+    "min_confidence",
+    "overlap_tolerance",
+    "w_rule",
+)
+_STRING_FIELDS = (
+    "continuation_scorer_cmd",
+    "continuation_scorer_url",
+    "reward_scorer_cmd",
+    "reward_scorer_url",
+)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Config:
     near_threshold: float = 0.8
@@ -40,20 +60,30 @@ class Config:
     reward_scorer_url: str = ""
 
     def __post_init__(self):
-        for name in (
-            "near_threshold",
-            "continuation_threshold",
-            "min_confidence",
-            "overlap_tolerance",
-            "w_rule",
-        ):
+        for name in (*_UNIT_FIELDS, "eps"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in _UNIT_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0,1], got {value}")
-        if abs(sum(self.rule_weights) - 1.0) > 1e-9:
-            raise ConfigError(f"rule_weights must sum to 1, got {self.rule_weights}")
-        if len(self.mask_fill) != 3 or any(not 0 <= v <= 255 for v in self.mask_fill):
-            raise ConfigError(f"mask_fill must be three bytes, got {self.mask_fill}")
+        weights = self.rule_weights
+        if not (isinstance(weights, tuple) and len(weights) == 4 and all(map(_is_real, weights))):
+            raise ConfigError(f"rule_weights must be four numbers, got {weights!r}")
+        if abs(sum(weights) - 1.0) > 1e-9:
+            raise ConfigError(f"rule_weights must sum to 1, got {weights}")
+        fill = self.mask_fill
+        bytes_ok = isinstance(fill, tuple) and all(type(v) is int and 0 <= v <= 255 for v in fill)
+        if not (bytes_ok and len(fill) == 3):
+            raise ConfigError(f"mask_fill must be three bytes, got {fill!r}")
+        headers = self.include_headers_footers
+        if not isinstance(headers, bool):
+            raise ConfigError(f"include_headers_footers must be true or false, got {headers!r}")
+        for name in _STRING_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
 
     # -- views consumed by the modules --------------------------------------
 
@@ -123,10 +153,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parsed = _parse_value(value)
-        if key in ("rule_weights", "mask_fill"):
-            parsed = tuple(parsed)
-        overrides[key] = parsed
+        overrides[key] = _parse_value(value)
     return dataclasses.replace(base or Config(), **overrides)
 
 
@@ -148,23 +175,15 @@ def save_config(cfg: Config, path: str) -> None:
 def apply_env_overrides(cfg: Config, environ=None) -> Config:
     """Apply ``DOCPOST_<UPPERCASE_KEY>`` environment overrides."""
     environ = os.environ if environ is None else environ
-    string_fields = {
-        "continuation_scorer_cmd",
-        "continuation_scorer_url",
-        "reward_scorer_cmd",
-        "reward_scorer_url",
-    }
     overrides: dict = {}
     for f in fields(Config):
         env_key = ENV_PREFIX + f.name.upper()
         if env_key not in environ:
             continue
         raw = environ[env_key]
-        if f.name in string_fields:
+        if f.name in _STRING_FIELDS:
             parsed = raw[1:-1] if raw.startswith('"') and raw.endswith('"') else raw
         else:
             parsed = _parse_value(raw)
-            if f.name in ("rule_weights", "mask_fill"):
-                parsed = tuple(parsed)
         overrides[f.name] = parsed
     return dataclasses.replace(cfg, **overrides)

@@ -8,6 +8,7 @@ recognizer output is near-HTML, not validated HTML.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
@@ -248,14 +249,63 @@ class _TableSoupParser(HTMLParser):
             self.done = True
 
 
+# The shape serialize_grid writes: lowercase <table>/<tr>/<td>/<th> tags with
+# nothing between them, rowspan then colspan (double-quoted, 1-6 digits:
+# int() refuses very long ones), and cell content made of text free of "<"
+# and "&", <img> tags with lowercase attribute names and plain double-quoted
+# values, and complete &name; or &#digits; references. _TableSoupParser
+# passes such content through verbatim. Content is matched as
+# text (token text)* so that a failed match cannot backtrack through the
+# ways of splitting a text run.
+_CANONICAL_CELL = (
+    r'<(?P<tag>t[dh])(?: rowspan="(\d{1,6})")?(?: colspan="(\d{1,6})")?>'
+    r'([^<&]*(?:(?:<img(?: [a-z][a-z0-9-]*="[^"<>&]*")*(?: ?/)?>'
+    r"|&(?:[a-zA-Z][a-zA-Z0-9]*|#[0-9]+);)[^<&]*)*)</(?P=tag)>"
+)
+
+
+@functools.cache
+def _canonical_patterns() -> tuple[re.Pattern, re.Pattern]:
+    # Compiled on first use: commands that parse no table skip the cost.
+    table = rf"<table>(?:<tr>(?:{_CANONICAL_CELL})*</tr>)+</table>"
+    return re.compile(_CANONICAL_CELL), re.compile(table)
+
+
+def _parse_canonical(html: str) -> TableFragment | None:
+    """The fragment _TableSoupParser builds from canonical markup, else None."""
+    cell_re, table_re = _canonical_patterns()
+    body = html.strip()
+    if table_re.fullmatch(body) is None:
+        return None
+    rows = tuple(
+        tuple(
+            RawCell(
+                content,
+                max(int(rowspan), 1) if rowspan else 1,
+                max(int(colspan), 1) if colspan else 1,
+                tag == "th",
+            )
+            for tag, rowspan, colspan, content in cell_re.findall(row)
+        )
+        for row in body[len("<table><tr>") : -len("</tr></table>")].split("</tr><tr>")
+    )
+    # A table of empty rows is malformed; the tolerant parser reports it.
+    return TableFragment(rows) if any(rows) else None
+
+
 def parse_table_html(html: str) -> TableFragment:
     """Parse the first <table> in ``html`` into a :class:`TableFragment`.
 
     <th> cells and cells inside <thead> get ``is_header=True``. Markup inside
     a cell (including <img> tags) is preserved verbatim in ``content``.
     Raises :class:`NoTableFound` when there is no table element and
-    :class:`MalformedMarkup` when the table yields no rows.
+    :class:`MalformedMarkup` when the table yields no rows. Markup in the
+    shape :func:`serialize_grid` writes skips ``html.parser`` and gives the
+    same fragment.
     """
+    fragment = _parse_canonical(html)
+    if fragment is not None:
+        return fragment
     parser = _TableSoupParser()
     try:
         parser.feed(html)
@@ -287,7 +337,8 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
     span rectangle. Ragged rows are padded with empty 1x1 cells; rowspans
     overflowing the bottom edge, and spans over the HTML limits
     (:data:`MAX_COLSPAN`, :data:`MAX_ROWSPAN`), are clipped. All of these are
-    recorded in ``grid.warnings`` instead of raised. A grid that would have
+    recorded in ``grid.warnings`` instead of raised: one warning per clipped
+    span and one per padded row. A grid that would have
     more than :data:`MAX_GRID_POSITIONS` positions raises
     :class:`MalformedMarkup` before the cell that would widen it is placed.
     """
@@ -337,12 +388,15 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
         row = occ[r]
         while len(row) < n_cols:
             row.append(None)
+        padded = 0
         for c in range(n_cols):
             if row[c] is None:
                 idx = len(cells)
                 cells.append(GridCell(r, c, 1, 1, "", False))
                 row[c] = idx
-                warnings.append(f"padded empty cell at ({r},{c})")
+                padded += 1
+        if padded:
+            warnings.append(f"padded {padded} empty cell{'s' * (padded > 1)} in row {r}")
 
     return TableGrid(
         n_rows,

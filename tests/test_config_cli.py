@@ -275,6 +275,39 @@ def _reward_files(tmp_path, candidates):
     return str(cand_path), str(gt_path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("w_rule", '"abc"', "w_rule must be a number, got 'abc'"),
+        ("w_rule", "true", "w_rule must be a number, got True"),
+        ("eps", '"x"', "eps must be a number, got 'x'"),
+        (
+            "rule_weights",
+            "[0.5, 0.5, 0.0]",
+            "rule_weights must be four numbers, got (0.5, 0.5, 0.0)",
+        ),
+        ("rule_weights", "0.5", "rule_weights must be four numbers, got 0.5"),
+        ("mask_fill", '"abc"', "mask_fill must be three bytes, got 'abc'"),
+        ("include_headers_footers", "3", "include_headers_footers must be true or false, got 3"),
+    ],
+)
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_cli_reward_bad_config_value_exit1(
+    tmp_path, capsys, monkeypatch, key, value, message, source
+):
+    argv = ["reward", *_reward_files(tmp_path, [FRAG_A])]
+    if source == "file":
+        cfg_path = tmp_path / "docpost.toml"
+        cfg_path.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg_path)]
+    else:
+        monkeypatch.setenv("DOCPOST_" + key.upper(), value)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
+
 def test_cli_reward_external_scorer_subprocess(tmp_path, capsys, monkeypatch):
     # the scorer answers only a payload with exactly the protocol's keys
     monkeypatch.setenv("DOCPOST_REWARD_SCORER_CMD", keyset_scorer_cmd(REWARD_KEYS, 0.25))
@@ -346,6 +379,40 @@ def test_cli_mask_malformed_detections_exit2(tmp_path, capsys, detections, messa
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "FormatError", "message": message}
 
+
+NOT_A_MAP = 'placeholder map must be an object with an "entries" array'
+
+
+def _bad_map_entry(pos):
+    shape = '{"id": k, "bbox": [x1, y1, x2, y2], "image_ref": s}'
+    return f"placeholder entry {pos} is not a {shape} object with integer id and bbox"
+
+
+@pytest.mark.parametrize(
+    "pmap, message",
+    [
+        ({"entries": [{"id": 0, "image_ref": "x.png"}]}, _bad_map_entry(0)),
+        (
+            {"entries": [{"id": 0, "bbox": [0, 0, 1, 1]}, {"id": "1", "bbox": [0, 0, 1, 1]}]},
+            _bad_map_entry(1),
+        ),
+        ({"entries": [{"id": 0, "bbox": [0, 0, 1, 1], "image_ref": 5}]}, _bad_map_entry(0)),
+        ({"entries": [[0, 0, 1, 1]]}, _bad_map_entry(0)),
+        ([{"id": 0, "bbox": [0, 0, 1, 1]}], NOT_A_MAP),
+        ({"entries": "abc"}, NOT_A_MAP),
+        ({}, NOT_A_MAP),
+    ],
+)
+def test_cli_restore_malformed_map_exit2(tmp_path, capsys, pmap, message):
+    html_path = tmp_path / "rec.html"
+    html_path.write_text("<table><tr><td><img></td></tr></table>")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(pmap))
+    out_path = tmp_path / "out.html"
+    assert main(["restore", str(html_path), str(map_path), "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_path.exists()
+    assert json.loads(captured.err) == {"error": "FormatError", "message": message}
 
 def test_cli_assemble_malformed_detections_exit2(tmp_path, capsys):
     det_dir = tmp_path / "dets"

@@ -1,11 +1,14 @@
 import random
+import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WIDE_ROW_TABLE, random_grid
+from docpost import table_grid
 from docpost.rewards import rule_checks
 from docpost.table_grid import (
     MAX_GRID_POSITIONS,
@@ -17,6 +20,7 @@ from docpost.table_grid import (
     TableError,
     TableFragment,
     detect_header_rows,
+    grid_from_cells,
     grid_to_fragment,
     looks_numeric,
     normalize_grid,
@@ -112,7 +116,16 @@ def test_normalize_ragged_rows_padded():
     assert len(grid.cells) == 4
     pad = grid.cell_at(1, 1)
     assert pad.content == "" and (pad.rowspan, pad.colspan) == (1, 1)
-    assert any("padded" in w for w in grid.warnings)
+    assert grid.warnings == ("padded 1 empty cell in row 1",)
+
+
+def test_normalize_pads_with_one_warning_per_row():
+    grid = parse_grid(PADDED_AT_CAP_TABLE)
+    assert (grid.n_rows, grid.n_cols, len(grid.cells)) == (100, 1000, 100_000 - 999)
+    assert all(grid.cell_at(r, c) == GridCell(r, c, 1, 1, "") for r in (1, 99) for c in (1, 999))
+    assert len(grid.warnings) <= grid.n_rows
+    assert grid.warnings[0] == "padded 999 empty cells in row 1"
+    assert not rule_checks(PADDED_AT_CAP_TABLE).rectangular
 
 
 def test_normalize_rowspan_owns_column():
@@ -323,6 +336,172 @@ def test_parse_grid_tag_soup_returns_bounded_grid_or_table_error(html):
         return
     assert grid.n_rows * grid.n_cols <= MAX_GRID_POSITIONS
     assert all(len(row) == grid.n_cols for row in grid.occupancy)
+
+
+# -- canonical fast path ----------------------------------------------------
+
+# Cell contents the canonical reader accepts: text, <img> tags and complete
+# entity or character references.
+_CANONICAL_PIECES = (
+    "Alpha", "x > y", "  spaced\ttext\n", "a &amp; b", "&#38;", "&lt;b&gt;",
+    '<img src="placeholder://3">', '<img src="x.png" width="10"/>', "<img />", "",
+)
+
+
+def _canonical_content(rng, row, col):
+    return "".join(rng.choice(_CANONICAL_PIECES) for _ in range(rng.randint(0, 3)))
+
+
+def _canonical_grid(seed, n_rows, n_cols, header_rows, stretch):
+    """A random grid with canonical contents; ``stretch`` doubles every rowspan,
+    so that each odd row is owned from above and serializes as <tr></tr>."""
+    grid = random_grid(
+        random.Random(seed), n_rows, n_cols, header_rows=min(header_rows, n_rows),
+        content=_canonical_content,
+    )
+    if not stretch:
+        return grid
+    cells = [
+        GridCell(2 * c.anchor_row, c.anchor_col, 2 * c.rowspan, c.colspan, c.content, c.is_header)
+        for c in grid.cells
+    ]
+    return grid_from_cells(2 * n_rows, n_cols, cells)
+
+
+def _tolerant_parse(html):
+    """parse_table_html with the canonical reader switched off."""
+    with mock.patch.object(table_grid, "_parse_canonical", lambda html: None):
+        return table_grid.parse_table_html(html)
+
+
+# Markup the canonical reader must leave to the tolerant parser.
+CANONICAL_DECLINES = (
+    "<table><tr><TD>a</TD></tr></table>",
+    "<TABLE><tr><td>a</td></tr></TABLE>",
+    "<table><tr ><td>a</td></tr></table>",
+    "<table><tr><td >a</td></tr></table>",
+    "<table><tr><td>a</td ></tr></table>",
+    "<table><tr><td>a &amp b</td></tr></table>",
+    "<table><tr><td>&amp</td></tr></table>",
+    "<table><tr><td>&#x41;</td></tr></table>",
+    "<table><tr><td>&#38</td></tr></table>",
+    "<table><tr><td colspan='2'>a</td></tr></table>",
+    "<table><tr><td colspan=2>a</td></tr></table>",
+    '<table><tr><td colspan="1234567">a</td></tr></table>',
+    '<table><tr><td colspan="2" rowspan="2">a</td></tr></table>',
+    "<table><tr><td><img src='a.png'></td></tr></table>",
+    '<table><tr><td><img alt="a>b"></td></tr></table>',
+    '<table><tr><td><img SRC="a.png"></td></tr></table>',
+    '<table><tr><td><img alt="a&amp;b"></td></tr></table>',
+    "<table><thead><tr><td>h</td></tr></thead><tr><td>a</td></tr></table>",
+    "<table><tbody><tr><td>a</td></tr></tbody></table>",
+    "<table><tr><td>a</td></tr><tfoot><tr><td>f</td></tr></tfoot></table>",
+    "<table><tr><td><table><tr><td>in</td></tr></table></td></tr></table>",
+    "<table><tr><td>a<!-- c --></td></tr></table>",
+    "<table><tr><td>a<!x></td></tr></table>",
+    "<!doctype html><table><tr><td>a</td></tr></table>",
+    "<table><tr><td>a < b</td></tr></table>",
+    "<table><tr><td>a</td> <td>b</td></tr></table>",
+    "<table><tr><td>a</td></tr>\n<tr><td>b</td></tr></table>",
+    "<table>x<tr><td>a</td></tr></table>",
+    "<table><tr><td>a</td></tr></table>junk",
+    "<table><tr><td>a</td></tr></table><table><tr><td>b</td></tr></table>",
+    "<table><tr></tr><tr></tr></table>",
+    "<table></table>",
+    "<table><tr><td>a</td></tr>",
+    "<table><tr><td>a</th></tr></table>",
+    "<table><tr><td>a<b>bold</b></td></tr></table>",
+)
+
+
+# Edge shapes the canonical reader accepts.
+CANONICAL_EDGES = (
+    ' \n<table><tr><td rowspan="0" colspan="0">a</td><td rowspan="000002">b</td></tr>'
+    "<tr></tr></table>\n ",
+    '<table><tr><th colspan="999999">&lt;&#0;&#99999999;</th></tr></table>',
+    '<table><tr><td><img/><img><img src=""/><img data-x="a b=c\'d"></td></tr></table>',
+)
+
+
+_MUTATION_TOKENS = (
+    "&amp", "&amp;", "<", "x", " ", "\n", "<tr>", "</tr>", "<td>", "</td>", "<th>", "</th>",
+    '<td rowspan="0">', '<td colspan="07">', "<TD>", '<img alt="a>b">', "<!-- c -->",
+    "<thead>", "<table>", "</table>", "&#x41;", "<td colspan='2'>", "<b>",
+)
+
+
+@st.composite
+def _canonical_or_mutated(draw):
+    grid = _canonical_grid(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 5)),
+        draw(st.integers(0, 2)),
+        draw(st.booleans()),
+    )
+    tokens = re.findall(r"<[^>]*>|&[^;&<]*;|[^<&]+", serialize_grid(grid))
+    op = draw(st.sampled_from(["keep", "insert", "replace", "delete", "upper"]))
+    pos = draw(st.integers(0, len(tokens)))
+    new = draw(st.sampled_from(_MUTATION_TOKENS))
+    if op == "insert":
+        tokens.insert(pos, new)
+    elif pos < len(tokens) and op != "keep":
+        tokens[pos] = {"replace": new, "delete": "", "upper": tokens[pos].upper()}[op]
+    return "".join(tokens)
+
+
+def _outcome(parse, html):
+    try:
+        return parse(html)
+    except TableError as exc:
+        return type(exc)
+
+
+def _with_examples(*htmls):
+    def pin(test):
+        for html in htmls:
+            test = example(html=html)(test)
+        return test
+
+    return pin
+
+
+@settings(max_examples=300, deadline=None)
+@given(html=_canonical_or_mutated())
+@_with_examples(*CANONICAL_DECLINES, *CANONICAL_EDGES)
+def test_canonical_reader_matches_tolerant_parser(html):
+    assert _outcome(parse_table_html, html) == _outcome(_tolerant_parse, html)
+
+
+@pytest.mark.parametrize("html", CANONICAL_DECLINES)
+def test_canonical_reader_declines(html):
+    assert table_grid._parse_canonical(html) is None
+
+
+@pytest.mark.parametrize("html", CANONICAL_EDGES)
+def test_canonical_reader_accepts_edge_shapes(html):
+    assert table_grid._parse_canonical(html) is not None
+
+
+def test_serialized_grids_skip_the_tolerant_parser(monkeypatch):
+    built = []
+
+    class CountingParser(table_grid._TableSoupParser):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(table_grid, "_TableSoupParser", CountingParser)
+    grids = [_canonical_grid(seed, 4, 4, seed % 3, stretch=seed % 2 == 1) for seed in range(40)]
+    htmls = [serialize_grid(grid) for grid in grids]
+    joined = "".join(htmls)
+    for needle in ("rowspan=", "colspan=", "<th", "<img", "&amp;", "&#38;", "<tr></tr>"):
+        assert needle in joined
+    for grid, html in zip(grids, htmls):
+        assert parse_grid(html) == grid
+    assert built == []
+    parse_table_html("<table><tr><TD>a</TD></tr></table>")
+    assert len(built) == 1
 
 
 def test_normalize_is_idempotent():
