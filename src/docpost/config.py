@@ -45,15 +45,15 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class Config:
-    near_threshold: float = 0.8
-    continuation_threshold: float = 0.5
-    min_confidence: float = 0.3
-    overlap_tolerance: float = 0.5
+    near_threshold: float = MergeConfig.near_threshold
+    continuation_threshold: float = MergeConfig.continuation_threshold
+    min_confidence: float = IdtpConfig.min_confidence
+    overlap_tolerance: float = IdtpConfig.overlap_tolerance
     w_rule: float = 0.5
-    rule_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
+    rule_weights: tuple[float, float, float, float] = dataclasses.astuple(RuleWeights())
     eps: float = 1e-6
     include_headers_footers: bool = False
-    mask_fill: tuple[int, int, int] = (200, 200, 200)
+    mask_fill: tuple[int, int, int] = IdtpConfig.fill
     continuation_scorer_cmd: str = ""
     continuation_scorer_url: str = ""
     reward_scorer_cmd: str = ""

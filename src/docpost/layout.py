@@ -375,22 +375,20 @@ def parse_recognition_fixture(text: str, n_pages: int) -> list[dict[int, dict]]:
             f"fixture covers {len(raw)} pages, layout has {n_pages}"
         )
     out = []
-    for page_fixture in raw:
+    for page_no, page_fixture in enumerate(raw):
         if not isinstance(page_fixture, dict):
             raise LayoutSchemaError("per-page fixture must be an object")
         try:
             out.append({int(k): v for k, v in page_fixture.items()})
         except ValueError:
             raise LayoutSchemaError("fixture keys must be element indices") from None
+        for index, entry in out[-1].items():
+            if not (isinstance(entry, dict) and isinstance(entry.get("content", ""), str)):
+                raise LayoutSchemaError(
+                    f"page {page_no} fixture entry {index} must be an object"
+                    " whose 'content' is a string"
+                )
     return out
-
-
-_EXPECTED_KIND = {
-    RecognizerKind.TEXT_REC: "text",
-    RecognizerKind.FORMULA_REC: "formula",
-    RecognizerKind.TABLE_REC: "table",
-    RecognizerKind.PASS_THROUGH: "image",
-}
 
 
 def run_pipeline(
@@ -427,10 +425,10 @@ def run_pipeline(
             else:
                 content = entry.get("content", "")
                 declared = entry.get("kind")
-                if declared and declared != _EXPECTED_KIND[kind]:
+                if declared and declared != kind.value:
                     warnings.append(
                         f"page {page_no} element {el.index}: fixture kind {declared!r}"
-                        f" does not match routed {_EXPECTED_KIND[kind]!r}"
+                        f" does not match routed {kind.value!r}"
                     )
             contents[(page_no, el.index)] = content
 

@@ -9,7 +9,7 @@ with a punctuation/casing heuristic as the bundled baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from ._external import Scorer, ScorerFailure
@@ -279,14 +279,14 @@ def decide_merge(
 # -- grid surgery ---------------------------------------------------------------
 
 
-def slice_rows(grid: TableGrid, start: int, stop: int) -> TableGrid:
-    """Horizontal band [start, stop) as a standalone grid.
+def _band_cells(
+    grid: TableGrid, start: int, stop: int, row_shift: int, col_shift: int
+) -> list[GridCell]:
+    """Cells of the row band [start, stop), moved to ``(row_shift, col_shift)``.
 
     Cells anchored above the band keep their footprint but lose their
-    content (it belongs to the removed part).
+    content and header flag (those belong to the removed part).
     """
-    if not 0 <= start <= stop <= grid.n_rows:
-        raise PlanMismatch(f"band [{start},{stop}) outside 0..{grid.n_rows}")
     cells = []
     for cell in grid.cells:
         top = max(cell.anchor_row, start)
@@ -296,99 +296,67 @@ def slice_rows(grid: TableGrid, start: int, stop: int) -> TableGrid:
         kept = cell.anchor_row >= start
         cells.append(
             GridCell(
-                top - start,
-                cell.anchor_col,
+                top - start + row_shift,
+                cell.anchor_col + col_shift,
                 bottom - top,
                 cell.colspan,
                 cell.content if kept else "",
                 cell.is_header if kept else False,
             )
         )
-    return grid_from_cells(stop - start, grid.n_cols, cells)
+    return cells
 
 
-def remap_columns(grid: TableGrid, column_map: list[int] | tuple[int, ...], n_cols: int) -> TableGrid:
-    """Move the grid's columns to the mapped positions, padding the rest."""
-    if len(column_map) != grid.n_cols:
-        raise PlanMismatch("column map length differs from fragment width")
-    if sorted(column_map) != list(column_map) or len(set(column_map)) != len(column_map):
-        raise PlanMismatch("column map must be increasing and injective")
-    if column_map and list(column_map) != list(range(column_map[0], column_map[0] + len(column_map))):
-        raise PlanMismatch("column map must be contiguous")
-    if column_map and column_map[-1] >= n_cols:
-        raise PlanMismatch("column map exceeds target width")
-    offset = column_map[0] if column_map else 0
-    cells = [
-        GridCell(
-            c.anchor_row, c.anchor_col + offset, c.rowspan, c.colspan, c.content, c.is_header
-        )
-        for c in grid.cells
-    ]
-    return grid_from_cells(grid.n_rows, n_cols, cells)
-
-
-def _vstack(a: TableGrid, b: TableGrid) -> TableGrid:
-    if a.n_cols != b.n_cols:
-        raise PlanMismatch("cannot stack grids of different widths")
-    cells = list(a.cells) + [
-        GridCell(
-            c.anchor_row + a.n_rows, c.anchor_col, c.rowspan, c.colspan, c.content, c.is_header
-        )
-        for c in b.cells
-    ]
-    return grid_from_cells(a.n_rows + b.n_rows, a.n_cols, cells)
+def slice_rows(grid: TableGrid, start: int, stop: int) -> TableGrid:
+    """Horizontal band [start, stop) as a standalone grid."""
+    if not 0 <= start <= stop <= grid.n_rows:
+        raise PlanMismatch(f"band [{start},{stop}) outside 0..{grid.n_rows}")
+    return grid_from_cells(stop - start, grid.n_cols, _band_cells(grid, start, stop, 0, 0))
 
 
 def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
-    """Apply a merge plan; raises :class:`PlanMismatch` on inconsistency."""
+    """Apply a merge plan; raises :class:`PlanMismatch` on inconsistency.
+
+    B's kept rows go below A at the mapped columns; positions a narrow B
+    leaves uncovered are padded with empty cells.
+    """
     if plan.pattern is Pattern.NO_MERGE:
         raise PlanMismatch("cannot merge with a NO_MERGE plan")
-    if len(plan.column_map) != b.n_cols:
+    column_map = list(plan.column_map)
+    if len(column_map) != b.n_cols:
         raise PlanMismatch("plan column map does not cover fragment B")
+    offset = column_map[0] if column_map else 0
+    if column_map != list(range(offset, offset + b.n_cols)):
+        raise PlanMismatch("column map must be contiguous and increasing")
+    if offset < 0 or offset + b.n_cols > a.n_cols:
+        raise PlanMismatch("column map exceeds target width")
 
+    cells = list(a.cells)
     if plan.pattern is Pattern.PATTERN1:
-        if not 1 <= plan.header_rows_to_drop <= b.n_rows:
+        start = plan.header_rows_to_drop
+        if not 1 <= start <= b.n_rows:
             raise PlanMismatch("header drop count outside fragment B")
-        body = slice_rows(b, plan.header_rows_to_drop, b.n_rows)
-        return _vstack(a, remap_columns(body, plan.column_map, a.n_cols))
-
-    if plan.pattern is Pattern.PATTERN2:
-        return _vstack(a, remap_columns(b, plan.column_map, a.n_cols))
-
-    # pattern 3: fold B's first row into A's last row, then append the rest
-    if plan.boundary_join is None:
-        raise PlanMismatch("pattern 3 requires boundary join instructions")
-    last = a.n_rows - 1
-    joined: dict[tuple[int, int], str] = {}
-    consumed: set[tuple[int, int]] = set()
-    for join in plan.boundary_join:
-        if join.b_col >= b.n_cols or join.a_col >= a.n_cols:
-            raise PlanMismatch("boundary join outside grid bounds")
-        b_cell = b.cell_at(0, join.b_col)
-        key = (b_cell.anchor_row, b_cell.anchor_col)
-        if key in consumed or not b_cell.content:
-            continue
-        consumed.add(key)
-        a_cell = a.cell_at(last, join.a_col)
-        a_key = (a_cell.anchor_row, a_cell.anchor_col)
-        base = joined.get(a_key, a_cell.content)
-        joined[a_key] = base + join.separator + b_cell.content
-    new_a_cells = [
-        GridCell(
-            c.anchor_row,
-            c.anchor_col,
-            c.rowspan,
-            c.colspan,
-            joined.get((c.anchor_row, c.anchor_col), c.content),
-            c.is_header,
-        )
-        for c in a.cells
-    ]
-    a_joined = grid_from_cells(a.n_rows, a.n_cols, new_a_cells)
-    rest = slice_rows(b, 1, b.n_rows)
-    if rest.n_rows == 0:
-        return a_joined
-    return _vstack(a_joined, remap_columns(rest, plan.column_map, a.n_cols))
+    elif plan.pattern is Pattern.PATTERN2:
+        start = 0
+    else:
+        # pattern 3: fold B's first row into A's last row, then append the rest
+        if plan.boundary_join is None or not b.n_rows:
+            raise PlanMismatch("pattern 3 requires boundary join instructions and a row of B")
+        start = 1
+        consumed: set[int] = set()  # a B cell spanning joined columns joins once
+        for join in plan.boundary_join:
+            if join.b_col >= b.n_cols or join.a_col >= a.n_cols:
+                raise PlanMismatch("boundary join outside grid bounds")
+            b_idx = b.occupancy[0][join.b_col]
+            head = b.cells[b_idx].content
+            if b_idx in consumed or not head:
+                continue
+            consumed.add(b_idx)
+            a_idx = a.occupancy[a.n_rows - 1][join.a_col]
+            joined = cells[a_idx].content + join.separator + head
+            cells[a_idx] = replace(cells[a_idx], content=joined)
+    cells += _band_cells(b, start, b.n_rows, a.n_rows, offset)
+    return grid_from_cells(a.n_rows + b.n_rows - start, a.n_cols, cells)
 
 
 def merge_fragment_sequence(

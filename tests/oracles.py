@@ -2,8 +2,10 @@
 
 These deliberately use different algorithms from the library: the tree
 distance enumerates every valid edit mapping instead of running the
-dynamic program, the string distance fills the full textbook matrix, and
-the swap-cell candidates normalize both cells of every pair afresh.
+dynamic program, the string distance fills the full textbook matrix, the
+swap-cell candidates normalize both cells of every pair afresh, and the
+table merge goes through a chain of whole-grid rebuilds (band, column
+remap, vertical stack) instead of laying out its result once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import random
 
 from docpost.metrics import CONTENT_AWARE, DocTree, normalized_edit_distance
-from docpost.table_grid import TableGrid, normalize_text
+from docpost.table_grid import GridCell, TableGrid, grid_from_cells, normalize_text
+from docpost.table_merge import MergePlan, Pattern, PlanMismatch
 
 
 def swap_candidates_reference(grid: TableGrid) -> list[tuple[int, int]]:
@@ -122,3 +125,102 @@ def random_tree(rng: random.Random, max_nodes: int = 8) -> DocTree:
         rng.choice(nodes).children.append(child)
         nodes.append(child)
     return root
+
+
+def _slice_rows_reference(grid: TableGrid, start: int, stop: int) -> TableGrid:
+    if not 0 <= start <= stop <= grid.n_rows:
+        raise PlanMismatch(f"band [{start},{stop}) outside 0..{grid.n_rows}")
+    cells = []
+    for cell in grid.cells:
+        top = max(cell.anchor_row, start)
+        bottom = min(cell.anchor_row + cell.rowspan, stop)
+        if bottom <= top:
+            continue
+        kept = cell.anchor_row >= start
+        cells.append(
+            GridCell(
+                top - start,
+                cell.anchor_col,
+                bottom - top,
+                cell.colspan,
+                cell.content if kept else "",
+                cell.is_header if kept else False,
+            )
+        )
+    return grid_from_cells(stop - start, grid.n_cols, cells)
+
+
+def _remap_columns_reference(grid: TableGrid, column_map, n_cols: int) -> TableGrid:
+    if len(column_map) != grid.n_cols:
+        raise PlanMismatch("column map length differs from fragment width")
+    if sorted(column_map) != list(column_map) or len(set(column_map)) != len(column_map):
+        raise PlanMismatch("column map must be increasing and injective")
+    if column_map and list(column_map) != list(range(column_map[0], column_map[0] + len(column_map))):
+        raise PlanMismatch("column map must be contiguous")
+    if column_map and column_map[-1] >= n_cols:
+        raise PlanMismatch("column map exceeds target width")
+    offset = column_map[0] if column_map else 0
+    cells = [
+        GridCell(c.anchor_row, c.anchor_col + offset, c.rowspan, c.colspan, c.content, c.is_header)
+        for c in grid.cells
+    ]
+    return grid_from_cells(grid.n_rows, n_cols, cells)
+
+
+def _vstack_reference(a: TableGrid, b: TableGrid) -> TableGrid:
+    if a.n_cols != b.n_cols:
+        raise PlanMismatch("cannot stack grids of different widths")
+    cells = list(a.cells) + [
+        GridCell(c.anchor_row + a.n_rows, c.anchor_col, c.rowspan, c.colspan, c.content, c.is_header)
+        for c in b.cells
+    ]
+    return grid_from_cells(a.n_rows + b.n_rows, a.n_cols, cells)
+
+
+def merge_reference(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
+    """Apply a merge plan by slicing B, remapping its columns and stacking it
+    under A, each step a full grid rebuild; pattern 3 first rebuilds A with
+    the joined boundary contents, keyed by cell anchor."""
+    if plan.pattern is Pattern.NO_MERGE:
+        raise PlanMismatch("cannot merge with a NO_MERGE plan")
+    if len(plan.column_map) != b.n_cols:
+        raise PlanMismatch("plan column map does not cover fragment B")
+    if plan.pattern is Pattern.PATTERN1:
+        if not 1 <= plan.header_rows_to_drop <= b.n_rows:
+            raise PlanMismatch("header drop count outside fragment B")
+        body = _slice_rows_reference(b, plan.header_rows_to_drop, b.n_rows)
+        return _vstack_reference(a, _remap_columns_reference(body, plan.column_map, a.n_cols))
+    if plan.pattern is Pattern.PATTERN2:
+        return _vstack_reference(a, _remap_columns_reference(b, plan.column_map, a.n_cols))
+    if plan.boundary_join is None:
+        raise PlanMismatch("pattern 3 requires boundary join instructions")
+    last = a.n_rows - 1
+    joined: dict[tuple[int, int], str] = {}
+    consumed: set[tuple[int, int]] = set()
+    for join in plan.boundary_join:
+        if join.b_col >= b.n_cols or join.a_col >= a.n_cols:
+            raise PlanMismatch("boundary join outside grid bounds")
+        b_cell = b.cell_at(0, join.b_col)
+        key = (b_cell.anchor_row, b_cell.anchor_col)
+        if key in consumed or not b_cell.content:
+            continue
+        consumed.add(key)
+        a_cell = a.cell_at(last, join.a_col)
+        a_key = (a_cell.anchor_row, a_cell.anchor_col)
+        joined[a_key] = joined.get(a_key, a_cell.content) + join.separator + b_cell.content
+    new_a_cells = [
+        GridCell(
+            c.anchor_row,
+            c.anchor_col,
+            c.rowspan,
+            c.colspan,
+            joined.get((c.anchor_row, c.anchor_col), c.content),
+            c.is_header,
+        )
+        for c in a.cells
+    ]
+    a_joined = grid_from_cells(a.n_rows, a.n_cols, new_a_cells)
+    rest = _slice_rows_reference(b, 1, b.n_rows)
+    if rest.n_rows == 0:
+        return a_joined
+    return _vstack_reference(a_joined, _remap_columns_reference(rest, plan.column_map, a.n_cols))

@@ -17,7 +17,9 @@ from docpost.config import (
     save_config,
 )
 from docpost import rewards, table_grid
-from docpost.idtp import read_ppm, write_ppm, PixelBuffer
+from docpost.idtp import IdtpConfig, read_ppm, write_ppm, PixelBuffer
+from docpost.rewards import RuleWeights
+from docpost.table_merge import MergeConfig
 from docpost.table_grid import parse_grid
 
 
@@ -29,6 +31,19 @@ def test_config_defaults_valid():
     assert cfg.near_threshold == 0.8
     assert cfg.merge_config().continuation_threshold == 0.5
     assert cfg.idtp_config().min_confidence == 0.3
+
+
+def test_config_defaults_come_from_the_modules():
+    cfg = Config()
+    assert cfg.merge_config() == MergeConfig()
+    assert cfg.idtp_config() == IdtpConfig()
+    assert cfg.rule_weights_obj() == RuleWeights()
+
+
+def test_config_defaults_match_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert dumps_config(Config()) == block
 
 
 def test_config_round_trip(tmp_path):
@@ -572,6 +587,38 @@ def test_cli_assemble_invalid_layout_exit1(tmp_path, capsys):
     assert main(["assemble", str(layout_path), str(fixture_path), "-o", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "LayoutSchemaError"
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        ({"0": "oops"}, 0),
+        ({"0": {"content": 5}}, 0),
+        ({"0": {"content": None}}, 0),
+        ({"1": {"content": ["x"]}}, 1),
+    ],
+)
+def test_cli_assemble_malformed_fixture_entry_exit1(tmp_path, capsys, entries, bad):
+    layout_path = tmp_path / "layout.json"
+    layout_path.write_text(
+        json.dumps(
+            [
+                {"bbox": [0, 0, 50, 10], "index": 0, "label": "table", "rotation": 0},
+                {"bbox": [0, 20, 50, 40], "index": 1, "label": "text", "rotation": 0},
+            ]
+        )
+    )
+    fixture = {"0": {"content": FRAG_A, "kind": "table"}, "1": {"content": "Body."}}
+    fixture_path = tmp_path / "rec.json"
+    fixture_path.write_text(json.dumps({**fixture, **entries}))
+    out = tmp_path / "doc.md"
+    assert main(["assemble", str(layout_path), str(fixture_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "LayoutSchemaError",
+        "message": f"page 0 fixture entry {bad} must be an object whose 'content' is a string",
+    }
 
 
 def test_cli_config_file_applies(tmp_path, capsys):

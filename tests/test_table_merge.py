@@ -14,6 +14,7 @@ from conftest import (
     split_row_mid_word,
     split_with_header_copy,
 )
+from docpost import table_merge
 from docpost._external import external_scorer
 from docpost.table_grid import (
     GridCell,
@@ -38,9 +39,9 @@ from docpost.table_merge import (
     merge,
     merge_fragment_sequence,
     merge_fragment_sequence_with_plans,
-    remap_columns,
     slice_rows,
 )
+from oracles import merge_reference
 
 
 def grid_of(rows, header_rows=0):
@@ -323,6 +324,15 @@ def test_merge_plan_mismatch():
         merge(a, b, MergePlan(Pattern.PATTERN1, header_rows_to_drop=5, column_map=(0, 1)))
     with pytest.raises(PlanMismatch):
         merge(a, b, MergePlan(Pattern.PATTERN2, column_map=(0,)))
+    wide = grid_of([["w", "x", "y", "z"]])
+    with pytest.raises(PlanMismatch):
+        merge(wide, b, MergePlan(Pattern.PATTERN2, column_map=(0, 2)))  # not contiguous
+    with pytest.raises(PlanMismatch):
+        merge(wide, b, MergePlan(Pattern.PATTERN2, column_map=(3, 4)))  # past A's width
+    # the map is checked for every pattern, also when pattern 3 leaves no B rows
+    join = (BoundaryJoin(a_col=0, b_col=0, separator=""),)
+    with pytest.raises(PlanMismatch):
+        merge(wide, b, MergePlan(Pattern.PATTERN3, column_map=(1, 0), boundary_join=join))
 
 
 def test_merge_pattern2_narrow_b_padded():
@@ -335,6 +345,182 @@ def test_merge_pattern2_narrow_b_padded():
     assert merged.n_cols == 3
     assert merged.row_contents(2) == ["", "B", "C"]
     assert merged.row_contents(3) == ["", "x.", "y."]
+
+
+def test_remap_columns_pads():
+    a = grid_of([["w", "x", "y", "z"]])
+    b = grid_of([["a", "b"]])
+    merged = merge(a, b, MergePlan(Pattern.PATTERN2, column_map=(1, 2)))
+    assert merged.row_contents(1) == ["", "a", "b", ""]
+    with pytest.raises(PlanMismatch):
+        merge(a, b, MergePlan(Pattern.PATTERN2, column_map=(0, 2)))  # not contiguous
+
+
+@pytest.mark.parametrize(
+    "a_rows, b_rows, header_rows, pattern",
+    [
+        ([["H1", "H2"], ["a.", "b."]], [["H1", "H2"], ["c.", "d."]], 1, Pattern.PATTERN1),
+        ([["a.", "b."]], [["C", "D"]], 0, Pattern.PATTERN2),
+        ([["Item", "descrip"]], [["", "tion text"], ["Next.", "Row."]], 0, Pattern.PATTERN3),
+        ([["Item", "descrip"]], [["", "tion text"]], 0, Pattern.PATTERN3),
+    ],
+)
+def test_merge_lays_out_once(monkeypatch, a_rows, b_rows, header_rows, pattern):
+    a, b = grid_of(a_rows, header_rows), grid_of(b_rows, header_rows)
+    plan = decide_merge(a, b)
+    assert plan.pattern is pattern
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return grid_from_cells(*args)
+
+    monkeypatch.setattr(table_merge, "grid_from_cells", counting)
+    merged = merge(a, b, plan)
+    assert calls == [(merged.n_rows, merged.n_cols)]
+    assert merged == merge_reference(a, b, plan)
+
+
+def _lowercase_first_row(grid):
+    cells = [
+        GridCell(c.anchor_row, c.anchor_col, c.rowspan, c.colspan, c.content.lower(), c.is_header)
+        if c.anchor_row == 0
+        else c
+        for c in grid.cells
+    ]
+    return grid_from_cells(grid.n_rows, grid.n_cols, cells)
+
+
+def _stack(top, bottom):
+    cells = list(top.cells) + [
+        GridCell(
+            c.anchor_row + top.n_rows, c.anchor_col, c.rowspan, c.colspan, c.content, c.is_header
+        )
+        for c in bottom.cells
+    ]
+    return grid_from_cells(top.n_rows + bottom.n_rows, top.n_cols, cells)
+
+
+def _narrow_piece(rng, source, n_rows):
+    """A leading or trailing column block of the source's first header row over
+    a random body, so ``align_schemas`` embeds it; lowercasing the copied
+    header makes a row-split candidate."""
+    width = rng.randint(1, source.n_cols - 1)
+    first = 0 if rng.random() < 0.5 else source.n_cols - width
+    header = grid_from_cells(
+        1,
+        width,
+        [GridCell(0, j, 1, 1, source.content_at(0, first + j), True) for j in range(width)],
+    )
+    if rng.random() < 0.3:
+        header = _lowercase_first_row(header)
+    return _stack(header, random_grid(rng, n_rows, width))
+
+
+def random_fragment_sequence(rng):
+    """Row bands of one random table, each re-shaped to invite one pattern:
+    a repeated header block (1), a plain band (2), a lowercased first row (3),
+    a narrow column block, or an unrelated table."""
+    n_cols = rng.randint(2, 5)
+    header_rows = rng.randint(0, 2)
+    n_rows = header_rows + rng.randint(2, 12)
+    source = random_grid(rng, n_rows, n_cols, header_rows=header_rows)
+    cuts = sorted(rng.sample(range(header_rows + 1, n_rows), rng.randint(0, min(5, n_rows - header_rows - 1))))
+    bounds = [0, *cuts, n_rows]
+    fragments = [slice_rows(source, bounds[0], bounds[1])]
+    for start, stop in zip(bounds[1:], bounds[2:]):
+        piece = slice_rows(source, start, stop)
+        mode = rng.choice(["header", "plain", "split", "narrow", "unrelated"])
+        if mode == "header" and header_rows:
+            piece = _stack(slice_rows(source, 0, header_rows), piece)
+        elif mode == "split":
+            piece = _lowercase_first_row(piece)
+        elif mode == "narrow" and header_rows:
+            piece = _narrow_piece(rng, source, stop - start)
+        elif mode == "unrelated":
+            piece = random_grid(rng, rng.randint(1, 4), rng.randint(1, 6), header_rows=rng.randint(0, 1))
+        fragments.append(piece)
+    return fragments
+
+
+def fold_reference(fragments):
+    """Plans and tables of the fold, with every merge done by ``merge_reference``."""
+    tables, plans = [], []
+    for fragment in fragments:
+        if not tables:
+            tables.append(fragment)
+            continue
+        plan = decide_merge(tables[-1], fragment)
+        plans.append(plan)
+        if plan.pattern is Pattern.NO_MERGE:
+            tables.append(fragment)
+        else:
+            tables[-1] = merge_reference(tables[-1], fragment, plan)
+    return tables, plans
+
+
+def test_fragment_sequences_cover_every_pattern():
+    seen = set()
+    for seed in range(200):
+        fragments = random_fragment_sequence(random.Random(seed))
+        acc = fragments[0]
+        for fragment in fragments[1:]:
+            plan = decide_merge(acc, fragment)
+            where = None
+            if plan.column_map and len(plan.column_map) < acc.n_cols:
+                where = "leading" if plan.column_map[0] == 0 else "trailing"
+            seen.add((plan.pattern, where))
+            if plan.pattern is Pattern.NO_MERGE:
+                acc = fragment
+            else:
+                acc = merge_reference(acc, fragment, plan)
+    for pattern in Pattern:
+        assert (pattern, None) in seen
+    for pattern in (Pattern.PATTERN2, Pattern.PATTERN3):
+        assert (pattern, "leading") in seen and (pattern, "trailing") in seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_merge_matches_reference_fold(seed):
+    fragments = random_fragment_sequence(random.Random(seed))
+    tables, plans = merge_fragment_sequence_with_plans(fragments)
+    ref_tables, ref_plans = fold_reference(fragments)
+    assert plans == ref_plans
+    assert tables == ref_tables
+    for table, ref in zip(tables, ref_tables):
+        assert table.cells == ref.cells and table.occupancy == ref.occupancy
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_merge_matches_reference_on_explicit_plans(seed):
+    """Any in-bounds column offset, and pattern-3 joins that repeat cells or
+    meet empty ones, give the same grid as the reference chain."""
+    rng = random.Random(seed)
+
+    def sparse_text(rng, r, c):
+        return "" if rng.random() < 0.3 else f"w{r}{c}"
+
+    a = random_grid(rng, rng.randint(1, 5), rng.randint(1, 5), header_rows=rng.randint(0, 1))
+    width = rng.randint(1, a.n_cols)
+    b = random_grid(rng, rng.randint(1, 5), width, header_rows=rng.randint(0, 2), content=sparse_text)
+    offset = rng.randint(0, a.n_cols - width)
+    column_map = tuple(range(offset, offset + width))
+    pattern = rng.choice([Pattern.PATTERN1, Pattern.PATTERN2, Pattern.PATTERN3])
+    if pattern is Pattern.PATTERN1:
+        plan = MergePlan(pattern, rng.randint(1, b.n_rows), column_map)
+    elif pattern is Pattern.PATTERN2:
+        plan = MergePlan(pattern, column_map=column_map)
+    else:
+        joins = tuple(
+            BoundaryJoin(rng.randrange(a.n_cols), rng.randrange(width), rng.choice(["", " "]))
+            for _ in range(rng.randint(0, width + 2))
+        )
+        plan = MergePlan(pattern, column_map=column_map, boundary_join=joins)
+    merged, ref = merge(a, b, plan), merge_reference(a, b, plan)
+    assert merged == ref
+    assert merged.cells == ref.cells and merged.occupancy == ref.occupancy
 
 
 # -- grid surgery helpers ----------------------------------------------------------
@@ -351,14 +537,6 @@ def test_slice_rows_band():
     assert band.content_at(0, 0) == ""
     assert band.content_at(0, 1) == "b"
     assert band.row_contents(1) == ["c", "d"]
-
-
-def test_remap_columns_pads():
-    g = grid_of([["a", "b"]])
-    out = remap_columns(g, (1, 2), 4)
-    assert out.row_contents(0) == ["", "a", "b", ""]
-    with pytest.raises(PlanMismatch):
-        remap_columns(g, (0, 2), 4)  # not contiguous
 
 
 # -- sequence folding ---------------------------------------------------------------
