@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from ._external import Scorer, external_scorer
 from .idtp import IdtpConfig
-from .rewards import RuleWeights
+from .rewards import DEFAULT_EPS, DEFAULT_W_RULE, RuleWeights
 from .table_merge import MergeConfig
 
 ENV_PREFIX = "DOCPOST_"
@@ -49,9 +49,9 @@ class Config:
     continuation_threshold: float = MergeConfig.continuation_threshold
     min_confidence: float = IdtpConfig.min_confidence
     overlap_tolerance: float = IdtpConfig.overlap_tolerance
-    w_rule: float = 0.5
+    w_rule: float = DEFAULT_W_RULE
     rule_weights: tuple[float, float, float, float] = dataclasses.astuple(RuleWeights())
-    eps: float = 1e-6
+    eps: float = DEFAULT_EPS
     include_headers_footers: bool = False
     mask_fill: tuple[int, int, int] = IdtpConfig.fill
     continuation_scorer_cmd: str = ""

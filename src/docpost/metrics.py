@@ -29,8 +29,20 @@ class BatchFormatError(Exception):
 # -- sequence edit distance ------------------------------------------------------
 
 
-def _myers(pattern, text) -> int:
-    """Edit distance between a non-empty ``pattern`` and ``text``.
+def _myers_masks(pattern) -> dict:
+    """Match masks of ``pattern`` for :func:`_myers`: bit ``i`` of
+    ``masks[token]`` is set where ``pattern[i] == token``."""
+    masks: dict = {}
+    bit = 1
+    for token in pattern:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _myers(masks: dict, m: int, text) -> int:
+    """Edit distance between a non-empty pattern of length ``m``, given by
+    its :func:`_myers_masks`, and ``text``.
 
     Bit-parallel dynamic program of Myers (1999) in the form of Hyyrö (2003):
     bit ``i`` of ``vp`` / ``vn`` says that DP cell ``(i + 1, j)`` is one more /
@@ -38,12 +50,6 @@ def _myers(pattern, text) -> int:
     of the table with a few integer operations. Python ints act as unbounded
     two's-complement bit vectors; masking ``vp`` keeps every vector m bits wide.
     """
-    masks: dict = {}  # bit i of masks[token] is set where pattern[i] == token
-    bit = 1
-    for token in pattern:
-        masks[token] = masks.get(token, 0) | bit
-        bit <<= 1
-    m = len(pattern)
     full = (1 << m) - 1
     top = 1 << (m - 1)
     vp, vn, dist = full, 0, m
@@ -90,9 +96,10 @@ def _levenshtein(a, b) -> int:
     if not b:
         return len(a)
     try:
-        return _myers(a, b)
+        return _myers(_myers_masks(a), len(a), b)
     except TypeError:
-        return _myers(*_token_ids(a, b))
+        a, b = _token_ids(a, b)
+        return _myers(_myers_masks(a), len(a), b)
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -155,7 +162,10 @@ def _rename_costs(
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
     of the contents, which the structure-only model treats as all empty.
-    Each distinct (tag, content) key on either side is costed once.
+    Each distinct (tag, content) key on either side is costed once. The
+    distance is symmetric, so each unordered pair of distinct contents is
+    scanned once, with the longer one as the pattern, and each pattern's
+    Myers masks are built once.
     """
     content = cost_model == CONTENT_AWARE
     b_keys: dict[tuple[str, str], int] = {}
@@ -163,13 +173,30 @@ def _rename_costs(
         b_keys.setdefault((n.tag, n.content if content else ""), len(b_keys))
         for n in b_nodes
     ]
+    pair_costs: dict[tuple[str, str], float] = {}
+    masks: dict[str, dict] = {}
+
+    def pair_cost(x: str, y: str) -> float:
+        if (len(x), x) < (len(y), y):
+            x, y = y, x  # the longer is the pattern; either order gives one key
+        cost = pair_costs.get((x, y))
+        if cost is None:
+            dist = len(x)
+            if y:
+                x_masks = masks.get(x)
+                if x_masks is None:
+                    x_masks = masks[x] = _myers_masks(x)
+                dist = _myers(x_masks, len(x), y)
+            cost = pair_costs[x, y] = dist / len(x)
+        return cost
+
     rows: dict[tuple[str, str], list[float]] = {}
     costs = []
     for node in a_nodes:
         tag, text = key = (node.tag, node.content if content else "")
         if key not in rows:
             by_key = [
-                normalized_edit_distance(text, other) if other_tag == tag else 1.0
+                1.0 if other_tag != tag else 0.0 if other == text else pair_cost(text, other)
                 for other_tag, other in b_keys
             ]
             rows[key] = [by_key[k] for k in b_index]
@@ -199,6 +226,19 @@ class _Annotated:
         self.keyroots: list[int] = sorted(highest.values())
 
 
+def _same_skeleton(t1: DocTree, t2: DocTree) -> bool:
+    """Equal tags and equal child counts at every node. The structure-only
+    distance of such trees is exactly 0: the identity mapping renames
+    nothing, and no mapping costs less."""
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        if a.tag != b.tag or len(a.children) != len(b.children):
+            return False
+        stack.extend(zip(a.children, b.children))
+    return True
+
+
 def tree_edit_distance(
     t1: DocTree | None, t2: DocTree | None, cost_model: str = CONTENT_AWARE
 ) -> float:
@@ -210,7 +250,10 @@ def tree_edit_distance(
         raise ValueError(f"unknown cost model {cost_model!r}")
     if t1 is None or t2 is None:
         return float((t1.size() if t1 else 0) + (t2.size() if t2 else 0))
-    if t1 == t2:
+    if cost_model == STRUCTURE_ONLY:
+        if _same_skeleton(t1, t2):
+            return 0.0
+    elif t1 == t2:
         return 0.0
     A, B = _Annotated(t1), _Annotated(t2)
     rename = _rename_costs(A.nodes, B.nodes, cost_model)

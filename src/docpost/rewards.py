@@ -36,6 +36,11 @@ class InapplicablePerturbation(Exception):
 
 _IMG_RE = re.compile(r"<img\b", re.IGNORECASE)
 
+# Defaults shared with ``config.Config``: the rule weight of the composite
+# reward, and the std below which a group's advantages are all zero.
+DEFAULT_W_RULE = 0.5
+DEFAULT_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class RuleWeights:
@@ -102,7 +107,7 @@ def rule_checks(
 # -- composite reward ------------------------------------------------------------
 
 
-def composite_reward(rule_score: float, model_score: float, w_rule: float = 0.5) -> float:
+def composite_reward(rule_score: float, model_score: float, w_rule: float = DEFAULT_W_RULE) -> float:
     """Linear blend of the rule score and the learned score."""
     for name, value in (("rule_score", rule_score), ("model_score", model_score), ("w_rule", w_rule)):
         if not 0.0 <= value <= 1.0:
@@ -118,7 +123,7 @@ def render_candidate(candidate_html: str) -> str:
 # -- group-relative advantages ------------------------------------------------------
 
 
-def group_advantages(rewards: list[float], eps: float = 1e-6) -> list[float]:
+def group_advantages(rewards: list[float], eps: float = DEFAULT_EPS) -> list[float]:
     """Zero-mean, unit-std advantages within a candidate group.
 
     Uses the population standard deviation; groups with std <= eps (constant
@@ -140,7 +145,7 @@ class RewardGroup:
     advantages: tuple[float, ...]
 
     @classmethod
-    def from_rewards(cls, rewards: list[float], eps: float = 1e-6) -> "RewardGroup":
+    def from_rewards(cls, rewards: list[float], eps: float = DEFAULT_EPS) -> "RewardGroup":
         return cls(tuple(rewards), tuple(group_advantages(rewards, eps)))
 
 

@@ -3,9 +3,10 @@
 These deliberately use different algorithms from the library: the tree
 distance enumerates every valid edit mapping instead of running the
 dynamic program, the string distance fills the full textbook matrix, the
-swap-cell candidates normalize both cells of every pair afresh, and the
-table merge goes through a chain of whole-grid rebuilds (band, column
-remap, vertical stack) instead of laying out its result once.
+rename-cost matrix costs every node pair on its own, the swap-cell
+candidates normalize both cells of every pair afresh, and the table merge
+goes through a chain of whole-grid rebuilds (band, column remap, vertical
+stack) instead of laying out its result once.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ def _rename(a: DocTree, b: DocTree, cost_model: str) -> float:
     if cost_model == CONTENT_AWARE:
         return normalized_edit_distance(a.content, b.content)
     return 0.0
+
+
+def rename_costs_reference(
+    a_nodes: list[DocTree], b_nodes: list[DocTree], cost_model: str
+) -> list[list[float]]:
+    """The full rename-cost matrix, one ``normalized_edit_distance`` (or tag
+    mismatch) per node pair, with no sharing between pairs."""
+    return [[_rename(a, b, cost_model) for b in b_nodes] for a in a_nodes]
 
 
 def exhaustive_tree_distance(t1: DocTree | None, t2: DocTree | None, cost_model: str) -> float:

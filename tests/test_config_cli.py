@@ -1,3 +1,4 @@
+import inspect
 import json
 import shlex
 import sys
@@ -38,6 +39,12 @@ def test_config_defaults_come_from_the_modules():
     assert cfg.merge_config() == MergeConfig()
     assert cfg.idtp_config() == IdtpConfig()
     assert cfg.rule_weights_obj() == RuleWeights()
+    for func, name in (
+        (rewards.composite_reward, "w_rule"),
+        (rewards.group_advantages, "eps"),
+        (rewards.RewardGroup.from_rewards, "eps"),
+    ):
+        assert inspect.signature(func).parameters[name].default == getattr(cfg, name)
 
 
 def test_config_defaults_match_readme():

@@ -1,11 +1,18 @@
 import gc
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_tree_distance, levenshtein_full_matrix, random_tree
+from oracles import (
+    exhaustive_tree_distance,
+    levenshtein_full_matrix,
+    random_tree,
+    rename_costs_reference,
+)
 from docpost.metrics import (
     CONTENT_AWARE,
     STRUCTURE_ONLY,
@@ -149,6 +156,58 @@ def test_structure_distance_never_exceeds_content_distance(seed):
     ) + 1e-12
 
 
+# cell contents that repeat, are empty, differ only in case or whitespace,
+# or hold characters outside the BMP
+cell_content = st.one_of(
+    st.sampled_from(
+        ["", "a", "A", "a ", " a", "a b", "a  b", "ab", "ba", "Total", "total",
+         "\U0001F600", "a\U0001F600", "\U0001F600a", "\u00e9", "e\u0301"]
+    ),
+    st.text(alphabet=st.sampled_from("aA \U0001F600\u00e9"), max_size=12),
+)
+node_lists = st.lists(
+    st.builds(DocTree, st.sampled_from(["tr", "td[1,1]", "th[1,1]", "td[1,2]"]), cell_content),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=node_lists, b=node_lists)
+@example(
+    a=[DocTree("td[1,1]", "ab"), DocTree("th[1,1]", "ab"), DocTree("td[1,1]", "ba")],
+    b=[DocTree("td[1,1]", "ba"), DocTree("td[1,1]", "ab"), DocTree("th[1,1]", "")],
+)
+def test_rename_costs_match_per_pair_reference(a, b):
+    for model in (STRUCTURE_ONLY, CONTENT_AWARE):
+        assert metrics._rename_costs(a, b, model) == rename_costs_reference(a, b, model)
+
+
+def test_rename_costs_scan_each_content_pair_once(monkeypatch):
+    # "abc" against "abx" under two tags and in both directions; "" and
+    # equal contents need no scan
+    td, th = "td[1,1]", "th[1,1]"
+    a = [leaf(td, "abc"), leaf(th, "abc"), leaf(td, "abx"), leaf(td, "")]
+    b = [leaf(td, "abx"), leaf(th, "abx"), leaf(td, "abc"), leaf(td, "zz")]
+    expected = rename_costs_reference(a, b, CONTENT_AWARE)
+    scans, built = [], []
+    myers, myers_masks = metrics._myers, metrics._myers_masks
+
+    def counting_myers(masks, m, text):
+        scans.append(text)
+        return myers(masks, m, text)
+
+    def counting_masks(pattern):
+        built.append(pattern)
+        return myers_masks(pattern)
+
+    monkeypatch.setattr(metrics, "_myers", counting_myers)
+    monkeypatch.setattr(metrics, "_myers_masks", counting_masks)
+    assert metrics._rename_costs(a, b, CONTENT_AWARE) == expected
+    # one scan for each of {abc, abx}, {abc, zz} and {abx, zz}
+    assert len(scans) == 3 and scans.count("zz") == 2
+    assert len(built) == len(set(built)) == 2
+
+
 # -- TEDS ----------------------------------------------------------------------------
 
 
@@ -235,6 +294,113 @@ def test_evaluate_pair_table_parses_each_side_once(monkeypatch):
     calls.clear()
     evaluate_pair("not a table", GT, "table")
     assert len(calls) == 2
+
+
+GT3 = GT.replace("</table>", "<tr><td>3</td><td>4</td></tr></table>")
+ROW2 = "<tr><td>1</td><td>2</td></tr>"
+
+
+def count_annotations(monkeypatch) -> list:
+    built = []
+
+    class Counting(metrics._Annotated):
+        def __init__(self, root):
+            built.append(root)
+            super().__init__(root)
+
+    monkeypatch.setattr(metrics, "_Annotated", Counting)
+    return built
+
+
+def structure_distance_by_dp(t1, t2) -> float:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_same_skeleton", lambda a, b: False)
+        return tree_edit_distance(t1, t2, STRUCTURE_ONLY)
+
+
+def test_teds_structure_of_text_corruption_skips_the_dp(monkeypatch):
+    pred = GT3.replace(">1<", ">17<").replace(">B<", ">b <")
+    t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
+    assert structure_distance_by_dp(t1, t2) == 0.0
+    built = count_annotations(monkeypatch)
+    assert teds(pred, GT3, structure_only=True) == 1.0
+    assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == 0.0
+    assert built == []
+    assert teds(pred, GT3) < 1.0  # the content-aware distance still runs the DP
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "pred, distance",
+    [
+        (GT3.replace("<th>A</th><th>B</th>", '<th colspan="2">A</th>'), 2.0),  # span
+        (GT3.replace(ROW2, ""), 3.0),  # dropped row
+        (GT3.replace(ROW2, ROW2 + ROW2), 3.0),  # duplicated row
+    ],
+)
+def test_teds_structure_of_shape_corruption_runs_the_dp(monkeypatch, pred, distance):
+    t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
+    built = count_annotations(monkeypatch)
+    assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == distance
+    assert len(built) == 2
+    assert structure_distance_by_dp(t1, t2) == distance
+    assert teds(pred, GT3, structure_only=True) == 1.0 - distance / max(t1.size(), t2.size())
+
+
+def test_same_skeleton_edge_cases():
+    def row(*tags):
+        return DocTree("tr", children=[leaf(tag) for tag in tags])
+
+    base = DocTree("table", children=[row("td[1,1]", "td[1,1]"), row("td[1,1]")])
+    # the same tags in the same order, with one cell moved between rows
+    moved = DocTree("table", children=[row("td[1,1]"), row("td[1,1]", "td[1,1]")])
+    # a different tag at depth 2
+    header = DocTree("table", children=[row("td[1,1]", "th[1,1]"), row("td[1,1]")])
+    recontent = DocTree("table", children=[row("td[1,1]", "td[1,1]"), row("td[1,1]")])
+    recontent.children[1].children[0].content = "x"
+    assert metrics._same_skeleton(base, recontent)
+    assert not metrics._same_skeleton(base, moved)
+    assert not metrics._same_skeleton(base, header)
+    assert tree_edit_distance(base, moved, STRUCTURE_ONLY) == 2.0
+    assert tree_edit_distance(base, header, STRUCTURE_ONLY) == 1.0
+    assert tree_edit_distance(base, recontent, STRUCTURE_ONLY) == 0.0
+    assert tree_edit_distance(base, recontent, CONTENT_AWARE) == 1.0
+
+
+def with_new_contents(tree: DocTree, rng: random.Random) -> DocTree:
+    return DocTree(
+        tree.tag,
+        rng.choice(["", "a", "ab", "zz"]),
+        [with_new_contents(child, rng) for child in tree.children],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_structure_distance_matches_the_dp(seed):
+    rng = random.Random(seed)
+    t1 = random_tree(rng, 10)
+    for t2 in (with_new_contents(t1, rng), random_tree(rng, 10)):
+        assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == structure_distance_by_dp(t1, t2)
+
+
+EVAL_SHARDS = Path(__file__).parent / "fixtures" / "eval" / "shards.json"
+
+
+def test_evaluate_batch_matches_recorded_rows():
+    """Rows recorded from the implementation that costed every rename pair
+    separately and ran the DP for every TEDS-S, on shards 0-2 of
+    ``perfbench/gen.py``'s ``table_eval`` generator at seed 9. Shard 0 holds
+    the 3x1 table against the 1x4 one."""
+    shards = json.loads(EVAL_SHARDS.read_text(encoding="utf-8"))
+    shapes = set()
+    for shard in shards:
+        assert evaluate_batch(shard["batch"]) == shard["rows"]
+        for entry in shard["batch"]:
+            if entry["kind"] == "table":
+                pred, gt = parse_grid(entry["pred"]), parse_grid(entry["gt"])
+                shapes.add((pred.n_rows, pred.n_cols, gt.n_rows, gt.n_cols))
+    assert (3, 1, 1, 4) in shapes
 
 
 def test_teds_leaves_no_cyclic_trees():
