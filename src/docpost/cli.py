@@ -288,7 +288,7 @@ def cmd_reward(args) -> int:
     if args.expected_placeholders is not None:
         expected = args.expected_placeholders
     else:
-        expected = gt_html.lower().count("<img")
+        expected = len(rewards._IMG_RE.findall(gt_html))
     scorer = cfg.reward_scorer()
     weights = cfg.rule_weights_obj()
     out_rows = []

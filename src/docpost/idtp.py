@@ -351,7 +351,7 @@ def restore_images(
         )
     restored = replace(
         grid,
-        cells=tuple(replace(c, content=new_contents[i]) for i, c in enumerate(grid.cells)),
+        cells=tuple(c._replace(content=new_contents[i]) for i, c in enumerate(grid.cells)),
     )
     unused = tuple(e.id for e in pmap.entries if e.id not in used)
     return RestoreResult(

@@ -9,9 +9,11 @@ recognizer output is near-HTML, not validated HTML.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from typing import NamedTuple
 
 
 class TableError(Exception):
@@ -30,8 +32,7 @@ class SpanConflict(TableError):
     """Two cells claim the same grid position."""
 
 
-@dataclass(frozen=True)
-class RawCell:
+class RawCell(NamedTuple):
     content: str
     rowspan: int = 1
     colspan: int = 1
@@ -53,8 +54,7 @@ class TableFragment:
                     raise ValueError("cell spans must be >= 1")
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     anchor_row: int
     anchor_col: int
     rowspan: int
@@ -84,9 +84,12 @@ class TableGrid:
         return [self.cell_at(row, c).content for c in range(self.n_cols)]
 
 
+_WHITESPACE_RE = re.compile(r"\s+")
+
+
 def normalize_text(s: str) -> str:
     """Comparison normalization: trim, collapse whitespace, case-fold."""
-    return re.sub(r"\s+", " ", s.strip()).casefold()
+    return _WHITESPACE_RE.sub(" ", s.strip()).casefold()
 
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?%?")
@@ -347,64 +350,79 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
     cells: list[GridCell] = []
     # occupancy rows grow on demand while cells are placed
     occ: list[list[int | None]] = [[] for _ in range(n_rows)]
-
-    def claim(r: int, c: int, idx: int):
-        row = occ[r]
-        while len(row) <= c:
-            row.append(None)
-        if row[c] is not None:
-            raise SpanConflict(f"position ({r},{c}) claimed twice")
-        row[c] = idx
+    # a cell ending past this column would take the grid over the cap
+    max_end = MAX_GRID_POSITIONS // n_rows
 
     for r, raw_row in enumerate(fragment.rows):
+        row = occ[r]
+        max_rowspan = min(MAX_ROWSPAN, n_rows - r)
         cursor = 0
-        for raw in raw_row:
-            row = occ[r]
+        for content, raw_rowspan, raw_colspan, is_header in raw_row:
             while cursor < len(row) and row[cursor] is not None:
                 cursor += 1
-            rowspan = min(raw.rowspan, MAX_ROWSPAN, n_rows - r)
-            if rowspan != raw.rowspan:
+            rowspan = raw_rowspan if raw_rowspan <= max_rowspan else max_rowspan
+            if rowspan != raw_rowspan:
                 warnings.append(
-                    f"clipped rowspan {raw.rowspan}->{rowspan} at ({r},{cursor})"
+                    f"clipped rowspan {raw_rowspan}->{rowspan} at ({r},{cursor})"
                 )
-            colspan = min(raw.colspan, MAX_COLSPAN)
-            if colspan != raw.colspan:
+            colspan = raw_colspan if raw_colspan <= MAX_COLSPAN else MAX_COLSPAN
+            if colspan != raw_colspan:
                 warnings.append(
-                    f"clipped colspan {raw.colspan}->{colspan} at ({r},{cursor})"
+                    f"clipped colspan {raw_colspan}->{colspan} at ({r},{cursor})"
                 )
-            if n_rows * (cursor + colspan) > MAX_GRID_POSITIONS:
+            end = cursor + colspan
+            if end > max_end:
                 raise MalformedMarkup(
                     f"table exceeds {MAX_GRID_POSITIONS} grid positions at ({r},{cursor})"
                 )
             idx = len(cells)
-            cells.append(GridCell(r, cursor, rowspan, colspan, raw.content, raw.is_header))
-            for rr in range(r, r + rowspan):
-                for cc in range(cursor, cursor + colspan):
-                    claim(rr, cc, idx)
-            cursor += colspan
+            cells.append(GridCell(r, cursor, rowspan, colspan, content, is_header))
+            if rowspan == 1 and colspan == 1:
+                # the cursor position is free, or one past the row's end
+                if cursor < len(row):
+                    row[cursor] = idx
+                else:
+                    row.append(idx)
+            else:
+                # Only this row can be taken: a cell from above that reached a
+                # lower row here would hold this row's position as well.
+                taken = row[cursor:end]
+                if taken.count(None) != len(taken):
+                    _raise_conflict(row, r, cursor)
+                span = [idx] * colspan
+                for below in occ[r : r + rowspan]:
+                    if len(below) < cursor:
+                        below.extend([None] * (cursor - len(below)))
+                    below[cursor:end] = span
+            cursor = end
 
-    n_cols = max((len(row) for row in occ), default=0)
-    for r in range(n_rows):
-        row = occ[r]
-        while len(row) < n_cols:
-            row.append(None)
+    n_cols = max(map(len, occ))
+    for r, row in enumerate(occ):
+        if len(row) < n_cols:
+            row.extend([None] * (n_cols - len(row)))
+        if None not in row:
+            continue
         padded = 0
-        for c in range(n_cols):
-            if row[c] is None:
-                idx = len(cells)
+        for c, owner in enumerate(row):
+            if owner is None:
+                row[c] = len(cells)
                 cells.append(GridCell(r, c, 1, 1, "", False))
-                row[c] = idx
                 padded += 1
-        if padded:
-            warnings.append(f"padded {padded} empty cell{'s' * (padded > 1)} in row {r}")
+        warnings.append(f"padded {padded} empty cell{'s' * (padded > 1)} in row {r}")
 
     return TableGrid(
         n_rows,
         n_cols,
         tuple(cells),
-        tuple(tuple(row) for row in occ),  # type: ignore[arg-type]
+        tuple(map(tuple, occ)),  # type: ignore[arg-type]
         tuple(warnings),
     )
+
+
+def _raise_conflict(row: list[int | None], r: int, start: int):
+    """Report the first taken position of grid row ``r`` at or after ``start``."""
+    c = next(c for c in range(start, len(row)) if row[c] is not None)
+    raise SpanConflict(f"position ({r},{c}) claimed twice")
 
 
 def grid_from_cells(
@@ -412,34 +430,49 @@ def grid_from_cells(
 ) -> TableGrid:
     """Build a grid from explicit cells; uncovered positions are padded.
 
-    Raises :class:`SpanConflict` when two cells overlap or a span leaves the
-    grid bounds.
+    Raises :class:`SpanConflict` when two cells overlap, a span is below 1,
+    or a cell leaves the grid bounds.
     """
     occ: list[list[int | None]] = [[None] * n_cols for _ in range(n_rows)]
     out = list(cells)
-    for idx, cell in enumerate(out):
-        if cell.anchor_row + cell.rowspan > n_rows or cell.anchor_col + cell.colspan > n_cols:
-            raise SpanConflict(
-                f"cell at ({cell.anchor_row},{cell.anchor_col}) leaves the grid"
-            )
-        for r in range(cell.anchor_row, cell.anchor_row + cell.rowspan):
-            for c in range(cell.anchor_col, cell.anchor_col + cell.colspan):
-                if occ[r][c] is not None:
-                    raise SpanConflict(f"position ({r},{c}) claimed twice")
-                occ[r][c] = idx
-    for r in range(n_rows):
-        for c in range(n_cols):
-            if occ[r][c] is None:
-                occ[r][c] = len(out)
-                out.append(GridCell(r, c, 1, 1, "", False))
-    ordered = sorted(range(len(out)), key=lambda i: (out[i].anchor_row, out[i].anchor_col))
-    remap = {old: new for new, old in enumerate(ordered)}
+    for idx, (row0, col0, rowspan, colspan, _, _) in enumerate(out):
+        if rowspan < 1 or colspan < 1:
+            raise SpanConflict(f"cell at ({row0},{col0}) spans {rowspan}x{colspan} positions")
+        end = col0 + colspan
+        if row0 < 0 or col0 < 0 or row0 + rowspan > n_rows or end > n_cols:
+            raise SpanConflict(f"cell at ({row0},{col0}) leaves the grid")
+        if rowspan == 1 and colspan == 1:
+            row = occ[row0]
+            if row[col0] is not None:
+                _raise_conflict(row, row0, col0)
+            row[col0] = idx
+            continue
+        span = [idx] * colspan
+        for r in range(row0, row0 + rowspan):
+            row = occ[r]
+            if row[col0:end].count(None) != colspan:
+                _raise_conflict(row, r, col0)
+            row[col0:end] = span
+    for r, row in enumerate(occ):
+        if None in row:
+            for c, owner in enumerate(row):
+                if owner is None:
+                    row[c] = len(out)
+                    out.append(GridCell(r, c, 1, 1, "", False))
+    # every cell owns its anchor, so anchors are unique and tuple order is anchor order
+    ordered = sorted(range(len(out)), key=out.__getitem__)
+    remap = [0] * len(out)
+    for new, old in enumerate(ordered):
+        remap[old] = new
     return TableGrid(
         n_rows,
         n_cols,
-        tuple(out[i] for i in ordered),
-        tuple(tuple(remap[i] for i in row) for row in occ),  # type: ignore[misc]
+        tuple(map(out.__getitem__, ordered)),
+        tuple(tuple(map(remap.__getitem__, row)) for row in occ),  # type: ignore[arg-type]
     )
+
+
+_ANCHOR_COL = operator.itemgetter(1)
 
 
 def serialize_grid(grid: TableGrid) -> str:
@@ -450,14 +483,17 @@ def serialize_grid(grid: TableGrid) -> str:
         by_row.setdefault(cell.anchor_row, []).append(cell)
     for r in range(grid.n_rows):
         parts.append("<tr>")
-        for cell in sorted(by_row.get(r, []), key=lambda c: c.anchor_col):
-            tag = "th" if cell.is_header else "td"
+        # unpacked, since a NamedTuple field read costs more than a tuple unpack
+        for _, _, rowspan, colspan, content, is_header in sorted(
+            by_row.get(r, []), key=_ANCHOR_COL
+        ):
+            tag = "th" if is_header else "td"
             attrs = ""
-            if cell.rowspan > 1:
-                attrs += f' rowspan="{cell.rowspan}"'
-            if cell.colspan > 1:
-                attrs += f' colspan="{cell.colspan}"'
-            parts.append(f"<{tag}{attrs}>{cell.content}</{tag}>")
+            if rowspan > 1:
+                attrs += f' rowspan="{rowspan}"'
+            if colspan > 1:
+                attrs += f' colspan="{colspan}"'
+            parts.append(f"<{tag}{attrs}>{content}</{tag}>")
         parts.append("</tr>")
     parts.append("</table>")
     return "".join(parts)

@@ -9,7 +9,7 @@ with a punctuation/casing heuristic as the bundled baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from ._external import Scorer, ScorerFailure
@@ -354,7 +354,7 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
             consumed.add(b_idx)
             a_idx = a.occupancy[a.n_rows - 1][join.a_col]
             joined = cells[a_idx].content + join.separator + head
-            cells[a_idx] = replace(cells[a_idx], content=joined)
+            cells[a_idx] = cells[a_idx]._replace(content=joined)
     cells += _band_cells(b, start, b.n_rows, a.n_rows, offset)
     return grid_from_cells(a.n_rows + b.n_rows - start, a.n_cols, cells)
 

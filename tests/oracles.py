@@ -6,7 +6,8 @@ dynamic program, the string distance fills the full textbook matrix, the
 rename-cost matrix costs every node pair on its own, the swap-cell
 candidates normalize both cells of every pair afresh, and the table merge
 goes through a chain of whole-grid rebuilds (band, column remap, vertical
-stack) instead of laying out its result once.
+stack) instead of laying out its result once, and the grid layouts claim
+one position at a time instead of placing each spanned row as a slice.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ from __future__ import annotations
 import random
 
 from docpost.metrics import CONTENT_AWARE, DocTree, normalized_edit_distance
-from docpost.table_grid import GridCell, TableGrid, grid_from_cells, normalize_text
+from docpost.table_grid import (
+    MAX_COLSPAN,
+    MAX_GRID_POSITIONS,
+    MAX_ROWSPAN,
+    GridCell,
+    MalformedMarkup,
+    SpanConflict,
+    TableFragment,
+    TableGrid,
+    normalize_text,
+)
 from docpost.table_merge import MergePlan, Pattern, PlanMismatch
 
 
@@ -156,7 +167,7 @@ def _slice_rows_reference(grid: TableGrid, start: int, stop: int) -> TableGrid:
                 cell.is_header if kept else False,
             )
         )
-    return grid_from_cells(stop - start, grid.n_cols, cells)
+    return grid_from_cells_reference(stop - start, grid.n_cols, cells)
 
 
 def _remap_columns_reference(grid: TableGrid, column_map, n_cols: int) -> TableGrid:
@@ -173,7 +184,7 @@ def _remap_columns_reference(grid: TableGrid, column_map, n_cols: int) -> TableG
         GridCell(c.anchor_row, c.anchor_col + offset, c.rowspan, c.colspan, c.content, c.is_header)
         for c in grid.cells
     ]
-    return grid_from_cells(grid.n_rows, n_cols, cells)
+    return grid_from_cells_reference(grid.n_rows, n_cols, cells)
 
 
 def _vstack_reference(a: TableGrid, b: TableGrid) -> TableGrid:
@@ -183,7 +194,7 @@ def _vstack_reference(a: TableGrid, b: TableGrid) -> TableGrid:
         GridCell(c.anchor_row + a.n_rows, c.anchor_col, c.rowspan, c.colspan, c.content, c.is_header)
         for c in b.cells
     ]
-    return grid_from_cells(a.n_rows + b.n_rows, a.n_cols, cells)
+    return grid_from_cells_reference(a.n_rows + b.n_rows, a.n_cols, cells)
 
 
 def merge_reference(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
@@ -228,8 +239,105 @@ def merge_reference(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
         )
         for c in a.cells
     ]
-    a_joined = grid_from_cells(a.n_rows, a.n_cols, new_a_cells)
+    a_joined = grid_from_cells_reference(a.n_rows, a.n_cols, new_a_cells)
     rest = _slice_rows_reference(b, 1, b.n_rows)
     if rest.n_rows == 0:
         return a_joined
     return _vstack_reference(a_joined, _remap_columns_reference(rest, plan.column_map, a.n_cols))
+
+
+def normalize_grid_reference(fragment: TableFragment) -> TableGrid:
+    """The HTML table layout with one ``claim`` call per grid position and
+    a padding scan over every row."""
+    n_rows = len(fragment.rows)
+    warnings: list[str] = []
+    cells: list[GridCell] = []
+    occ: list[list[int | None]] = [[] for _ in range(n_rows)]
+
+    def claim(r: int, c: int, idx: int):
+        row = occ[r]
+        while len(row) <= c:
+            row.append(None)
+        if row[c] is not None:
+            raise SpanConflict(f"position ({r},{c}) claimed twice")
+        row[c] = idx
+
+    for r, raw_row in enumerate(fragment.rows):
+        cursor = 0
+        for raw in raw_row:
+            row = occ[r]
+            while cursor < len(row) and row[cursor] is not None:
+                cursor += 1
+            rowspan = min(raw.rowspan, MAX_ROWSPAN, n_rows - r)
+            if rowspan != raw.rowspan:
+                warnings.append(
+                    f"clipped rowspan {raw.rowspan}->{rowspan} at ({r},{cursor})"
+                )
+            colspan = min(raw.colspan, MAX_COLSPAN)
+            if colspan != raw.colspan:
+                warnings.append(
+                    f"clipped colspan {raw.colspan}->{colspan} at ({r},{cursor})"
+                )
+            if n_rows * (cursor + colspan) > MAX_GRID_POSITIONS:
+                raise MalformedMarkup(
+                    f"table exceeds {MAX_GRID_POSITIONS} grid positions at ({r},{cursor})"
+                )
+            idx = len(cells)
+            cells.append(GridCell(r, cursor, rowspan, colspan, raw.content, raw.is_header))
+            for rr in range(r, r + rowspan):
+                for cc in range(cursor, cursor + colspan):
+                    claim(rr, cc, idx)
+            cursor += colspan
+
+    n_cols = max((len(row) for row in occ), default=0)
+    for r in range(n_rows):
+        row = occ[r]
+        while len(row) < n_cols:
+            row.append(None)
+        padded = 0
+        for c in range(n_cols):
+            if row[c] is None:
+                idx = len(cells)
+                cells.append(GridCell(r, c, 1, 1, "", False))
+                row[c] = idx
+                padded += 1
+        if padded:
+            warnings.append(f"padded {padded} empty cell{'s' * (padded > 1)} in row {r}")
+
+    return TableGrid(
+        n_rows,
+        n_cols,
+        tuple(cells),
+        tuple(tuple(row) for row in occ),  # type: ignore[arg-type]
+        tuple(warnings),
+    )
+
+
+def grid_from_cells_reference(n_rows: int, n_cols: int, cells) -> TableGrid:
+    """Explicit cells laid out one position at a time, padded, and renumbered
+    in anchor order through a dict. Expects anchors >= 0 and spans >= 1."""
+    occ: list[list[int | None]] = [[None] * n_cols for _ in range(n_rows)]
+    out = list(cells)
+    for idx, cell in enumerate(out):
+        if cell.anchor_row + cell.rowspan > n_rows or cell.anchor_col + cell.colspan > n_cols:
+            raise SpanConflict(
+                f"cell at ({cell.anchor_row},{cell.anchor_col}) leaves the grid"
+            )
+        for r in range(cell.anchor_row, cell.anchor_row + cell.rowspan):
+            for c in range(cell.anchor_col, cell.anchor_col + cell.colspan):
+                if occ[r][c] is not None:
+                    raise SpanConflict(f"position ({r},{c}) claimed twice")
+                occ[r][c] = idx
+    for r in range(n_rows):
+        for c in range(n_cols):
+            if occ[r][c] is None:
+                occ[r][c] = len(out)
+                out.append(GridCell(r, c, 1, 1, "", False))
+    ordered = sorted(range(len(out)), key=lambda i: (out[i].anchor_row, out[i].anchor_col))
+    remap = {old: new for new, old in enumerate(ordered)}
+    return TableGrid(
+        n_rows,
+        n_cols,
+        tuple(out[i] for i in ordered),
+        tuple(tuple(remap[i] for i in row) for row in occ),  # type: ignore[misc]
+    )

@@ -289,6 +289,18 @@ def test_cli_reward(tmp_path, capsys):
     assert rows[0]["advantage"] > 0 > rows[1]["advantage"]
 
 
+def test_cli_reward_counts_ground_truth_placeholders_like_candidates(tmp_path, capsys):
+    # <imgx> is no <img> tag: an exact copy of the ground truth keeps its count
+    gt = '<table><tr><td><IMG src="a.png"></td><td><imgx>b</td></tr></table>'
+    gt_path = tmp_path / "gt.html"
+    gt_path.write_text(gt)
+    cand_path = tmp_path / "cands.json"
+    cand_path.write_text(json.dumps([gt]))
+    assert main(["reward", str(cand_path), str(gt_path)]) == 0
+    [row] = json.loads(capsys.readouterr().out)["candidates"]
+    assert row["rule"]["placeholder_ok"] and row["reward"] == 1.0
+
+
 def _reward_files(tmp_path, candidates):
     gt_path = tmp_path / "gt.html"
     gt_path.write_text(FRAG_A)

@@ -8,10 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WIDE_ROW_TABLE, random_grid
+from oracles import grid_from_cells_reference, normalize_grid_reference
 from docpost import table_grid
 from docpost.rewards import rule_checks
 from docpost.table_grid import (
+    MAX_COLSPAN,
     MAX_GRID_POSITIONS,
+    MAX_ROWSPAN,
     GridCell,
     MalformedMarkup,
     NoTableFound,
@@ -582,3 +585,138 @@ def test_grid_cell_invariants_validated():
             2,
             [GridCell(0, 0, 1, 2, "a"), GridCell(0, 1, 1, 1, "b")],
         )
+
+
+# -- cell records ------------------------------------------------------------
+
+
+def test_cells_are_immutable_value_records():
+    cell = GridCell(1, 2, 1, 3, "x")
+    with pytest.raises(AttributeError):
+        cell.content = "y"  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        RawCell("x").rowspan = 2  # type: ignore[misc]
+    assert GridCell._fields == (
+        "anchor_row", "anchor_col", "rowspan", "colspan", "content", "is_header"
+    )
+    assert RawCell._fields == ("content", "rowspan", "colspan", "is_header")
+    raw = RawCell("x")
+    assert (raw.rowspan, raw.colspan, raw.is_header) == (1, 1, False)
+    assert cell.is_header is False
+    twin = GridCell(1, 2, 1, 3, "x", False)
+    assert twin == cell and hash(twin) == hash(cell) and len({twin, cell}) == 1
+    assert cell != GridCell(1, 2, 1, 3, "x", True)
+    moved = cell._replace(content="y", anchor_row=0)
+    assert moved == GridCell(0, 2, 1, 3, "y") and cell.content == "x"
+    assert repr(cell) == (
+        "GridCell(anchor_row=1, anchor_col=2, rowspan=1, colspan=3, content='x', is_header=False)"
+    )
+    assert repr(raw) == "RawCell(content='x', rowspan=1, colspan=1, is_header=False)"
+
+
+# -- layout against the claim-per-position references ------------------------
+
+_ROWSPANS = st.one_of(st.integers(1, 4), st.sampled_from([MAX_ROWSPAN, MAX_ROWSPAN + 1]))
+_COLSPANS = st.one_of(
+    st.integers(1, 3), st.sampled_from([MAX_COLSPAN, MAX_COLSPAN + 1, 50_000])
+)
+_RAW_CELLS = st.builds(
+    RawCell, st.sampled_from(["", "a", "b c"]), _ROWSPANS, _COLSPANS, st.booleans()
+)
+
+
+@st.composite
+def _fragments(draw):
+    """Ragged rows of spanning cells; tall tables leave all but their first
+    rows empty, so wide cells run into MAX_GRID_POSITIONS."""
+    n_rows = draw(st.one_of(st.integers(1, 5), st.sampled_from([40, 99, 100, 101])))
+    filled = [tuple(draw(st.lists(_RAW_CELLS, max_size=4))) for _ in range(min(n_rows, 5))]
+    return TableFragment(tuple(filled) + ((),) * (n_rows - len(filled)))
+
+
+def _layout(fn, *args):
+    try:
+        grid = fn(*args)
+    except TableError as exc:
+        return type(exc), str(exc)
+    return grid.n_rows, grid.n_cols, grid.cells, grid.occupancy, grid.warnings
+
+
+@settings(max_examples=250, deadline=None)
+@given(fragment=_fragments())
+@example(  # rowspan clipped at MAX_ROWSPAN, not at the bottom edge
+    fragment=TableFragment(((RawCell("a", MAX_ROWSPAN + 5),),) + ((),) * (MAX_ROWSPAN + 1))
+)
+@example(  # colspan 2 runs into a rowspan from the row above: a span conflict
+    fragment=TableFragment(
+        ((RawCell("a"), RawCell("b", rowspan=2)), (RawCell("c", colspan=2),))
+    )
+)
+@example(  # a tall, wide cell runs into a rowspan from the row above
+    fragment=TableFragment(
+        (
+            (RawCell("a"), RawCell("b"), RawCell("c", rowspan=3)),
+            (RawCell("d", rowspan=2, colspan=3),),
+            (),
+        )
+    )
+)
+@example(  # a rowspan starts to the right of a shorter row below
+    fragment=TableFragment(((RawCell("a"), RawCell("b"), RawCell("c", rowspan=2)), ()))
+)
+@example(  # exactly at the position cap, then one column past it
+    fragment=TableFragment(((RawCell("a", colspan=MAX_COLSPAN),),) + ((),) * 99)
+)
+@example(fragment=TableFragment(((RawCell("a", colspan=MAX_COLSPAN),),) + ((),) * 100))
+def test_normalize_grid_matches_reference(fragment):
+    assert _layout(normalize_grid, fragment) == _layout(normalize_grid_reference, fragment)
+
+
+@st.composite
+def _cell_lists(draw):
+    """A grid size and cells anchored inside it: some overlap, about one span
+    in ten leaves the grid, and uncovered positions are padded."""
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    over = st.sampled_from([0] * 9 + [1])
+    cells = []
+    for _ in range(draw(st.integers(0, 6)) if n_rows and n_cols else 0):
+        r, c = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        rowspan = draw(st.integers(1, min(3, n_rows - r))) + draw(over)
+        colspan = draw(st.integers(1, min(3, n_cols - c))) + draw(over)
+        cells.append(GridCell(r, c, rowspan, colspan, draw(st.sampled_from("ab")), draw(st.booleans())))
+    return n_rows, n_cols, cells
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_cell_lists())
+def test_grid_from_cells_matches_reference(case):
+    assert _layout(grid_from_cells, *case) == _layout(grid_from_cells_reference, *case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 8), n_cols=st.integers(1, 6))
+def test_grid_from_shuffled_cells_matches_reference(seed, n_rows, n_cols):
+    # a full tiling, shuffled and thinned: renumbering and padding both work
+    rng = random.Random(seed)
+    cells = list(random_grid(rng, n_rows, n_cols, span_prob=0.4).cells)
+    rng.shuffle(cells)
+    del cells[: rng.randint(0, len(cells) // 2)]
+    assert _layout(grid_from_cells, n_rows, n_cols, cells) == _layout(
+        grid_from_cells_reference, n_rows, n_cols, cells
+    )
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (GridCell(-1, 0, 1, 1, "x"), "cell at (-1,0) leaves the grid"),
+        (GridCell(0, -1, 1, 1, "x"), "cell at (0,-1) leaves the grid"),
+        (GridCell(0, 0, 0, 1, "x"), "cell at (0,0) spans 0x1 positions"),
+        (GridCell(0, 0, 1, 0, "x"), "cell at (0,0) spans 1x0 positions"),
+        (GridCell(1, 1, -1, 1, "x"), "cell at (1,1) spans -1x1 positions"),
+    ],
+)
+def test_grid_from_cells_rejects_negative_anchors_and_empty_spans(cell, message):
+    with pytest.raises(SpanConflict) as info:
+        grid_from_cells(2, 2, [cell])
+    assert str(info.value) == message
