@@ -215,12 +215,12 @@ def cmd_mask(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    cfg = _load_cfg(args)
+    _load_cfg(args)  # a bad config is refused here as in the other commands
     html = Path(args.html).read_text(encoding="utf-8")
     pmap = _parse_placeholder_map(_read_json(args.map))
-    result = idtp.restore_images(html, pmap, cfg.idtp_config(), strict_ids=args.strict_ids)
+    result = idtp.restore_images(html, pmap, strict_ids=args.strict_ids)
     Path(args.out).write_text(result.html, encoding="utf-8")
-    report = idtp.verify_restoration(result.html, pmap, cfg.idtp_config())
+    report = idtp.verify_restoration(result.html, pmap)
     print(
         json.dumps(
             {

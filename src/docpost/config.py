@@ -8,6 +8,7 @@ environment (``DOCPOST_<KEY>``) < command-line flags.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -68,9 +69,13 @@ class Config:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0,1], got {value}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
         weights = self.rule_weights
         if not (isinstance(weights, tuple) and len(weights) == 4 and all(map(_is_real, weights))):
             raise ConfigError(f"rule_weights must be four numbers, got {weights!r}")
+        if not all(map(math.isfinite, weights)):
+            raise ConfigError(f"rule_weights must be finite, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ConfigError(f"rule_weights must sum to 1, got {weights}")
         fill = self.mask_fill

@@ -103,7 +103,6 @@ class IdtpConfig:
     min_confidence: float = 0.3
     overlap_tolerance: float = 0.5  # max allowed IoU between kept detections
     fill: tuple[int, int, int] = (200, 200, 200)
-    placeholder_scheme: str = "placeholder://"
 
 
 def _iou(a: Rect, b: Rect) -> float:
@@ -269,16 +268,20 @@ def _set_tag_src(tag: str, ref: str) -> str:
     return f'{body} src="{ref}"{closer}'
 
 
-def _needs_restore(tag: str, scheme: str) -> bool:
-    src = _tag_src(tag)
-    return src is None or src == "" or src.startswith(scheme)
+# The src prefix of an <img> tag that still waits for its image reference.
+PLACEHOLDER_SCHEME = "placeholder://"
 
 
-def _placeholder_id(tag: str, scheme: str) -> int | None:
+def _needs_restore(tag: str) -> bool:
     src = _tag_src(tag)
-    if src and src.startswith(scheme):
+    return src is None or src == "" or src.startswith(PLACEHOLDER_SCHEME)
+
+
+def _placeholder_id(tag: str) -> int | None:
+    src = _tag_src(tag)
+    if src and src.startswith(PLACEHOLDER_SCHEME):
         try:
-            return int(src[len(scheme) :])
+            return int(src[len(PLACEHOLDER_SCHEME) :])
         except ValueError:
             return None
     return None
@@ -297,12 +300,7 @@ class RestoreResult:
         return self.found != self.expected
 
 
-def restore_images(
-    html: str,
-    pmap: PlaceholderMap,
-    cfg: IdtpConfig | None = None,
-    strict_ids: bool = False,
-) -> RestoreResult:
+def restore_images(html: str, pmap: PlaceholderMap, strict_ids: bool = False) -> RestoreResult:
     """Rewrite placeholder ``<img>`` tags with the mapped image references.
 
     Tags still needing restoration (no src, empty src, or a
@@ -314,18 +312,18 @@ def restore_images(
     found/expected count mismatch is reported in the result while restoration
     proceeds for the pairs that exist.
     """
-    cfg = cfg or IdtpConfig()
     grid = parse_grid(html)
     by_id = {e.id: e for e in pmap.entries}
     used: set[int] = set()
     counter = {"found": 0, "rewrites": 0}
 
-    def rewrite(tag: str) -> str:
-        if not _needs_restore(tag, cfg.placeholder_scheme):
+    def rewrite(match: re.Match) -> str:
+        tag = match.group(0)
+        if not _needs_restore(tag):
             return tag
         counter["found"] += 1
         if strict_ids:
-            pid = _placeholder_id(tag, cfg.placeholder_scheme)
+            pid = _placeholder_id(tag)
             if pid is None or pid not in by_id:
                 return tag
             entry = by_id[pid]
@@ -338,20 +336,11 @@ def restore_images(
         counter["rewrites"] += 1
         return _set_tag_src(tag, entry.image_ref)
 
-    # process cells in row-major anchor order so the positional counter
-    # matches document order
-    order = sorted(
-        range(len(grid.cells)),
-        key=lambda i: (grid.cells[i].anchor_row, grid.cells[i].anchor_col),
-    )
-    new_contents: dict[int, str] = {}
-    for i in order:
-        new_contents[i] = _IMG_TAG_RE.sub(
-            lambda m: rewrite(m.group(0)), grid.cells[i].content
-        )
+    # the cells are in anchor order, which is document order, so the
+    # positional counter meets the tags as the recognizer wrote them
     restored = replace(
         grid,
-        cells=tuple(c._replace(content=new_contents[i]) for i, c in enumerate(grid.cells)),
+        cells=tuple(c._replace(content=_IMG_TAG_RE.sub(rewrite, c.content)) for c in grid.cells),
     )
     unused = tuple(e.id for e in pmap.entries if e.id not in used)
     return RestoreResult(
@@ -381,11 +370,8 @@ class VerificationReport:
         }
 
 
-def verify_restoration(
-    html: str, pmap: PlaceholderMap, cfg: IdtpConfig | None = None
-) -> VerificationReport:
+def verify_restoration(html: str, pmap: PlaceholderMap) -> VerificationReport:
     """Empty report iff the tag/entry correspondence is a bijection."""
-    cfg = cfg or IdtpConfig()
     try:
         grid = parse_grid(html)
         tags = []
@@ -393,11 +379,9 @@ def verify_restoration(
             tags.extend(_IMG_TAG_RE.findall(cell.content))
     except TableError:
         tags = _IMG_TAG_RE.findall(html)
-    residual = tuple(
-        i for i, tag in enumerate(tags) if _needs_restore(tag, cfg.placeholder_scheme)
-    )
+    residual = tuple(i for i, tag in enumerate(tags) if _needs_restore(tag))
     srcs = [_tag_src(t) for t in tags]
-    concrete = [s for s in srcs if s and not s.startswith(cfg.placeholder_scheme)]
+    concrete = [s for s in srcs if s and not s.startswith(PLACEHOLDER_SCHEME)]
     unused = tuple(e.id for e in pmap.entries if e.image_ref not in concrete)
     seen: set[str] = set()
     dupes = []

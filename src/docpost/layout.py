@@ -453,7 +453,7 @@ def run_pipeline(
             {"page": page_no, "index": index, **pmap.to_dict(el.bbox)}
         )
         try:
-            result = restore_images(contents[key], pmap, cfg.idtp)
+            result = restore_images(contents[key], pmap)
         except TableError as exc:
             warnings.append(f"page {page_no} element {index}: restore skipped ({exc})")
             continue

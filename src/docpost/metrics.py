@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .table_grid import TableError, TableGrid, normalize_text, parse_grid
+from .table_grid import TableError, TableGrid, cells_by_row, normalize_text, parse_grid
 
 
 class GtParseError(Exception):
@@ -134,12 +134,9 @@ class DocTree:
 def grid_to_tree(grid: TableGrid) -> DocTree:
     """table -> tr* -> (td|th)* with spans folded into the tag signature."""
     root = DocTree("table")
-    by_row: dict[int, list] = {}
-    for cell in grid.cells:
-        by_row.setdefault(cell.anchor_row, []).append(cell)
-    for r in range(grid.n_rows):
+    for row in cells_by_row(grid):
         tr = DocTree("tr")
-        for cell in sorted(by_row.get(r, []), key=lambda c: c.anchor_col):
+        for cell in row:
             tag = "th" if cell.is_header else "td"
             tr.children.append(
                 DocTree(

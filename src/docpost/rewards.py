@@ -139,16 +139,6 @@ def group_advantages(rewards: list[float], eps: float = DEFAULT_EPS) -> list[flo
     return [(r - mean) / (std + eps) for r in rewards]
 
 
-@dataclass(frozen=True)
-class RewardGroup:
-    rewards: tuple[float, ...]
-    advantages: tuple[float, ...]
-
-    @classmethod
-    def from_rewards(cls, rewards: list[float], eps: float = DEFAULT_EPS) -> "RewardGroup":
-        return cls(tuple(rewards), tuple(group_advantages(rewards, eps)))
-
-
 # -- perturbations ---------------------------------------------------------------------
 
 
@@ -214,8 +204,8 @@ def _swap_cells(grid: TableGrid, rng: random.Random) -> TableGrid:
     i, j = rng.choice(candidates)
     cells = list(grid.cells)
     ci, cj = cells[i], cells[j]
-    cells[i] = GridCell(ci.anchor_row, ci.anchor_col, ci.rowspan, ci.colspan, cj.content, ci.is_header)
-    cells[j] = GridCell(cj.anchor_row, cj.anchor_col, cj.rowspan, cj.colspan, ci.content, cj.is_header)
+    cells[i] = ci._replace(content=cj.content)
+    cells[j] = cj._replace(content=ci.content)
     return grid_from_cells(grid.n_rows, grid.n_cols, cells)
 
 
@@ -282,15 +272,11 @@ def _change_span(grid: TableGrid, rng: random.Random) -> TableGrid:
     if op == "merge":
         i, j = arg
         a, b = cells[i], cells[j]
-        cells[i] = GridCell(
-            a.anchor_row, a.anchor_col, a.rowspan, a.colspan + b.colspan, a.content, a.is_header
-        )
+        cells[i] = a._replace(colspan=a.colspan + b.colspan)
         del cells[j]
     else:
         c = cells[arg]
-        cells[arg] = GridCell(
-            c.anchor_row, c.anchor_col, c.rowspan, c.colspan - 1, c.content, c.is_header
-        )
+        cells[arg] = c._replace(colspan=c.colspan - 1)
         cells.append(
             GridCell(c.anchor_row, c.anchor_col + c.colspan - 1, c.rowspan, 1, "", False)
         )
@@ -306,9 +292,7 @@ def _corrupt_text(grid: TableGrid, rng: random.Random) -> TableGrid:
     pos = rng.randrange(len(cell.content) + 1)
     mutated = cell.content[:pos] + "~" + cell.content[pos:]
     cells = list(grid.cells)
-    cells[i] = GridCell(
-        cell.anchor_row, cell.anchor_col, cell.rowspan, cell.colspan, mutated, cell.is_header
-    )
+    cells[i] = cell._replace(content=mutated)
     return grid_from_cells(grid.n_rows, grid.n_cols, cells)
 
 

@@ -65,7 +65,12 @@ class GridCell(NamedTuple):
 
 @dataclass(frozen=True)
 class TableGrid:
-    """Normalized occupancy matrix; ``occupancy[r][c]`` indexes into ``cells``."""
+    """Normalized occupancy matrix; ``occupancy[r][c]`` indexes into ``cells``.
+
+    ``cells`` is in row-major anchor order, ``(anchor_row, anchor_col)``,
+    whichever constructor built the grid, so two grids are equal exactly
+    when their layouts and contents are.
+    """
 
     n_rows: int
     n_cols: int
@@ -396,27 +401,7 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
                     below[cursor:end] = span
             cursor = end
 
-    n_cols = max(map(len, occ))
-    for r, row in enumerate(occ):
-        if len(row) < n_cols:
-            row.extend([None] * (n_cols - len(row)))
-        if None not in row:
-            continue
-        padded = 0
-        for c, owner in enumerate(row):
-            if owner is None:
-                row[c] = len(cells)
-                cells.append(GridCell(r, c, 1, 1, "", False))
-                padded += 1
-        warnings.append(f"padded {padded} empty cell{'s' * (padded > 1)} in row {r}")
-
-    return TableGrid(
-        n_rows,
-        n_cols,
-        tuple(cells),
-        tuple(map(tuple, occ)),  # type: ignore[arg-type]
-        tuple(warnings),
-    )
+    return _finish_grid(max(map(len, occ)), cells, occ, warnings)
 
 
 def _raise_conflict(row: list[int | None], r: int, start: int):
@@ -453,40 +438,64 @@ def grid_from_cells(
             if row[col0:end].count(None) != colspan:
                 _raise_conflict(row, r, col0)
             row[col0:end] = span
+    return _finish_grid(n_cols, out, occ)
+
+
+def _finish_grid(
+    n_cols: int,
+    cells: list[GridCell],
+    occ: list[list[int | None]],
+    warnings: list[str] | None = None,
+) -> TableGrid:
+    """Pad every free position of ``occ`` with an empty 1x1 cell, renumber
+    the cells into anchor order and build the grid. With ``warnings``, one
+    warning per padded row is appended to it."""
     for r, row in enumerate(occ):
-        if None in row:
-            for c, owner in enumerate(row):
-                if owner is None:
-                    row[c] = len(out)
-                    out.append(GridCell(r, c, 1, 1, "", False))
-    # every cell owns its anchor, so anchors are unique and tuple order is anchor order
-    ordered = sorted(range(len(out)), key=out.__getitem__)
-    remap = [0] * len(out)
-    for new, old in enumerate(ordered):
-        remap[old] = new
+        row.extend([None] * (n_cols - len(row)))
+        if None not in row:
+            continue
+        padded = 0
+        for c, owner in enumerate(row):
+            if owner is None:
+                row[c] = len(cells)
+                cells.append(GridCell(r, c, 1, 1, "", False))
+                padded += 1
+        if warnings is not None:
+            warnings.append(f"padded {padded} empty cell{'s' * (padded > 1)} in row {r}")
+    occupancy = map(tuple, occ)
+    # every cell owns its anchor, so anchors are unique and tuple order is
+    # anchor order; renumber only cells that are out of it
+    if any(map(operator.gt, cells, cells[1:])):
+        ordered = sorted(range(len(cells)), key=cells.__getitem__)
+        remap = [0] * len(cells)
+        for new, old in enumerate(ordered):
+            remap[old] = new
+        cells = list(map(cells.__getitem__, ordered))
+        occupancy = (tuple(map(remap.__getitem__, row)) for row in occ)
     return TableGrid(
-        n_rows,
+        len(occ),
         n_cols,
-        tuple(map(out.__getitem__, ordered)),
-        tuple(tuple(map(remap.__getitem__, row)) for row in occ),  # type: ignore[arg-type]
+        tuple(cells),
+        tuple(occupancy),  # type: ignore[arg-type]
+        tuple(warnings or ()),
     )
 
 
-_ANCHOR_COL = operator.itemgetter(1)
+def cells_by_row(grid: TableGrid) -> list[list[GridCell]]:
+    """The cells anchored in each grid row, left to right."""
+    rows: list[list[GridCell]] = [[] for _ in range(grid.n_rows)]
+    for cell in grid.cells:
+        rows[cell.anchor_row].append(cell)
+    return rows
 
 
 def serialize_grid(grid: TableGrid) -> str:
     """Canonical byte-deterministic HTML: cells at anchors, spans only when > 1."""
     parts = ["<table>"]
-    by_row: dict[int, list[GridCell]] = {}
-    for cell in grid.cells:
-        by_row.setdefault(cell.anchor_row, []).append(cell)
-    for r in range(grid.n_rows):
+    for row in cells_by_row(grid):
         parts.append("<tr>")
         # unpacked, since a NamedTuple field read costs more than a tuple unpack
-        for _, _, rowspan, colspan, content, is_header in sorted(
-            by_row.get(r, []), key=_ANCHOR_COL
-        ):
+        for _, _, rowspan, colspan, content, is_header in row:
             tag = "th" if is_header else "td"
             attrs = ""
             if rowspan > 1:
@@ -534,15 +543,9 @@ def detect_header_rows(grid: TableGrid) -> int:
 
 def grid_to_fragment(grid: TableGrid) -> TableFragment:
     """Inverse of :func:`normalize_grid` for grids that satisfy the invariants."""
-    rows: list[tuple[RawCell, ...]] = []
-    by_row: dict[int, list[GridCell]] = {}
-    for cell in grid.cells:
-        by_row.setdefault(cell.anchor_row, []).append(cell)
-    for r in range(grid.n_rows):
-        anchored = sorted(by_row.get(r, []), key=lambda c: c.anchor_col)
-        rows.append(
-            tuple(
-                RawCell(c.content, c.rowspan, c.colspan, c.is_header) for c in anchored
-            )
+    return TableFragment(
+        tuple(
+            tuple(RawCell(c.content, c.rowspan, c.colspan, c.is_header) for c in row)
+            for row in cells_by_row(grid)
         )
-    return TableFragment(tuple(rows))
+    )

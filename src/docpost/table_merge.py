@@ -156,12 +156,7 @@ def match_headers(a: TableGrid, b: TableGrid, cfg: MergeConfig | None = None) ->
             cb = b.cell_at(r, c)
             if normalize_text(ca.content) == normalize_text(cb.content):
                 matching += 1
-            if (ca.anchor_row, ca.anchor_col, ca.rowspan, ca.colspan) != (
-                cb.anchor_row,
-                cb.anchor_col,
-                cb.rowspan,
-                cb.colspan,
-            ):
+            if ca[:4] != cb[:4]:  # anchor and spans
                 spans_equal = False
     similarity = matching / total if total else 0.0
     if similarity == 1.0 and spans_equal:

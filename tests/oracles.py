@@ -247,8 +247,8 @@ def merge_reference(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
 
 
 def normalize_grid_reference(fragment: TableFragment) -> TableGrid:
-    """The HTML table layout with one ``claim`` call per grid position and
-    a padding scan over every row."""
+    """The HTML table layout with one ``claim`` call per grid position, a
+    padding scan over every row, and a final renumbering into anchor order."""
     n_rows = len(fragment.rows)
     warnings: list[str] = []
     cells: list[GridCell] = []
@@ -304,11 +304,13 @@ def normalize_grid_reference(fragment: TableFragment) -> TableGrid:
         if padded:
             warnings.append(f"padded {padded} empty cell{'s' * (padded > 1)} in row {r}")
 
+    ordered = sorted(range(len(cells)), key=lambda i: (cells[i].anchor_row, cells[i].anchor_col))
+    remap = {old: new for new, old in enumerate(ordered)}
     return TableGrid(
         n_rows,
         n_cols,
-        tuple(cells),
-        tuple(tuple(row) for row in occ),  # type: ignore[arg-type]
+        tuple(cells[i] for i in ordered),
+        tuple(tuple(remap[i] for i in row) for row in occ),  # type: ignore[misc]
         tuple(warnings),
     )
 

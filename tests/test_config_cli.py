@@ -42,7 +42,6 @@ def test_config_defaults_come_from_the_modules():
     for func, name in (
         (rewards.composite_reward, "w_rule"),
         (rewards.group_advantages, "eps"),
-        (rewards.RewardGroup.from_rewards, "eps"),
     ):
         assert inspect.signature(func).parameters[name].default == getattr(cfg, name)
 
@@ -315,6 +314,14 @@ def _reward_files(tmp_path, candidates):
         ("w_rule", '"abc"', "w_rule must be a number, got 'abc'"),
         ("w_rule", "true", "w_rule must be a number, got True"),
         ("eps", '"x"', "eps must be a number, got 'x'"),
+        ("eps", "-0.125", "eps must be finite and >= 0, got -0.125"),
+        ("eps", "-1", "eps must be finite and >= 0, got -1"),
+        ("eps", "nan", "eps must be finite and >= 0, got nan"),
+        (
+            "rule_weights",
+            "[nan, 0.5, 0.25, 0.25]",
+            "rule_weights must be finite, got (nan, 0.5, 0.25, 0.25)",
+        ),
         (
             "rule_weights",
             "[0.5, 0.5, 0.0]",

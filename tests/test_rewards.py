@@ -14,7 +14,6 @@ from docpost.rewards import (
     InapplicablePerturbation,
     PerturbationKind,
     PrefPair,
-    RewardGroup,
     RuleWeights,
     composite_reward,
     group_advantages,
@@ -157,12 +156,6 @@ def test_group_advantages_properties(eighths, shift_eighths):
         assert abs(statistics.pstdev(adv) - 1.0) < 1e-9
     shifted = group_advantages([r + shift for r in rewards], eps=0.0)
     assert shifted == pytest.approx(adv, abs=1e-9)
-
-
-def test_reward_group_invariants():
-    group = RewardGroup.from_rewards([0.1, 0.9, 0.4], eps=0.0)
-    assert len(group.advantages) == 3
-    assert sum(group.advantages) == pytest.approx(0.0, abs=1e-9)
 
 
 # -- perturbations ---------------------------------------------------------------------

@@ -508,9 +508,15 @@ def test_serialized_grids_skip_the_tolerant_parser(monkeypatch):
 
 
 def test_normalize_is_idempotent():
-    grid = parse_grid("<table><tr><td>a</td><td>b</td></tr><tr><td>c</td></tr></table>")
-    again = normalize_grid(grid_to_fragment(grid))
-    assert again == grid
+    for html in (
+        "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td></tr></table>",
+        # a padded middle row: the padding cell sits between c and d
+        "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td></tr>"
+        "<tr><td>d</td><td>e</td></tr></table>",
+    ):
+        grid = parse_grid(html)
+        again = normalize_grid(grid_to_fragment(grid))
+        assert again == grid
 
 
 # -- header detection ---------------------------------------------------------
@@ -639,6 +645,10 @@ def _layout(fn, *args):
         grid = fn(*args)
     except TableError as exc:
         return type(exc), str(exc)
+    # cells in anchor order, so the canonical HTML reads back to an equal grid
+    assert list(grid.cells) == sorted(grid.cells)
+    if grid.cells:
+        assert parse_grid(serialize_grid(grid)) == grid
     return grid.n_rows, grid.n_cols, grid.cells, grid.occupancy, grid.warnings
 
 
