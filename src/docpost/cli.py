@@ -59,7 +59,13 @@ def _load_cfg(args) -> Config:
 
 def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return layout.loads_finite(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _parse_bbox(text: str) -> tuple[int, int, int, int]:
@@ -433,7 +439,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _diag("io", str(exc))
         return EXIT_IO
     except (FormatError, metrics.BatchFormatError, ScorerFailure) as exc:

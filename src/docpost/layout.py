@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import html as html_escape_mod
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,6 +67,9 @@ CAPTION_LABELS = frozenset({"table_caption", "image_caption"})
 
 VALID_ROTATIONS = (0, 90, 180, 270)
 
+# Reference of each image restored into a table, in its placeholder map.
+IMAGE_REF_PATTERN = "page{page}_el{index}_img{id}.png"
+
 
 class RecognizerKind(Enum):
     TEXT_REC = "text"
@@ -84,16 +88,21 @@ class LayoutElement:
 
 @dataclass(frozen=True)
 class LayoutPage:
+    """One page's elements in reading order: ``elements[i].index == i``."""
+
     page_width: int
     page_height: int
     elements: tuple[LayoutElement, ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
+    def __post_init__(self):
+        if any(el.index != i for i, el in enumerate(self.elements)):
+            raise LayoutIndexError("page elements must be stored in index order")
+
     def element_by_index(self, index: int) -> LayoutElement:
-        for el in self.elements:
-            if el.index == index:
-                return el
-        raise UnknownElement(f"no element with index {index}")
+        if not 0 <= index < len(self.elements):
+            raise UnknownElement(f"no element with index {index}")
+        return self.elements[index]
 
     def to_json_list(self) -> list[dict]:
         return [
@@ -129,6 +138,23 @@ def _clamp_bbox(bbox, width, height):
     )
 
 
+def _refuse_non_finite(token: str):
+    raise ValueError(f"number {token} is not finite")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if math.isinf(value):
+        _refuse_non_finite(token)
+    return value
+
+
+def loads_finite(text: str):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and float literals
+    that overflow to infinity with a ``ValueError``."""
+    return json.loads(text, parse_float=_finite_float, parse_constant=_refuse_non_finite)
+
+
 def parse_layout(json_text: str, page_width: int, page_height: int) -> LayoutPage:
     """Validate one page's layout JSON array into a :class:`LayoutPage`.
 
@@ -138,8 +164,8 @@ def parse_layout(json_text: str, page_width: int, page_height: int) -> LayoutPag
     :class:`LayoutGeometryError`, or :class:`LayoutIndexError`.
     """
     try:
-        raw = json.loads(json_text)
-    except json.JSONDecodeError as exc:
+        raw = loads_finite(json_text)
+    except ValueError as exc:
         raise LayoutSyntaxError(str(exc)) from exc
     return _validate_layout(raw, page_width, page_height)
 
@@ -199,6 +225,7 @@ def _validate_layout(raw, page_width: int, page_height: int) -> LayoutPage:
         ]
     elif indices != list(range(n)):
         raise LayoutIndexError(f"indices {indices} are not a permutation of 0..{n - 1}")
+    elements.sort(key=lambda el: el.index)
     return LayoutPage(page_width, page_height, tuple(elements), tuple(warnings))
 
 
@@ -265,16 +292,16 @@ def assemble(
     Blocks with empty content are omitted. Markdown blocks are separated by
     exactly one blank line.
     """
-    seen: set[int] = set()
-    page_elements = set(page.elements)
+    slots: list[RecognizedElement | None] = [None] * len(page.elements)
     for rec in recognized:
-        if rec.element not in page_elements:
-            raise UnknownElement(f"element index {rec.element.index} not in page")
-        if rec.element.index in seen:
-            raise DuplicateElement(f"element index {rec.element.index} recognized twice")
-        seen.add(rec.element.index)
+        index = rec.element.index
+        if not 0 <= index < len(slots) or page.elements[index] != rec.element:
+            raise UnknownElement(f"element index {index} not in page")
+        if slots[index] is not None:
+            raise DuplicateElement(f"element index {index} recognized twice")
+        slots[index] = rec
     blocks = []
-    for rec in sorted(recognized, key=lambda r: r.element.index):
+    for rec in filter(None, slots):
         if rec.element.label in ("header", "footer") and not include_headers_footers:
             continue
         if not rec.content:
@@ -320,8 +347,8 @@ def parse_layout_document(text: str) -> list[LayoutPage]:
     """Accept a bare element array (one page), a single page object, or
     ``{"pages": [...]}`` for multi-page documents."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = loads_finite(text)
+    except ValueError as exc:
         raise LayoutSyntaxError(str(exc)) from exc
     if isinstance(raw, list):
         # bare arrays carry no page size; use the tight bbox extent so
@@ -361,8 +388,8 @@ def parse_recognition_fixture(text: str, n_pages: int) -> list[dict[int, dict]]:
     """Fixture content per page: ``{"<index>": {"content", "kind"}}`` for a
     single page, or a list of such objects for multi-page documents."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = loads_finite(text)
+    except ValueError as exc:
         raise LayoutSyntaxError(str(exc)) from exc
     if isinstance(raw, dict) and "pages" in raw:
         raw = raw["pages"]
@@ -396,14 +423,13 @@ def run_pipeline(
     fixtures: list[dict[int, dict]],
     cfg: PipelineConfig | None = None,
     detections: dict[tuple[int, int], list[ImageDetection]] | None = None,
-    image_ref_pattern: str = "page{page}_el{index}_img{id}.png",
 ) -> PipelineResult:
     """Validate, route, restore placeholder images, merge split tables, and
     assemble the document in reading order.
 
     ``detections`` maps (page, element index) to embedded-image detections
     for table elements; their placeholder maps get deterministic refs from
-    ``image_ref_pattern`` so a cropper can cut the files afterwards.
+    :data:`IMAGE_REF_PATTERN` so a cropper can cut the files afterwards.
     """
     cfg = cfg or PipelineConfig()
     detections = detections or {}
@@ -414,7 +440,7 @@ def run_pipeline(
     contents: dict[tuple[int, int], str] = {}
     for page_no, (page, fixture) in enumerate(zip(pages, fixtures)):
         warnings.extend(f"page {page_no}: {w}" for w in page.warnings)
-        for el in sorted(page.elements, key=lambda e: e.index):
+        for el in page.elements:
             kind = route_region(el.label)
             entry = fixture.get(el.index)
             if entry is None:
@@ -445,7 +471,7 @@ def run_pipeline(
         _, pmap = plan_masks(el.bbox, dets, cfg.idtp)
         pmap = pmap.with_refs(
             [
-                image_ref_pattern.format(page=page_no, index=index, id=e.id)
+                IMAGE_REF_PATTERN.format(page=page_no, index=index, id=e.id)
                 for e in pmap.entries
             ]
         )
@@ -475,14 +501,12 @@ def run_pipeline(
             )
         contents[key] = result.html
 
-    merged_contents, dropped, merge_plans = _merge_tables(pages, contents, cfg, warnings)
+    merge_plans = _merge_tables(pages, contents, cfg, warnings)
 
     page_docs = []
     for page_no, page in enumerate(pages):
         recognized = [
-            RecognizedElement(el, merged_contents[(page_no, el.index)])
-            for el in sorted(page.elements, key=lambda e: e.index)
-            if (page_no, el.index) not in dropped
+            RecognizedElement(el, contents[(page_no, el.index)]) for el in page.elements
         ]
         rendered = assemble(
             recognized, page, cfg.output_format, cfg.include_headers_footers
@@ -497,22 +521,18 @@ def run_pipeline(
 
 
 def _merge_tables(pages, contents, cfg, warnings):
-    """Fold adjacent table fragments; returns updated contents, the element
-    keys consumed by merges, and plan reports."""
+    """Fold adjacent table fragments in ``contents``: a merged table replaces
+    its first fragment and empties the rest. Returns the plan reports."""
     stream: list[tuple[int, LayoutElement]] = []
     for page_no, page in enumerate(pages):
-        for el in sorted(page.elements, key=lambda e: e.index):
+        for el in page.elements:
             if el.label in TABLE_LABELS:
                 stream.append((page_no, el))
 
     def adjacent(prev: tuple[int, LayoutElement], nxt: tuple[int, LayoutElement]) -> bool:
         (p_page, p_el), (n_page, n_el) = prev, nxt
         if p_page == n_page:
-            between = [
-                e
-                for e in pages[p_page].elements
-                if p_el.index < e.index < n_el.index
-            ]
+            between = pages[p_page].elements[p_el.index + 1 : n_el.index]
             return all(e.label in CAPTION_LABELS for e in between)
         return n_page == p_page + 1
 
@@ -523,8 +543,6 @@ def _merge_tables(pages, contents, cfg, warnings):
         else:
             chains.append([item])
 
-    new_contents = dict(contents)
-    dropped: set[tuple[int, int]] = set()
     merge_plans: list[dict] = []
     for chain in chains:
         grids = []
@@ -556,10 +574,10 @@ def _merge_tables(pages, contents, cfg, warnings):
             else:
                 groups[-1].append(members[i + 1])
         for table, group in zip(tables, groups):
-            new_contents[group[0]] = serialize_grid(table)
+            contents[group[0]] = serialize_grid(table)
             for key in group[1:]:
-                dropped.add(key)
-    return new_contents, dropped, merge_plans
+                contents[key] = ""
+    return merge_plans
 
 
 def pipeline_run(

@@ -9,9 +9,11 @@ re-serialization (standing in for a rendered image).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -132,8 +134,9 @@ def group_advantages(rewards: list[float], eps: float = DEFAULT_EPS) -> list[flo
     if not rewards:
         raise EmptyGroup("cannot normalize an empty reward group")
     n = len(rewards)
-    mean = sum(rewards) / n
-    std = math.sqrt(sum((r - mean) ** 2 for r in rewards) / n)
+    # fsum rounds once, so the advantages do not depend on the interpreter's sum()
+    mean = math.fsum(rewards) / n
+    std = math.sqrt(math.fsum((r - mean) ** 2 for r in rewards) / n)
     if std <= eps:
         return [0.0] * n
     return [(r - mean) / (std + eps) for r in rewards]
@@ -165,43 +168,27 @@ class PrefPair:
         }
 
 
-def _rebuild_from_occupancy(occ_rows: list[list[int]], cells_by_id) -> TableGrid:
-    """Reconstruct a grid from an edited occupancy matrix.
-
-    Surviving cell ids keep their content; coverage rectangles are recomputed
-    so row/column deletions and duplications stay span-consistent.
-    """
-    n_rows = len(occ_rows)
-    n_cols = len(occ_rows[0]) if occ_rows else 0
-    extents: dict[int, list[int]] = {}
-    for r, row in enumerate(occ_rows):
-        for c, idx in enumerate(row):
-            if idx not in extents:
-                extents[idx] = [r, r, c, c]
-            else:
-                ext = extents[idx]
-                ext[0], ext[1] = min(ext[0], r), max(ext[1], r)
-                ext[2], ext[3] = min(ext[2], c), max(ext[3], c)
-    cells = []
-    for idx, (r1, r2, c1, c2) in extents.items():
-        src = cells_by_id[idx]
-        cells.append(
-            GridCell(r1, c1, r2 - r1 + 1, c2 - c1 + 1, src.content, src.is_header)
-        )
-    return grid_from_cells(n_rows, n_cols, cells)
-
-
 def _swap_cells(grid: TableGrid, rng: random.Random) -> TableGrid:
+    # The candidates are the pairs (i, j), i < j, whose keys differ, in
+    # row-major order. They are counted per first cell, not listed: a
+    # table of n cells has O(n^2) of them.
     keys = [normalize_text(c.content) for c in grid.cells]
-    candidates = [
-        (i, j)
-        for i in range(len(keys))
-        for j in range(i + 1, len(keys))
-        if keys[i] != keys[j]
-    ]
-    if not candidates:
+    later = Counter(keys)
+    counts = []
+    for i, key in enumerate(keys):
+        later[key] -= 1
+        counts.append(len(keys) - 1 - i - later[key])
+    total = sum(counts)
+    if not total:
         raise InapplicablePerturbation("all cells have identical content")
-    i, j = rng.choice(candidates)
+    # choice over a range draws the same index as choice over the pair list
+    k = rng.choice(range(total))
+    i = 0
+    while k >= counts[i]:
+        k -= counts[i]
+        i += 1
+    others = (j for j in range(i + 1, len(keys)) if keys[j] != keys[i])
+    j = next(itertools.islice(others, k, None))
     cells = list(grid.cells)
     ci, cj = cells[i], cells[j]
     cells[i] = ci._replace(content=cj.content)
@@ -212,40 +199,56 @@ def _swap_cells(grid: TableGrid, rng: random.Random) -> TableGrid:
 def _drop_row(grid: TableGrid, rng: random.Random) -> TableGrid:
     if grid.n_rows < 2:
         raise InapplicablePerturbation("need at least two rows")
+    # a cell spanning the victim row loses one row, a one-row cell on it
+    # goes, and the cells below move up
     victim = rng.randrange(grid.n_rows)
-    occ = [list(row) for r, row in enumerate(grid.occupancy) if r != victim]
-    return _rebuild_from_occupancy(occ, grid.cells)
+    cells = []
+    for cell in grid.cells:
+        row0, col0, rowspan, colspan, content, is_header = cell
+        if row0 > victim:
+            cells.append(GridCell(row0 - 1, col0, rowspan, colspan, content, is_header))
+        elif row0 + rowspan <= victim:
+            cells.append(cell)
+        elif rowspan > 1:
+            cells.append(GridCell(row0, col0, rowspan - 1, colspan, content, is_header))
+    return grid_from_cells(grid.n_rows - 1, grid.n_cols, cells)
 
 
 def _drop_column(grid: TableGrid, rng: random.Random) -> TableGrid:
     if grid.n_cols < 2:
         raise InapplicablePerturbation("need at least two columns")
+    # as in _drop_row, by column
     victim = rng.randrange(grid.n_cols)
-    occ = [[idx for c, idx in enumerate(row) if c != victim] for row in grid.occupancy]
-    return _rebuild_from_occupancy(occ, grid.cells)
+    cells = []
+    for cell in grid.cells:
+        row0, col0, rowspan, colspan, content, is_header = cell
+        if col0 > victim:
+            cells.append(GridCell(row0, col0 - 1, rowspan, colspan, content, is_header))
+        elif col0 + colspan <= victim:
+            cells.append(cell)
+        elif colspan > 1:
+            cells.append(GridCell(row0, col0, rowspan, colspan - 1, content, is_header))
+    return grid_from_cells(grid.n_rows, grid.n_cols - 1, cells)
 
 
 def _duplicate_row(grid: TableGrid, rng: random.Random) -> TableGrid:
+    # a one-row cell on the victim row gets a copy one row down; a taller
+    # cell covering it stretches over the inserted row
     victim = rng.randrange(grid.n_rows)
-    row = list(grid.occupancy[victim])
-    fresh: dict[int, int] = {}
-    copy_row = []
-    next_id = len(grid.cells)
-    cells = list(grid.cells)
-    for idx in row:
-        cell = grid.cells[idx]
-        if cell.rowspan == 1:
-            # duplicate the cell (content copied) rather than stretching it
-            if idx not in fresh:
-                fresh[idx] = next_id
-                cells.append(cell)
-                next_id += 1
-            copy_row.append(fresh[idx])
+    head, copies, tail = [], [], []
+    for cell in grid.cells:
+        row0, col0, rowspan, colspan, content, is_header = cell
+        if row0 > victim:
+            tail.append(GridCell(row0 + 1, col0, rowspan, colspan, content, is_header))
+        elif row0 + rowspan <= victim:
+            head.append(cell)
+        elif rowspan == 1:
+            head.append(cell)
+            copies.append(GridCell(victim + 1, col0, 1, colspan, content, is_header))
         else:
-            copy_row.append(idx)
-    occ = [list(r) for r in grid.occupancy]
-    occ.insert(victim + 1, copy_row)
-    return _rebuild_from_occupancy(occ, cells)
+            head.append(GridCell(row0, col0, rowspan + 1, colspan, content, is_header))
+    # head, copies and tail are each in anchor order, and so is their join
+    return grid_from_cells(grid.n_rows + 1, grid.n_cols, head + copies + tail)
 
 
 def _change_span(grid: TableGrid, rng: random.Random) -> TableGrid:

@@ -4,7 +4,9 @@ These deliberately use different algorithms from the library: the tree
 distance enumerates every valid edit mapping instead of running the
 dynamic program, the string distance fills the full textbook matrix, the
 rename-cost matrix costs every node pair on its own, the swap-cell
-candidates normalize both cells of every pair afresh, and the table merge
+candidates normalize both cells of every pair afresh, the row and column
+perturbations edit the occupancy matrix and rebuild each cell from the
+positions it still owns, and the table merge
 goes through a chain of whole-grid rebuilds (band, column remap, vertical
 stack) instead of laying out its result once, and the grid layouts claim
 one position at a time instead of placing each spanned row as a slice.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 
 from docpost.metrics import CONTENT_AWARE, DocTree, normalized_edit_distance
+from docpost.rewards import InapplicablePerturbation, PerturbationKind, PrefPair
 from docpost.table_grid import (
     MAX_COLSPAN,
     MAX_GRID_POSITIONS,
@@ -25,6 +28,7 @@ from docpost.table_grid import (
     TableFragment,
     TableGrid,
     normalize_text,
+    serialize_grid,
 )
 from docpost.table_merge import MergePlan, Pattern, PlanMismatch
 
@@ -38,6 +42,81 @@ def swap_candidates_reference(grid: TableGrid) -> list[tuple[int, int]]:
         for j in range(i + 1, len(grid.cells))
         if normalize_text(grid.cells[i].content) != normalize_text(grid.cells[j].content)
     ]
+
+
+def _rebuild_from_occupancy_reference(occ_rows: list[list[int]], cells_by_id) -> TableGrid:
+    """Each surviving cell id keeps its content and covers the bounding box
+    of the positions it still owns in the edited occupancy matrix."""
+    n_rows = len(occ_rows)
+    n_cols = len(occ_rows[0]) if occ_rows else 0
+    extents: dict[int, list[int]] = {}
+    for r, row in enumerate(occ_rows):
+        for c, idx in enumerate(row):
+            if idx not in extents:
+                extents[idx] = [r, r, c, c]
+            else:
+                ext = extents[idx]
+                ext[0], ext[1] = min(ext[0], r), max(ext[1], r)
+                ext[2], ext[3] = min(ext[2], c), max(ext[3], c)
+    cells = []
+    for idx, (r1, r2, c1, c2) in extents.items():
+        src = cells_by_id[idx]
+        cells.append(GridCell(r1, c1, r2 - r1 + 1, c2 - c1 + 1, src.content, src.is_header))
+    return grid_from_cells_reference(n_rows, n_cols, cells)
+
+
+def drop_row_reference(grid: TableGrid, rng: random.Random) -> TableGrid:
+    if grid.n_rows < 2:
+        raise InapplicablePerturbation("need at least two rows")
+    victim = rng.randrange(grid.n_rows)
+    occ = [list(row) for r, row in enumerate(grid.occupancy) if r != victim]
+    return _rebuild_from_occupancy_reference(occ, grid.cells)
+
+
+def drop_column_reference(grid: TableGrid, rng: random.Random) -> TableGrid:
+    if grid.n_cols < 2:
+        raise InapplicablePerturbation("need at least two columns")
+    victim = rng.randrange(grid.n_cols)
+    occ = [[idx for c, idx in enumerate(row) if c != victim] for row in grid.occupancy]
+    return _rebuild_from_occupancy_reference(occ, grid.cells)
+
+
+def duplicate_row_reference(grid: TableGrid, rng: random.Random) -> TableGrid:
+    """Insert a copy of a random occupancy row under it: one-row cells get a
+    fresh id (a copy of the cell), taller cells keep theirs and stretch."""
+    victim = rng.randrange(grid.n_rows)
+    fresh: dict[int, int] = {}
+    copy_row = []
+    cells = list(grid.cells)
+    for idx in grid.occupancy[victim]:
+        cell = grid.cells[idx]
+        if cell.rowspan == 1:
+            if idx not in fresh:
+                fresh[idx] = len(cells)
+                cells.append(cell)
+            copy_row.append(fresh[idx])
+        else:
+            copy_row.append(idx)
+    occ = [list(r) for r in grid.occupancy]
+    occ.insert(victim + 1, copy_row)
+    return _rebuild_from_occupancy_reference(occ, cells)
+
+
+ROW_COLUMN_PERTURBATIONS_REFERENCE = {
+    PerturbationKind.DROP_ROW: drop_row_reference,
+    PerturbationKind.DROP_COLUMN: drop_column_reference,
+    PerturbationKind.DUPLICATE_ROW: duplicate_row_reference,
+}
+
+
+def perturb_table_reference(grid: TableGrid, kind: PerturbationKind, rng_seed: int) -> PrefPair:
+    """``perturb_table`` on a parsed grid for the row and column kinds."""
+    positive = serialize_grid(grid)
+    negative_grid = ROW_COLUMN_PERTURBATIONS_REFERENCE[kind](grid, random.Random(rng_seed))
+    negative = serialize_grid(negative_grid)
+    if negative == positive:
+        raise InapplicablePerturbation(f"{kind.value} left the table unchanged")
+    return PrefPair(positive, negative, kind)
 
 
 def levenshtein_full_matrix(a, b) -> int:

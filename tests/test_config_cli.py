@@ -205,10 +205,26 @@ def test_cli_eval_malformed_entry_exit2(tmp_path, capsys, jobs, entry, message):
     assert err == {"error": "BatchFormatError", "message": message}
 
 
-def test_cli_eval_missing_file(capsys):
-    assert main(["eval", "/nonexistent/batch.json"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "io"
+@pytest.mark.parametrize(
+    "content", [None, b"<table><tr><td>\xff</td></tr></table>"], ids=["missing", "not_utf8"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "{bad}"], ["merge", "{bad}"], ["restore", "{bad}", "{map}", "-o", "{out}"]],
+    ids=["eval", "merge", "restore"],
+)
+def test_cli_unreadable_input_exit2(tmp_path, capsys, argv, content):
+    # a missing file, or a file that is not UTF-8
+    bad = tmp_path / "input"
+    if content is not None:
+        bad.write_bytes(content)
+    map_path = tmp_path / "map.json"
+    map_path.write_text('{"entries": []}')
+    paths = {"bad": bad, "map": map_path, "out": tmp_path / "out.html"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "io"
 
 
 def test_cli_mask_and_restore(tmp_path, capsys):
@@ -407,13 +423,17 @@ DETECTION_SHAPE = '{"bbox": [x1, y1, x2, y2], "confidence": f}'
         ),
         ([[4, 3, 8, 6]], f"detection 0 is not a {DETECTION_SHAPE} object"),
         ({"bbox": [4, 3, 8, 6], "confidence": 0.9}, "detections file must be a JSON array"),
+        # non-finite numbers, as tokens or as a literal that overflows
+        ([{"bbox": [4, 3, float("nan"), 6], "confidence": 0.9}], "number NaN is not finite"),
+        ([{"bbox": [4, 3, 8, 6], "confidence": float("inf")}], "number Infinity is not finite"),
+        ('[{"bbox": [4, 3, 8, 6], "confidence": -1e999}]', "number -1e999 is not finite"),
     ],
 )
 def test_cli_mask_malformed_detections_exit2(tmp_path, capsys, detections, message):
     img_path = tmp_path / "page.ppm"
     img_path.write_bytes(write_ppm(PixelBuffer(20, 10, b"\xff" * 600)))
     det_path = tmp_path / "det.json"
-    det_path.write_text(json.dumps(detections))
+    det_path.write_text(detections if isinstance(detections, str) else json.dumps(detections))
     argv = ["mask", str(img_path), str(det_path), "--table-bbox", "2,2,18,9"]
     assert main([*argv, "--out-prefix", str(tmp_path / "t0")]) == 2
     captured = capsys.readouterr()
@@ -442,6 +462,7 @@ def _bad_map_entry(pos):
         ([{"id": 0, "bbox": [0, 0, 1, 1]}], NOT_A_MAP),
         ({"entries": "abc"}, NOT_A_MAP),
         ({}, NOT_A_MAP),
+        ({"entries": [{"id": 0, "bbox": [0, 0, float("nan"), 1]}]}, "number NaN is not finite"),
     ],
 )
 def test_cli_restore_malformed_map_exit2(tmp_path, capsys, pmap, message):
@@ -515,6 +536,19 @@ def test_cli_pairs_matches_recorded_output(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert (summary["written"], summary["skipped"]) == (36, 0)
     assert _records_by_table(out_path) == _records_by_table(PAIRS_FIXTURE / "expected.jsonl")
+
+
+def test_cli_reward_advantages_of_pairs_group(tmp_path, capsys):
+    # the revenue table's positive and its 18 negatives; math.fsum makes
+    # these advantages the same on every supported interpreter
+    records = _records_by_table(PAIRS_FIXTURE / "expected.jsonl")
+    group = [r for r in records if r["source"] == "revenue.html"]
+    cand_path = tmp_path / "cands.json"
+    cand_path.write_text(json.dumps([group[0]["positive"]] + [r["negative"] for r in group]))
+    assert main(["reward", str(cand_path), str(PAIRS_FIXTURE / "revenue.html")]) == 0
+    advantages = [row["advantage"] for row in json.loads(capsys.readouterr().out)["candidates"]]
+    high, low = 0.23569803824892724, -4.242564688480676
+    assert advantages == [high] * 3 + [low] + [high] * 15
 
 
 def test_cli_pairs_parses_each_table_once(tmp_path, capsys, monkeypatch):
@@ -604,15 +638,31 @@ def test_cli_assemble_single_page(tmp_path, capsys):
     assert reports["merge_plans"] == []
 
 
-def test_cli_assemble_invalid_layout_exit1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "layout_text, error",
+    [
+        ('[{"bbox": [0, 0, 10, 10], "index": 0}]', "LayoutSchemaError"),
+        # non-finite numbers, as tokens or as a literal that overflows
+        ('[{"bbox": [0, 0, Infinity, 10], "index": 0, "label": "text"}]', "LayoutSyntaxError"),
+        ('[{"bbox": [0, 0, 1e999, 10], "index": 0, "label": "text"}]', "LayoutSyntaxError"),
+        ('[{"bbox": [0, 0, NaN, 10], "index": 0, "label": "text"}]', "LayoutSyntaxError"),
+        (
+            '{"page_width": Infinity, "page_height": 10,'
+            ' "elements": [{"bbox": [0, 0, 5, 5], "index": 0, "label": "text"}]}',
+            "LayoutSyntaxError",
+        ),
+    ],
+    ids=["missing_label", "infinity", "overflow", "nan", "infinite_page_width"],
+)
+def test_cli_assemble_invalid_layout_exit1(tmp_path, capsys, layout_text, error):
     layout_path = tmp_path / "layout.json"
-    layout_path.write_text(json.dumps([{"bbox": [0, 0, 10, 10], "index": 0}]))
+    layout_path.write_text(layout_text)
     fixture_path = tmp_path / "rec.json"
     fixture_path.write_text("{}")
     out = tmp_path / "doc.md"
     assert main(["assemble", str(layout_path), str(fixture_path), "-o", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "LayoutSchemaError"
+    assert err["error"] == error
 
 
 @pytest.mark.parametrize(

@@ -189,12 +189,45 @@ def make_page(*specs):
 
 
 def test_assemble_orders_by_index():
-    page = make_page(((0, 0, 10, 10), 1, "text", 0), ((0, 20, 10, 30), 0, "text", 0))
+    page = make_page(((0, 20, 10, 30), 0, "text", 0), ((0, 0, 10, 10), 1, "text", 0))
     recs = [
-        RecognizedElement(page.elements[0], "B"),
-        RecognizedElement(page.elements[1], "A"),
+        RecognizedElement(page.elements[1], "B"),
+        RecognizedElement(page.elements[0], "A"),
     ]
     assert assemble(recs, page) == "A\n\nB"
+
+
+def test_page_stores_elements_in_index_order():
+    with pytest.raises(LayoutIndexError):
+        make_page(((0, 0, 10, 10), 1, "text", 0), ((0, 20, 10, 30), 0, "text", 0))
+    with pytest.raises(LayoutIndexError):
+        make_page(((0, 0, 10, 10), 1, "text", 0))
+    # the parser puts elements given out of order into index order
+    page = parse_layout(
+        layout_json(el((0, 0, 10, 10), 2), el((0, 20, 10, 30), 0, "title"), el((0, 40, 10, 50), 1)),
+        100,
+        100,
+    )
+    assert [e.index for e in page.elements] == [0, 1, 2]
+    assert page.elements[0].label == "title"
+    assert page.element_by_index(2).bbox == (0, 0, 10, 10)
+    for index in (-1, 3):
+        with pytest.raises(UnknownElement):
+            page.element_by_index(index)
+
+
+def test_parse_warnings_keep_input_order():
+    page = parse_layout(
+        layout_json(el((0, 0, 10, 10), 2, "sidebar"), el((0, 20, 10, 30), 1, "margin")),
+        100,
+        100,
+    )
+    assert [e.index for e in page.elements] == [0, 1]
+    assert page.warnings == (
+        "element 0: unknown label 'sidebar' mapped to 'other'",
+        "element 1: unknown label 'margin' mapped to 'other'",
+        "1-based indices normalized to 0-based",
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,9 +294,11 @@ def test_assemble_duplicate_and_unknown():
     rec = RecognizedElement(page.elements[0], "x")
     with pytest.raises(DuplicateElement):
         assemble([rec, rec], page)
-    foreign = RecognizedElement(LayoutElement((0, 0, 5, 5), 7, "text", 0), "y")
-    with pytest.raises(UnknownElement):
-        assemble([foreign], page)
+    # an index past the page, before it, or one the page holds another element at
+    for index in (7, -1, -7, 0):
+        foreign = RecognizedElement(LayoutElement((0, 0, 5, 5), index, "text", 0), "y")
+        with pytest.raises(UnknownElement):
+            assemble([foreign], page)
 
 
 # -- pipeline ---------------------------------------------------------------------

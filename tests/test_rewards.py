@@ -1,12 +1,17 @@
 import random
 import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REWARD_KEYS, keyset_scorer_cmd, random_grid
-from oracles import swap_candidates_reference
+from oracles import (
+    ROW_COLUMN_PERTURBATIONS_REFERENCE,
+    perturb_table_reference,
+    swap_candidates_reference,
+)
 from docpost._external import external_scorer
 from docpost.metrics import teds
 from docpost.rewards import (
@@ -20,9 +25,10 @@ from docpost.rewards import (
     perturb_table,
     render_candidate,
     rule_checks,
+    _PERTURBATIONS,
     _swap_cells,
 )
-from docpost.table_grid import parse_grid, serialize_grid
+from docpost.table_grid import TableError, parse_grid, serialize_grid
 
 
 VALID = "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>"
@@ -267,16 +273,54 @@ def test_perturb_table_same_from_html_or_parsed_grid(seed, n_rows, n_cols):
         random_grid(rng, n_rows, n_cols, header_rows=rng.randint(0, 1), content=_dup_content)
     )
     grid = parse_grid(html)  # one grid reused for every call: it must not be mutated
-
-    def outcome(gt, kind, s):
-        try:
-            return perturb_table(gt, kind, s)
-        except InapplicablePerturbation as exc:
-            return str(exc)
-
     for kind in PerturbationKind:
         for s in range(3):
-            assert outcome(html, kind, s) == outcome(grid, kind, s)
+            assert _outcome(perturb_table, html, kind, s) == _outcome(perturb_table, grid, kind, s)
+
+
+def _outcome(perturb, *args):
+    try:
+        return perturb(*args)
+    except InapplicablePerturbation as exc:
+        return str(exc)
+
+
+@st.composite
+def _ragged_spanned_table(draw):
+    """Markup whose rows differ in length, with row and column spans that
+    may overlap or run off the bottom, <th> cells and an optional <thead>."""
+    cell = st.tuples(
+        st.sampled_from(["td", "th"]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(_DUP_CONTENTS),
+    )
+    rows = draw(st.lists(st.lists(cell, max_size=5), min_size=1, max_size=6))
+    html_rows = [
+        "<tr>"
+        + "".join(f'<{t} rowspan="{rs}" colspan="{cs}">{c}</{t}>' for t, rs, cs, c in row)
+        + "</tr>"
+        for row in rows
+    ]
+    if draw(st.booleans()):
+        html_rows[0] = f"<thead>{html_rows[0]}</thead>"
+    return f"<table>{''.join(html_rows)}</table>"
+
+
+@settings(max_examples=300, deadline=None)
+@given(html=_ragged_spanned_table())
+def test_row_and_column_perturbations_match_reference(html):
+    try:
+        grid = parse_grid(html)
+    except TableError:
+        return
+    for kind, reference in ROW_COLUMN_PERTURBATIONS_REFERENCE.items():
+        for seed in range(4):
+            assert _outcome(perturb_table, grid, kind, seed) == _outcome(
+                perturb_table_reference, grid, kind, seed
+            )
+            negative = _outcome(_PERTURBATIONS[kind], grid, random.Random(seed))
+            assert negative == _outcome(reference, grid, random.Random(seed))
 
 
 @settings(max_examples=80, deadline=None)
@@ -299,3 +343,15 @@ def test_swap_cells_picks_reference_pair(seed, n_rows, n_cols):
     expected[i], expected[j] = expected[j], expected[i]
     assert [c.content for c in swapped.cells] == expected
     assert swapped.occupancy == grid.occupancy
+
+
+def test_swap_cells_memory_is_linear_in_cells():
+    # 1,600 distinct cells make 1,279,200 candidate pairs; none may be listed
+    grid = random_grid(random.Random(0), 40, 40, span_prob=0.0, content=lambda rng, r, c: f"c{r}_{c}")
+    tracemalloc.start()
+    try:
+        _swap_cells(grid, random.Random(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
