@@ -13,7 +13,6 @@ from .table_grid import (  # noqa: F401
     serialize_grid,
 )
 from .table_merge import (  # noqa: F401
-    MergeConfig,
     MergePlan,
     Pattern,
     decide_merge,

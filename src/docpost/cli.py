@@ -9,8 +9,10 @@ I/O or format error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +44,7 @@ _DOMAIN_ERRORS = (
 
 
 class FormatError(Exception):
-    """An input file is valid JSON but not of the documented shape."""
+    """An input file or argument is not of the documented shape."""
 
 
 def _diag(kind: str, message: str) -> None:
@@ -69,14 +71,18 @@ def _read_json(path: str):
 
 
 def _parse_bbox(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"bbox must be x1,y1,x2,y2, got {text!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    try:
+        x1, y1, x2, y2 = (int(p) for p in text.split(","))
+    except ValueError:
+        raise FormatError(f"bbox must be four integers x1,y1,x2,y2, got {text!r}") from None
+    return x1, y1, x2, y2
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float))
+def _is_finite_number(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _parse_detections(data) -> list[idtp.ImageDetection]:
@@ -88,8 +94,8 @@ def _parse_detections(data) -> list[idtp.ImageDetection]:
         if not (
             isinstance(bbox, list)
             and len(bbox) == 4
-            and all(map(_is_number, bbox))
-            and _is_number(d.get("confidence"))
+            and all(map(_is_finite_number, bbox))
+            and _is_finite_number(d.get("confidence"))
         ):
             raise FormatError(
                 f'detection {pos} is not a {{"bbox": [x1, y1, x2, y2], "confidence": f}} object'
@@ -124,7 +130,7 @@ def _load_image(path: str) -> idtp.PixelBuffer:
     try:
         from PIL import Image
     except ImportError:
-        raise ValueError(
+        raise FormatError(
             f"{path} is not a PPM and Pillow is not installed (pip install docpost[images])"
         ) from None
     import io
@@ -139,13 +145,9 @@ def _load_image(path: str) -> idtp.PixelBuffer:
 
 def cmd_assemble(args) -> int:
     cfg = _load_cfg(args)
-    pipeline_cfg = layout.PipelineConfig(
-        merge=cfg.merge_config(),
-        idtp=cfg.idtp_config(),
-        output_format=layout.OutputFormat(args.format),
-        include_headers_footers=args.include_headers_footers or cfg.include_headers_footers,
-        scorer=cfg.continuation_scorer(),
-    )
+    if args.include_headers_footers:
+        cfg = dataclasses.replace(cfg, include_headers_footers=True)
+    scorer = cfg.continuation_scorer()
     detections: dict[tuple[int, int], list[idtp.ImageDetection]] = {}
     if args.detections_dir:
         for path in sorted(Path(args.detections_dir).glob("page*_el*.json")):
@@ -157,7 +159,9 @@ def cmd_assemble(args) -> int:
                 _diag("detections", f"cannot parse page/element from {path.name}")
                 return EXIT_IO
             detections[(page_no, index)] = _parse_detections(_read_json(str(path)))
-    result = layout.pipeline_run(args.layout, args.fixture, pipeline_cfg, detections)
+    result = layout.pipeline_run(
+        args.layout, args.fixture, cfg, detections, layout.OutputFormat(args.format), scorer
+    )
     Path(args.out).write_text(result.document, encoding="utf-8")
     reports_path = Path(args.out + ".reports.json")
     reports_path.write_text(
@@ -174,7 +178,7 @@ def cmd_merge(args) -> int:
     for path in args.fragments:
         grids.append(table_grid.parse_grid(Path(path).read_text(encoding="utf-8")))
     tables, plans = table_merge.merge_fragment_sequence_with_plans(
-        grids, cfg.continuation_scorer(), cfg.merge_config()
+        grids, cfg.continuation_scorer(), cfg
     )
     out_files = []
     for i, table in enumerate(tables):
@@ -199,7 +203,7 @@ def cmd_mask(args) -> int:
     table_bbox = _parse_bbox(args.table_bbox)
     page = _load_image(args.image)
     dets = _parse_detections(_read_json(args.detections))
-    plan, pmap = idtp.plan_masks(table_bbox, dets, cfg.idtp_config())
+    plan, pmap = idtp.plan_masks(table_bbox, dets, cfg)
     crop = idtp.crop_buffer(page, table_bbox)
     masked = idtp.apply_masks(crop, plan)
     Path(f"{args.out_prefix}.masked.ppm").write_bytes(idtp.write_ppm(masked))
@@ -289,6 +293,8 @@ def _candidate_htmls(candidates) -> list[str]:
 
 def cmd_reward(args) -> int:
     cfg = _load_cfg(args)
+    if args.expected_placeholders is not None and args.expected_placeholders < 0:
+        raise FormatError(f"--expected-placeholders must be >= 0, got {args.expected_placeholders}")
     htmls = _candidate_htmls(_read_json(args.candidates))
     gt_html = Path(args.gt).read_text(encoding="utf-8")
     if args.expected_placeholders is not None:
@@ -296,11 +302,10 @@ def cmd_reward(args) -> int:
     else:
         expected = len(rewards._IMG_RE.findall(gt_html))
     scorer = cfg.reward_scorer()
-    weights = cfg.rule_weights_obj()
     out_rows = []
     reward_values = []
     for html in htmls:
-        report = rewards.rule_checks(html, expected, weights)
+        report = rewards.rule_checks(html, expected, cfg)
         row = {"rule": report.to_dict(), "model_score": None, "reward": report.score}
         if scorer is not None:
             try:
@@ -334,12 +339,15 @@ def cmd_pairs(args) -> int:
         else:
             sources.append(path)
     if not sources:
-        raise ValueError("no ground-truth tables found")
-    kinds = (
-        [rewards.PerturbationKind(k) for k in args.kinds.split(",")]
-        if args.kinds
-        else list(rewards.PerturbationKind)
-    )
+        raise FormatError("no ground-truth tables found")
+    try:
+        kinds = (
+            [rewards.PerturbationKind(k) for k in args.kinds.split(",")]
+            if args.kinds
+            else list(rewards.PerturbationKind)
+        )
+    except ValueError as exc:  # an unknown kind
+        raise FormatError(str(exc)) from None
     written = skipped = 0
     with open(args.out, "w", encoding="utf-8") as fh:
         for source in sources:

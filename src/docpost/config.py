@@ -1,8 +1,10 @@
 """Runtime configuration: defaults, TOML-style file parsing, env overrides.
 
-The config file is flat ``key = value`` pairs (strings quoted, arrays in
-brackets, ``#`` starts a full-line comment). Precedence is defaults < file <
-environment (``DOCPOST_<KEY>``) < command-line flags.
+:class:`Config` is the one settings object of the library: every function
+that takes settings takes ``cfg: Config | None``, and ``None`` means
+``Config()``. The config file is flat ``key = value`` pairs (strings quoted,
+arrays in brackets, ``#`` starts a full-line comment). Precedence is
+defaults < file < environment (``DOCPOST_<KEY>``) < command-line flags.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ import os
 from dataclasses import dataclass, fields
 
 from ._external import Scorer, external_scorer
-from .idtp import IdtpConfig
-from .rewards import DEFAULT_EPS, DEFAULT_W_RULE, RuleWeights
-from .table_merge import MergeConfig
 
 ENV_PREFIX = "DOCPOST_"
 
@@ -46,15 +45,16 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class Config:
-    near_threshold: float = MergeConfig.near_threshold
-    continuation_threshold: float = MergeConfig.continuation_threshold
-    min_confidence: float = IdtpConfig.min_confidence
-    overlap_tolerance: float = IdtpConfig.overlap_tolerance
-    w_rule: float = DEFAULT_W_RULE
-    rule_weights: tuple[float, float, float, float] = dataclasses.astuple(RuleWeights())
-    eps: float = DEFAULT_EPS
+    near_threshold: float = 0.8
+    continuation_threshold: float = 0.5
+    min_confidence: float = 0.3
+    overlap_tolerance: float = 0.5  # max allowed IoU between kept detections
+    w_rule: float = 0.5  # rule share of the composite reward
+    # well_formed, rectangular, placeholder_ok, non_empty
+    rule_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
+    eps: float = 1e-6  # a group whose reward std is at most eps gets zero advantages
     include_headers_footers: bool = False
-    mask_fill: tuple[int, int, int] = IdtpConfig.fill
+    mask_fill: tuple[int, int, int] = (200, 200, 200)
     continuation_scorer_cmd: str = ""
     continuation_scorer_url: str = ""
     reward_scorer_cmd: str = ""
@@ -89,21 +89,6 @@ class Config:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
-
-    # -- views consumed by the modules --------------------------------------
-
-    def merge_config(self) -> MergeConfig:
-        return MergeConfig(self.near_threshold, self.continuation_threshold)
-
-    def idtp_config(self) -> IdtpConfig:
-        return IdtpConfig(
-            min_confidence=self.min_confidence,
-            overlap_tolerance=self.overlap_tolerance,
-            fill=tuple(self.mask_fill),
-        )
-
-    def rule_weights_obj(self) -> RuleWeights:
-        return RuleWeights(*self.rule_weights)
 
     def continuation_scorer(self) -> Scorer | None:
         return external_scorer(self.continuation_scorer_cmd, self.continuation_scorer_url)

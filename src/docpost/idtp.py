@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
+from .config import Config
 from .table_grid import TableError, parse_grid, serialize_grid
 
 
@@ -98,13 +99,6 @@ class MaskPlan:
         return x2 - x1, y2 - y1
 
 
-@dataclass(frozen=True)
-class IdtpConfig:
-    min_confidence: float = 0.3
-    overlap_tolerance: float = 0.5  # max allowed IoU between kept detections
-    fill: tuple[int, int, int] = (200, 200, 200)
-
-
 def _iou(a: Rect, b: Rect) -> float:
     ix1, iy1 = max(a[0], b[0]), max(a[1], b[1])
     ix2, iy2 = min(a[2], b[2]), min(a[3], b[3])
@@ -119,7 +113,7 @@ def _iou(a: Rect, b: Rect) -> float:
 def plan_masks(
     table_bbox: Rect,
     detections: list[ImageDetection],
-    cfg: IdtpConfig | None = None,
+    cfg: Config | None = None,
 ) -> tuple[MaskPlan, PlaceholderMap]:
     """Plan placeholder masks for detections whose center lies in the table.
 
@@ -129,7 +123,7 @@ def plan_masks(
     result is invariant under permutation of the input. ``image_ref`` fields
     are left empty for the caller's cropper.
     """
-    cfg = cfg or IdtpConfig()
+    cfg = cfg or Config()
     tx1, ty1, tx2, ty2 = table_bbox
     kept: list[tuple[Rect, float]] = []
     for det in detections:
@@ -160,7 +154,7 @@ def plan_masks(
     entries = []
     for idx, (rect, _) in enumerate(survivors):
         local = (rect[0] - tx1, rect[1] - ty1, rect[2] - tx1, rect[3] - ty1)
-        masks.append(Mask(idx, local, cfg.fill))
+        masks.append(Mask(idx, local, cfg.mask_fill))
         entries.append(PlaceholderEntry(idx, rect))
     return MaskPlan(table_bbox, tuple(masks)), PlaceholderMap(tuple(entries))
 

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ._external import Scorer
-from .idtp import IdtpConfig, ImageDetection, plan_masks, restore_images
+from .config import Config
+from .idtp import ImageDetection, plan_masks, restore_images
 from .table_grid import TableError, parse_grid, serialize_grid
-from .table_merge import MergeConfig, Pattern, merge_fragment_sequence_with_plans
+from .table_merge import Pattern, merge_fragment_sequence_with_plans
 
 
 class LayoutSyntaxError(Exception):
@@ -317,15 +318,6 @@ def assemble(
 # -- multi-page pipeline -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    merge: MergeConfig = field(default_factory=MergeConfig)
-    idtp: IdtpConfig = field(default_factory=IdtpConfig)
-    output_format: OutputFormat = OutputFormat.MARKDOWN
-    include_headers_footers: bool = False
-    scorer: Scorer | None = None
-
-
 @dataclass
 class PipelineResult:
     document: str
@@ -421,8 +413,10 @@ def parse_recognition_fixture(text: str, n_pages: int) -> list[dict[int, dict]]:
 def run_pipeline(
     pages: list[LayoutPage],
     fixtures: list[dict[int, dict]],
-    cfg: PipelineConfig | None = None,
+    cfg: Config | None = None,
     detections: dict[tuple[int, int], list[ImageDetection]] | None = None,
+    output_format: OutputFormat = OutputFormat.MARKDOWN,
+    scorer: Scorer | None = None,
 ) -> PipelineResult:
     """Validate, route, restore placeholder images, merge split tables, and
     assemble the document in reading order.
@@ -430,8 +424,9 @@ def run_pipeline(
     ``detections`` maps (page, element index) to embedded-image detections
     for table elements; their placeholder maps get deterministic refs from
     :data:`IMAGE_REF_PATTERN` so a cropper can cut the files afterwards.
+    ``scorer`` is the continuation scorer of the table merge.
     """
-    cfg = cfg or PipelineConfig()
+    cfg = cfg or Config()
     detections = detections or {}
     warnings: list[str] = []
     placeholder_maps: list[dict] = []
@@ -468,7 +463,7 @@ def run_pipeline(
         if el.label not in TABLE_LABELS:
             warnings.append(f"detections for non-table element {key} ignored")
             continue
-        _, pmap = plan_masks(el.bbox, dets, cfg.idtp)
+        _, pmap = plan_masks(el.bbox, dets, cfg)
         pmap = pmap.with_refs(
             [
                 IMAGE_REF_PATTERN.format(page=page_no, index=index, id=e.id)
@@ -501,26 +496,24 @@ def run_pipeline(
             )
         contents[key] = result.html
 
-    merge_plans = _merge_tables(pages, contents, cfg, warnings)
+    merge_plans = _merge_tables(pages, contents, cfg, scorer, warnings)
 
     page_docs = []
     for page_no, page in enumerate(pages):
         recognized = [
             RecognizedElement(el, contents[(page_no, el.index)]) for el in page.elements
         ]
-        rendered = assemble(
-            recognized, page, cfg.output_format, cfg.include_headers_footers
-        )
+        rendered = assemble(recognized, page, output_format, cfg.include_headers_footers)
         if rendered:
             page_docs.append(rendered)
-    sep = "\n\n" if cfg.output_format is OutputFormat.MARKDOWN else "\n"
+    sep = "\n\n" if output_format is OutputFormat.MARKDOWN else "\n"
     document = sep.join(page_docs)
     if document:
         document += "\n"
     return PipelineResult(document, merge_plans, placeholder_maps, restore_reports, warnings)
 
 
-def _merge_tables(pages, contents, cfg, warnings):
+def _merge_tables(pages, contents, cfg, scorer, warnings):
     """Fold adjacent table fragments in ``contents``: a merged table replaces
     its first fragment and empties the rest. Returns the plan reports."""
     stream: list[tuple[int, LayoutElement]] = []
@@ -558,7 +551,7 @@ def _merge_tables(pages, contents, cfg, warnings):
                 )
         if not grids:
             continue
-        tables, plans = merge_fragment_sequence_with_plans(grids, cfg.scorer, cfg.merge)
+        tables, plans = merge_fragment_sequence_with_plans(grids, scorer, cfg)
         # partition members into the groups the fold produced
         groups: list[list[tuple[int, int]]] = [[members[0]]]
         for i, plan in enumerate(plans):
@@ -583,12 +576,14 @@ def _merge_tables(pages, contents, cfg, warnings):
 def pipeline_run(
     layout_path: str,
     fixture_path: str,
-    cfg: PipelineConfig | None = None,
+    cfg: Config | None = None,
     detections: dict[tuple[int, int], list[ImageDetection]] | None = None,
+    output_format: OutputFormat = OutputFormat.MARKDOWN,
+    scorer: Scorer | None = None,
 ) -> PipelineResult:
     """File-based front end over :func:`run_pipeline`."""
     with open(layout_path, encoding="utf-8") as fh:
         pages = parse_layout_document(fh.read())
     with open(fixture_path, encoding="utf-8") as fh:
         fixtures = parse_recognition_fixture(fh.read(), len(pages))
-    return run_pipeline(pages, fixtures, cfg, detections)
+    return run_pipeline(pages, fixtures, cfg, detections, output_format, scorer)

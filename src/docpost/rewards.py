@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
+from .config import Config
 from .table_grid import (
     GridCell,
     TableError,
@@ -37,24 +38,6 @@ class InapplicablePerturbation(Exception):
 
 
 _IMG_RE = re.compile(r"<img\b", re.IGNORECASE)
-
-# Defaults shared with ``config.Config``: the rule weight of the composite
-# reward, and the std below which a group's advantages are all zero.
-DEFAULT_W_RULE = 0.5
-DEFAULT_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class RuleWeights:
-    well_formed: float = 0.25
-    rectangular: float = 0.25
-    placeholder_ok: float = 0.25
-    non_empty: float = 0.25
-
-    def __post_init__(self):
-        total = self.well_formed + self.rectangular + self.placeholder_ok + self.non_empty
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"rule weights must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +61,7 @@ class RuleReport:
 def rule_checks(
     candidate_html: str,
     expected_placeholders: int = 0,
-    weights: RuleWeights | None = None,
+    cfg: Config | None = None,
 ) -> RuleReport:
     """Structural sanity checks; failures lower the score, never raise.
 
@@ -86,8 +69,11 @@ def rule_checks(
     rectangular: normalization needed no padding or span clipping.
     placeholder_ok: the ``<img>`` tag count equals the expected count.
     non_empty: at least one cell has non-whitespace content.
+
+    The score sums ``cfg.rule_weights`` over the passing checks, in the
+    order above.
     """
-    weights = weights or RuleWeights()
+    w_formed, w_rectangular, w_placeholder, w_non_empty = (cfg or Config()).rule_weights
     well_formed = rectangular = non_empty = False
     try:
         grid = parse_grid(candidate_html)
@@ -98,10 +84,10 @@ def rule_checks(
         pass
     placeholder_ok = len(_IMG_RE.findall(candidate_html)) == expected_placeholders
     score = (
-        weights.well_formed * well_formed
-        + weights.rectangular * rectangular
-        + weights.placeholder_ok * placeholder_ok
-        + weights.non_empty * non_empty
+        w_formed * well_formed
+        + w_rectangular * rectangular
+        + w_placeholder * placeholder_ok
+        + w_non_empty * non_empty
     )
     return RuleReport(well_formed, rectangular, placeholder_ok, non_empty, score)
 
@@ -109,7 +95,7 @@ def rule_checks(
 # -- composite reward ------------------------------------------------------------
 
 
-def composite_reward(rule_score: float, model_score: float, w_rule: float = DEFAULT_W_RULE) -> float:
+def composite_reward(rule_score: float, model_score: float, w_rule: float = Config.w_rule) -> float:
     """Linear blend of the rule score and the learned score."""
     for name, value in (("rule_score", rule_score), ("model_score", model_score), ("w_rule", w_rule)):
         if not 0.0 <= value <= 1.0:
@@ -125,7 +111,7 @@ def render_candidate(candidate_html: str) -> str:
 # -- group-relative advantages ------------------------------------------------------
 
 
-def group_advantages(rewards: list[float], eps: float = DEFAULT_EPS) -> list[float]:
+def group_advantages(rewards: list[float], eps: float = Config.eps) -> list[float]:
     """Zero-mean, unit-std advantages within a candidate group.
 
     Uses the population standard deviation; groups with std <= eps (constant

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._external import Scorer, ScorerFailure
+from .config import Config
 from .table_grid import (
     GridCell,
     TableGrid,
@@ -89,12 +90,6 @@ class MergePlan:
         }
 
 
-@dataclass(frozen=True)
-class MergeConfig:
-    near_threshold: float = 0.8
-    continuation_threshold: float = 0.5
-
-
 # -- continuation heuristic ---------------------------------------------------
 
 TERMINAL_PUNCTUATION = ".!?;:"
@@ -131,14 +126,14 @@ def heuristic_continuation_score(
 # -- decision operations ------------------------------------------------------
 
 
-def match_headers(a: TableGrid, b: TableGrid, cfg: MergeConfig | None = None) -> HeaderMatch:
+def match_headers(a: TableGrid, b: TableGrid, cfg: Config | None = None) -> HeaderMatch:
     """Compare A's leading header rows against B's first rows position-wise.
 
     Exact requires every cell to match under content normalization with equal
     span layout; Near requires similarity >= ``near_threshold``. Zero header
     rows or differing column counts yield ``MatchKind.NONE``.
     """
-    cfg = cfg or MergeConfig()
+    cfg = cfg or Config()
     k = detect_header_rows(a)
     if k == 0:
         return HeaderMatch(MatchKind.NONE, 0.0)
@@ -192,7 +187,7 @@ def classify_continuation(
     a: TableGrid,
     b: TableGrid,
     scorer: Scorer | None = None,
-    cfg: MergeConfig | None = None,
+    cfg: Config | None = None,
     column_map: list[int] | None = None,
 ) -> ContinuationDecision:
     """Decide whether B's first row continues A's last row.
@@ -200,7 +195,7 @@ def classify_continuation(
     Falls back to the bundled heuristic when the external scorer fails, and
     records which source produced the score.
     """
-    cfg = cfg or MergeConfig()
+    cfg = cfg or Config()
     if column_map is None:
         column_map = align_schemas(a, b)
     tail = a.row_contents(a.n_rows - 1)
@@ -241,13 +236,13 @@ def decide_merge(
     a: TableGrid,
     b: TableGrid,
     scorer: Scorer | None = None,
-    cfg: MergeConfig | None = None,
+    cfg: Config | None = None,
 ) -> MergePlan:
     """Hybrid decision: header rule first, then continuation classification.
 
     Never raises; fragments that cannot be combined get ``NO_MERGE``.
     """
-    cfg = cfg or MergeConfig()
+    cfg = cfg or Config()
     hm = match_headers(a, b, cfg)
     if hm.kind in (MatchKind.EXACT, MatchKind.NEAR):
         # untagged duplicate headers fall back to the matched row count
@@ -357,7 +352,7 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
 def merge_fragment_sequence(
     fragments: list[TableGrid],
     scorer: Scorer | None = None,
-    cfg: MergeConfig | None = None,
+    cfg: Config | None = None,
 ) -> list[TableGrid]:
     """Greedy left-to-right fold of fragments in reading order."""
     tables, _ = merge_fragment_sequence_with_plans(fragments, scorer, cfg)
@@ -367,14 +362,14 @@ def merge_fragment_sequence(
 def merge_fragment_sequence_with_plans(
     fragments: list[TableGrid],
     scorer: Scorer | None = None,
-    cfg: MergeConfig | None = None,
+    cfg: Config | None = None,
 ) -> tuple[list[TableGrid], list[MergePlan]]:
     """Fold fragments and keep the pairwise decisions for reporting.
 
     Plan ``i`` is the decision between the accumulated table and fragment
     ``i + 1``.
     """
-    cfg = cfg or MergeConfig()
+    cfg = cfg or Config()
     tables: list[TableGrid] = []
     plans: list[MergePlan] = []
     for fragment in fragments:

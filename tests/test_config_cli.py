@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import shlex
@@ -17,10 +18,8 @@ from docpost.config import (
     parse_config_text,
     save_config,
 )
-from docpost import rewards, table_grid
-from docpost.idtp import IdtpConfig, read_ppm, write_ppm, PixelBuffer
-from docpost.rewards import RuleWeights
-from docpost.table_merge import MergeConfig
+from docpost import config, idtp, layout, rewards, table_grid, table_merge
+from docpost.idtp import read_ppm, write_ppm, PixelBuffer
 from docpost.table_grid import parse_grid
 
 
@@ -30,20 +29,98 @@ from docpost.table_grid import parse_grid
 def test_config_defaults_valid():
     cfg = Config()
     assert cfg.near_threshold == 0.8
-    assert cfg.merge_config().continuation_threshold == 0.5
-    assert cfg.idtp_config().min_confidence == 0.3
+    assert cfg.continuation_threshold == 0.5
+    assert cfg.min_confidence == 0.3
 
 
-def test_config_defaults_come_from_the_modules():
+SETTINGS_FUNCTIONS = (
+    table_merge.match_headers,
+    table_merge.classify_continuation,
+    table_merge.decide_merge,
+    table_merge.merge_fragment_sequence,
+    table_merge.merge_fragment_sequence_with_plans,
+    idtp.plan_masks,
+    rewards.rule_checks,
+    layout.run_pipeline,
+    layout.pipeline_run,
+)
+
+
+def test_library_defaults_are_config_defaults():
+    for func in SETTINGS_FUNCTIONS:
+        assert inspect.signature(func).parameters["cfg"].default is None, func.__name__
     cfg = Config()
-    assert cfg.merge_config() == MergeConfig()
-    assert cfg.idtp_config() == IdtpConfig()
-    assert cfg.rule_weights_obj() == RuleWeights()
     for func, name in (
         (rewards.composite_reward, "w_rule"),
         (rewards.group_advantages, "eps"),
     ):
         assert inspect.signature(func).parameters[name].default == getattr(cfg, name)
+    # inputs on the default thresholds, so cfg=None answers as Config() does
+    # and a nudged setting answers otherwise
+    # 4 of 5 header cells match: similarity 0.8
+    a = parse_grid("<table><tr><th>A</th><th>B</th><th>C</th><th>D</th><th>E</th></tr>"
+                   "<tr><td>1</td><td>2</td><td>3</td><td>4</td><td>5</td></tr></table>")
+    b = parse_grid("<table><tr><th>A</th><th>B</th><th>C</th><th>D</th><th>X</th></tr>"
+                   "<tr><td>6</td><td>7</td><td>8</td><td>9</td><td>0</td></tr></table>")
+    for merge_cfg, kind in ((None, "near"), (cfg, "near"), (Config(near_threshold=0.81), "none")):
+        assert table_merge.match_headers(a, b, merge_cfg).kind.value == kind
+    half = lambda payload: 0.5  # noqa: E731
+    for merge_cfg, split in ((None, True), (cfg, True), (Config(continuation_threshold=0.51), False)):
+        assert table_merge.classify_continuation(a, b, half, merge_cfg).is_row_split is split
+    dets = [idtp.ImageDetection((1, 1, 5, 5), 0.3), idtp.ImageDetection((1, 3, 5, 5), 0.9)]
+    plan, _ = idtp.plan_masks((0, 0, 10, 10), dets)  # IoU 0.5, confidence 0.3: both kept
+    assert [m.fill for m in plan.masks] == [cfg.mask_fill] * 2
+    assert plan == idtp.plan_masks((0, 0, 10, 10), dets, cfg)[0]
+    assert len(idtp.plan_masks((0, 0, 10, 10), dets, Config(min_confidence=0.31))[0].masks) == 1
+    assert rewards.rule_checks("<table><tr><td></td></tr></table>").score == 0.75
+    assert rewards.rule_checks("<table><tr><td></td></tr></table>", 0, cfg).score == 0.75
+
+
+def test_config_imports_only_external_from_docpost():
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    docpost_modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            docpost_modules.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("docpost"):
+            docpost_modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            docpost_modules.update(a.name for a in node.names if a.name.startswith("docpost"))
+    assert docpost_modules == {"_external"}
+
+
+@pytest.mark.parametrize(
+    "extra, config_text, expected",
+    [
+        ([], "", "Body.\n"),
+        (["--include-headers-footers"], "", "Running head\n\nBody.\n"),
+        ([], "include_headers_footers = true\n", "Running head\n\nBody.\n"),
+        (["--include-headers-footers"], "include_headers_footers = false\n", "Running head\n\nBody.\n"),
+    ],
+)
+def test_cli_assemble_include_headers_footers(tmp_path, capsys, extra, config_text, expected):
+    layout_doc = [
+        {"bbox": [0, 0, 50, 10], "index": 0, "label": "header", "rotation": 0},
+        {"bbox": [0, 20, 50, 40], "index": 1, "label": "text", "rotation": 0},
+    ]
+    fixture = {"0": {"content": "Running head"}, "1": {"content": "Body."}}
+    (tmp_path / "layout.json").write_text(json.dumps(layout_doc))
+    (tmp_path / "rec.json").write_text(json.dumps(fixture))
+    (tmp_path / "docpost.toml").write_text(config_text)
+    out = tmp_path / "doc.md"
+    argv = ["assemble", str(tmp_path / "layout.json"), str(tmp_path / "rec.json"), "-o", str(out)]
+    assert main([*argv, "--config", str(tmp_path / "docpost.toml"), *extra]) == 0
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"near_threshold": -3}, {"min_confidence": float("nan")}, {"mask_fill": (300, 0, 0)}],
+    ids=["near_threshold", "min_confidence", "mask_fill"],
+)
+def test_library_settings_are_checked(setting):
+    with pytest.raises(ConfigError):
+        Config(**setting)
 
 
 def test_config_defaults_match_readme():
@@ -493,6 +570,94 @@ def test_cli_assemble_malformed_detections_exit2(tmp_path, capsys):
         "error": "FormatError",
         "message": f"detection 0 is not a {DETECTION_SHAPE} object",
     }
+
+
+HUGE_INT = "1" + "0" * 400  # valid JSON, too large for a float
+
+
+@pytest.mark.parametrize("field", ["bbox", "confidence"])
+@pytest.mark.parametrize("command", ["mask", "assemble"])
+def test_cli_detection_too_large_for_a_float_exit2(tmp_path, capsys, command, field):
+    bbox = f"[4, 3, {HUGE_INT}, 6]" if field == "bbox" else "[4, 3, 8, 6]"
+    confidence = HUGE_INT if field == "confidence" else "0.9"
+    text = f'[{{"bbox": {bbox}, "confidence": {confidence}}}]'
+    if command == "mask":
+        img_path = tmp_path / "page.ppm"
+        img_path.write_bytes(write_ppm(PixelBuffer(20, 10, b"\xff" * 600)))
+        det_path = tmp_path / "det.json"
+        det_path.write_text(text)
+        argv = ["mask", str(img_path), str(det_path), "--table-bbox", "2,2,18,9",
+                "--out-prefix", str(tmp_path / "t0")]
+    else:
+        det_dir = tmp_path / "dets"
+        det_dir.mkdir()
+        (det_dir / "page0_el0.json").write_text(text)
+        layout_path = tmp_path / "layout.json"
+        layout_path.write_text(
+            json.dumps([{"bbox": [0, 0, 50, 10], "index": 0, "label": "table", "rotation": 0}])
+        )
+        fixture_path = tmp_path / "rec.json"
+        fixture_path.write_text(json.dumps({"0": {"content": FRAG_A, "kind": "table"}}))
+        argv = ["assemble", str(layout_path), str(fixture_path), "-o", str(tmp_path / "doc.md"),
+                "--detections-dir", str(det_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "FormatError",
+        "message": f"detection 0 is not a {DETECTION_SHAPE} object",
+    }
+
+
+def _assert_format_error(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "FormatError", "message": message}
+
+
+def test_cli_mask_bad_table_bbox_exit2(tmp_path, capsys):
+    img_path = tmp_path / "page.ppm"
+    img_path.write_bytes(write_ppm(PixelBuffer(20, 10, b"\xff" * 600)))
+    det_path = tmp_path / "det.json"
+    det_path.write_text("[]")
+    argv = ["mask", str(img_path), str(det_path), "--table-bbox", "0,0,a,4"]
+    assert main([*argv, "--out-prefix", str(tmp_path / "t0")]) == 2
+    _assert_format_error(capsys, "bbox must be four integers x1,y1,x2,y2, got '0,0,a,4'")
+
+
+def test_cli_mask_non_ppm_without_pillow_exit2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    img_path = tmp_path / "page.png"
+    img_path.write_bytes(b"\x89PNG\r\n\x1a\n")
+    det_path = tmp_path / "det.json"
+    det_path.write_text("[]")
+    argv = ["mask", str(img_path), str(det_path), "--table-bbox", "2,2,18,9"]
+    assert main([*argv, "--out-prefix", str(tmp_path / "t0")]) == 2
+    _assert_format_error(
+        capsys,
+        f"{img_path} is not a PPM and Pillow is not installed (pip install docpost[images])",
+    )
+
+
+def test_cli_reward_negative_expected_placeholders_exit2(tmp_path, capsys):
+    argv = ["reward", *_reward_files(tmp_path, [FRAG_A]), "--expected-placeholders", "-3"]
+    assert main(argv) == 2
+    _assert_format_error(capsys, "--expected-placeholders must be >= 0, got -3")
+
+
+def test_cli_pairs_unknown_kind_exit2(tmp_path, capsys):
+    gt_path = tmp_path / "gt.html"
+    gt_path.write_text(FRAG_A)
+    argv = ["pairs", str(gt_path), "--kinds", "swap_cells,nonsense"]
+    assert main([*argv, "--out", str(tmp_path / "pairs.jsonl")]) == 2
+    _assert_format_error(capsys, "'nonsense' is not a valid PerturbationKind")
+
+
+def test_cli_pairs_no_ground_truth_exit2(tmp_path, capsys):
+    empty = tmp_path / "gt"
+    empty.mkdir()
+    assert main(["pairs", str(empty), "--out", str(tmp_path / "pairs.jsonl")]) == 2
+    _assert_format_error(capsys, "no ground-truth tables found")
 
 
 def test_cli_pairs(tmp_path, capsys):

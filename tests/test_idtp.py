@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docpost.config import Config
 from docpost.idtp import (
     DimensionMismatch,
-    IdtpConfig,
     ImageDetection,
     Mask,
     MaskPlan,
@@ -41,7 +41,7 @@ def test_plan_empty():
 def test_plan_single_detection():
     plan, pmap = plan_masks(TABLE, [det(10, 10, 20, 30)])
     assert len(plan.masks) == 1
-    assert plan.masks[0] == Mask(0, (10, 10, 20, 30), IdtpConfig().fill)
+    assert plan.masks[0] == Mask(0, (10, 10, 20, 30), Config().mask_fill)
     assert pmap.entries[0] == PlaceholderEntry(0, (10, 10, 20, 30))
 
 
@@ -80,7 +80,7 @@ def test_plan_clamps_straddling_detection():
 def test_plan_suppresses_heavy_overlap():
     a = det(10, 10, 30, 30, conf=0.9)
     b = det(11, 11, 31, 31, conf=0.5)  # IoU ~ 0.8 with a
-    plan, pmap = plan_masks(TABLE, [a, b], IdtpConfig(overlap_tolerance=0.5))
+    plan, pmap = plan_masks(TABLE, [a, b], Config(overlap_tolerance=0.5))
     assert len(pmap) == 1
     assert pmap.entries[0].bbox == (10, 10, 30, 30)
 
@@ -131,7 +131,7 @@ def test_apply_masks_changes_union_area(seed):
             (rng.randrange(w), rng.randrange(h)) for _ in range(rng.randint(0, 3))
         )
     ]
-    plan, _ = plan_masks(table, dets, IdtpConfig(overlap_tolerance=1.0))
+    plan, _ = plan_masks(table, dets, Config(overlap_tolerance=1.0))
     buf = solid_buffer(w, h)
     out = apply_masks(buf, plan)
     union = {

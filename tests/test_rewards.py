@@ -13,13 +13,13 @@ from oracles import (
     swap_candidates_reference,
 )
 from docpost._external import external_scorer
+from docpost.config import Config, ConfigError
 from docpost.metrics import teds
 from docpost.rewards import (
     EmptyGroup,
     InapplicablePerturbation,
     PerturbationKind,
     PrefPair,
-    RuleWeights,
     composite_reward,
     group_advantages,
     perturb_table,
@@ -64,11 +64,11 @@ def test_rule_checks_ragged_is_not_rectangular():
 
 
 def test_rule_checks_custom_weights():
-    weights = RuleWeights(1.0, 0.0, 0.0, 0.0)
-    assert rule_checks(VALID, weights=weights).score == 1.0
-    assert rule_checks("nope", weights=weights).score == 0.0
-    with pytest.raises(ValueError):
-        RuleWeights(0.5, 0.5, 0.5, 0.5)
+    cfg = Config(rule_weights=(1.0, 0.0, 0.0, 0.0))
+    assert rule_checks(VALID, cfg=cfg).score == 1.0
+    assert rule_checks("nope", cfg=cfg).score == 0.0
+    with pytest.raises(ConfigError):
+        Config(rule_weights=(0.5, 0.5, 0.5, 0.5))
 
 
 # -- composite reward ---------------------------------------------------------------

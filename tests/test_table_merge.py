@@ -16,6 +16,7 @@ from conftest import (
 )
 from docpost import table_merge
 from docpost._external import external_scorer
+from docpost.config import Config
 from docpost.table_grid import (
     GridCell,
     detect_header_rows,
@@ -27,7 +28,6 @@ from docpost.table_merge import (
     BoundaryJoin,
     DecisionSource,
     MatchKind,
-    MergeConfig,
     MergePlan,
     Pattern,
     PlanMismatch,
@@ -73,10 +73,10 @@ def test_match_headers_near():
     # 4 header cells, 1 differs: similarity 3/4 = 0.75 by hand count.
     a = grid_of([["A", "B", "C", "D"], ["1", "2", "3", "4"]], header_rows=1)
     b = grid_of([["A", "B", "C", "X"], ["5", "6", "7", "8"]], header_rows=1)
-    m = match_headers(a, b, MergeConfig(near_threshold=0.7))
+    m = match_headers(a, b, Config(near_threshold=0.7))
     assert m.kind is MatchKind.NEAR
     assert m.similarity == pytest.approx(0.75)
-    assert match_headers(a, b, MergeConfig(near_threshold=0.8)).kind is MatchKind.NONE
+    assert match_headers(a, b, Config(near_threshold=0.8)).kind is MatchKind.NONE
 
 
 def test_match_headers_no_headers():
