@@ -51,3 +51,4 @@ from .rewards import (  # noqa: F401
     rule_checks,
 )
 from .config import Config, load_config, save_config  # noqa: F401
+from .errors import DomainError, FormatError  # noqa: F401

@@ -14,10 +14,12 @@ import shlex
 import subprocess
 from collections.abc import Callable
 
+from .errors import FormatError
+
 Scorer = Callable[[dict], float]
 
 
-class ScorerFailure(Exception):
+class ScorerFailure(FormatError):
     """External scorer unavailable or returned garbage."""
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: assemble, merge, mask, restore, eval, reward, pairs. All
 machine-readable output goes to stdout or named files; diagnostics are JSON
-objects on stderr. Exit codes: 0 success, 1 domain validation failure, 2
-I/O or format error.
+objects on stderr. Exit codes: 0 success, 1 domain validation failure
+(:class:`DomainError`), 2 I/O or format error (:class:`OSError`,
+:class:`FormatError`).
 """
 
 from __future__ import annotations
@@ -17,38 +18,19 @@ import sys
 from pathlib import Path
 
 from . import idtp, layout, metrics, rewards, table_grid, table_merge
-from ._external import ScorerFailure
-from .config import Config, ConfigError, apply_env_overrides, load_config
+from .config import Config, apply_env_overrides, load_config
+from .errors import DomainError, FormatError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
-_DOMAIN_ERRORS = (
-    table_grid.TableError,
-    table_merge.Unalignable,
-    table_merge.PlanMismatch,
-    layout.LayoutSyntaxError,
-    layout.LayoutSchemaError,
-    layout.LayoutGeometryError,
-    layout.LayoutIndexError,
-    layout.DuplicateElement,
-    layout.UnknownElement,
-    idtp.DimensionMismatch,
-    metrics.GtParseError,
-    rewards.EmptyGroup,
-    rewards.InapplicablePerturbation,
-    ConfigError,
-    ValueError,
-)
-
-
-class FormatError(Exception):
-    """An input file or argument is not of the documented shape."""
+# Every JSON write: NaN and infinities are not JSON, so writing one is a bug.
+_dumps = functools.partial(json.dumps, allow_nan=False)
 
 
 def _diag(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    print(_dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
 def _load_cfg(args) -> Config:
@@ -165,7 +147,7 @@ def cmd_assemble(args) -> int:
     Path(args.out).write_text(result.document, encoding="utf-8")
     reports_path = Path(args.out + ".reports.json")
     reports_path.write_text(
-        json.dumps(result.reports_dict(), indent=2) + "\n", encoding="utf-8"
+        _dumps(result.reports_dict(), indent=2) + "\n", encoding="utf-8"
     )
     for warning in result.warnings:
         _diag("warning", warning)
@@ -186,7 +168,7 @@ def cmd_merge(args) -> int:
         Path(out_path).write_text(table_grid.serialize_grid(table), encoding="utf-8")
         out_files.append(out_path)
     print(
-        json.dumps(
+        _dumps(
             {
                 "inputs": list(args.fragments),
                 "outputs": out_files,
@@ -214,10 +196,10 @@ def cmd_mask(args) -> int:
         refs.append(ref)
     pmap = pmap.with_refs(refs)
     Path(f"{args.out_prefix}.map.json").write_text(
-        json.dumps(pmap.to_dict(table_bbox), indent=2) + "\n", encoding="utf-8"
+        _dumps(pmap.to_dict(table_bbox), indent=2) + "\n", encoding="utf-8"
     )
     print(
-        json.dumps(
+        _dumps(
             {"masks": len(plan.masks), "map": f"{args.out_prefix}.map.json"}
         )
     )
@@ -232,7 +214,7 @@ def cmd_restore(args) -> int:
     Path(args.out).write_text(result.html, encoding="utf-8")
     report = idtp.verify_restoration(result.html, pmap)
     print(
-        json.dumps(
+        _dumps(
             {
                 "found": result.found,
                 "expected": result.expected,
@@ -272,7 +254,7 @@ def cmd_eval(args) -> int:
     print(_format_eval_table(rows))
     if args.json_out:
         Path(args.json_out).write_text(
-            json.dumps(rows, indent=2) + "\n", encoding="utf-8"
+            _dumps(rows, indent=2) + "\n", encoding="utf-8"
         )
     return EXIT_OK
 
@@ -326,7 +308,7 @@ def cmd_reward(args) -> int:
     advantages = rewards.group_advantages(reward_values, cfg.eps) if reward_values else []
     for row, adv in zip(out_rows, advantages):
         row["advantage"] = adv
-    print(json.dumps({"candidates": out_rows}, indent=2))
+    print(_dumps({"candidates": out_rows}, indent=2))
     return EXIT_OK
 
 
@@ -363,9 +345,9 @@ def cmd_pairs(args) -> int:
                         skipped += 1
                         continue
                     record = {"source": str(source), "seed": seed, **pair.to_dict()}
-                    fh.write(json.dumps(record) + "\n")
+                    fh.write(_dumps(record) + "\n")
                     written += 1
-    print(json.dumps({"written": written, "skipped": skipped, "out": args.out}))
+    print(_dumps({"written": written, "skipped": skipped, "out": args.out}))
     return EXIT_OK
 
 
@@ -450,10 +432,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _diag("io", str(exc))
         return EXIT_IO
-    except (FormatError, metrics.BatchFormatError, ScorerFailure) as exc:
+    except FormatError as exc:
         _diag(type(exc).__name__, str(exc))
         return EXIT_IO
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         _diag(type(exc).__name__, str(exc))
         return EXIT_DOMAIN
 

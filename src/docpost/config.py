@@ -15,11 +15,12 @@ import os
 from dataclasses import dataclass, fields
 
 from ._external import Scorer, external_scorer
+from .errors import DomainError
 
 ENV_PREFIX = "DOCPOST_"
 
 
-class ConfigError(Exception):
+class ConfigError(DomainError):
     pass
 
 
@@ -76,6 +77,8 @@ class Config:
             raise ConfigError(f"rule_weights must be four numbers, got {weights!r}")
         if not all(map(math.isfinite, weights)):
             raise ConfigError(f"rule_weights must be finite, got {weights}")
+        if not all(0.0 <= w <= 1.0 for w in weights):
+            raise ConfigError(f"rule_weights must each be in [0,1], got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ConfigError(f"rule_weights must sum to 1, got {weights}")
         fill = self.mask_fill

@@ -12,11 +12,16 @@ import re
 from dataclasses import dataclass, replace
 
 from .config import Config
+from .errors import DomainError
 from .table_grid import TableError, parse_grid, serialize_grid
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(DomainError):
     """Pixel buffer does not match the mask plan's table crop."""
+
+
+class ImageInputError(DomainError, ValueError):
+    """A page image header, image detection or placeholder map is invalid."""
 
 
 Rect = tuple[int, int, int, int]
@@ -30,9 +35,9 @@ class ImageDetection:
     def __post_init__(self):
         x1, y1, x2, y2 = self.bbox
         if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"degenerate detection bbox {self.bbox}")
+            raise ImageInputError(f"degenerate detection bbox {self.bbox}")
         if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0,1]")
+            raise ImageInputError(f"confidence {self.confidence} outside [0,1]")
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class PlaceholderMap:
     def __post_init__(self):
         ids = [e.id for e in self.entries]
         if ids != list(range(len(ids))):
-            raise ValueError("placeholder ids must be 0..n-1 in order")
+            raise ImageInputError("placeholder ids must be 0..n-1 in order")
 
     def __len__(self):
         return len(self.entries)
@@ -208,32 +213,21 @@ def crop_buffer(buffer: PixelBuffer, rect: Rect) -> PixelBuffer:
     return PixelBuffer(x2 - x1, y2 - y1, b"".join(rows))
 
 
+# P6, then width, height and maxval, each separated by whitespace or "#"
+# comments, then the single whitespace byte that ends the header.
+_PPM_HEADER_RE = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,10})" * 3 + rb"\s")
+
+
 def read_ppm(data: bytes) -> PixelBuffer:
     """Parse a binary P6 PPM with maxval 255."""
-    pos = 0
-    fields = []
-    while len(fields) < 4:
-        if pos >= len(data):
-            raise ValueError("truncated PPM header")
-        if data[pos : pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        if data[pos : pos + 1].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(data) and not data[end : end + 1].isspace():
-            end += 1
-        fields.append(data[pos:end])
-        pos = end
-    if fields[0] != b"P6":
-        raise ValueError(f"not a P6 PPM: magic {fields[0]!r}")
-    width, height, maxval = (int(f) for f in fields[1:])
+    header = _PPM_HEADER_RE.match(data)
+    if header is None:
+        raise ImageInputError("not a P6 PPM header with width, height and maxval of 1-10 digits")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
-        raise ValueError(f"unsupported maxval {maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = data[pos : pos + width * height * 3]
-    return PixelBuffer(width, height, pixels)
+        raise ImageInputError(f"unsupported maxval {maxval}")
+    pos = header.end()
+    return PixelBuffer(width, height, data[pos : pos + width * height * 3])
 
 
 def write_ppm(buffer: PixelBuffer) -> bytes:

@@ -18,32 +18,33 @@ from enum import Enum
 
 from ._external import Scorer
 from .config import Config
+from .errors import DomainError
 from .idtp import ImageDetection, plan_masks, restore_images
 from .table_grid import TableError, parse_grid, serialize_grid
 from .table_merge import Pattern, merge_fragment_sequence_with_plans
 
 
-class LayoutSyntaxError(Exception):
+class LayoutSyntaxError(DomainError):
     """Layout file is not JSON."""
 
 
-class LayoutSchemaError(Exception):
+class LayoutSchemaError(DomainError):
     """Element object is missing bbox/index/label or has wrong types."""
 
 
-class LayoutGeometryError(Exception):
+class LayoutGeometryError(DomainError):
     """Degenerate bbox or rotation that is not a right angle."""
 
 
-class LayoutIndexError(Exception):
+class LayoutIndexError(DomainError):
     """Reading-order indices are not a permutation."""
 
 
-class DuplicateElement(Exception):
+class DuplicateElement(DomainError):
     pass
 
 
-class UnknownElement(Exception):
+class UnknownElement(DomainError):
     pass
 
 
@@ -151,9 +152,13 @@ def _finite_float(token: str) -> float:
 
 
 def loads_finite(text: str):
-    """``json.loads`` that refuses ``NaN``, ``Infinity`` and float literals
-    that overflow to infinity with a ``ValueError``."""
-    return json.loads(text, parse_float=_finite_float, parse_constant=_refuse_non_finite)
+    """``json.loads`` that refuses ``NaN``, ``Infinity``, float literals
+    that overflow to infinity and nesting too deep to parse with a
+    ``ValueError``."""
+    try:
+        return json.loads(text, parse_float=_finite_float, parse_constant=_refuse_non_finite)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def parse_layout(json_text: str, page_width: int, page_height: int) -> LayoutPage:

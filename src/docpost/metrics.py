@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import DomainError, FormatError
 from .table_grid import TableError, TableGrid, cells_by_row, normalize_text, parse_grid
 
 
-class GtParseError(Exception):
+class GtParseError(DomainError):
     """The ground-truth side of a table comparison must parse."""
 
 
-class BatchFormatError(Exception):
+class BatchFormatError(FormatError):
     """An evaluation batch is not an array of ``{"pred", "gt", "kind"}``
     objects whose sides the kind can score."""
 

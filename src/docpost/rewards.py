@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .config import Config
+from .errors import DomainError
 from .table_grid import (
     GridCell,
     TableError,
@@ -29,11 +30,11 @@ from .table_grid import (
 )
 
 
-class EmptyGroup(Exception):
+class EmptyGroup(DomainError):
     """Advantages need at least one reward."""
 
 
-class InapplicablePerturbation(Exception):
+class InapplicablePerturbation(DomainError):
     """The table is too small or too uniform for the requested perturbation."""
 
 
@@ -71,7 +72,7 @@ def rule_checks(
     non_empty: at least one cell has non-whitespace content.
 
     The score sums ``cfg.rule_weights`` over the passing checks, in the
-    order above.
+    order above, capped at 1.0: the weights may sum to 1 + 1e-9.
     """
     w_formed, w_rectangular, w_placeholder, w_non_empty = (cfg or Config()).rule_weights
     well_formed = rectangular = non_empty = False
@@ -83,11 +84,12 @@ def rule_checks(
     except TableError:
         pass
     placeholder_ok = len(_IMG_RE.findall(candidate_html)) == expected_placeholders
-    score = (
+    score = min(
         w_formed * well_formed
         + w_rectangular * rectangular
         + w_placeholder * placeholder_ok
-        + w_non_empty * non_empty
+        + w_non_empty * non_empty,
+        1.0,
     )
     return RuleReport(well_formed, rectangular, placeholder_ok, non_empty, score)
 

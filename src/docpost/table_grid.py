@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from typing import NamedTuple
 
+from .errors import DomainError
 
-class TableError(Exception):
+
+class TableError(DomainError):
     """Base class for table parsing/normalization errors."""
 
 

@@ -14,6 +14,7 @@ from enum import Enum
 
 from ._external import Scorer, ScorerFailure
 from .config import Config
+from .errors import DomainError
 from .table_grid import (
     GridCell,
     TableGrid,
@@ -23,11 +24,11 @@ from .table_grid import (
 )
 
 
-class Unalignable(Exception):
+class Unalignable(DomainError):
     """Fragment columns cannot be embedded into the reference schema."""
 
 
-class PlanMismatch(Exception):
+class PlanMismatch(DomainError):
     """A merge plan refers to rows or columns the inputs do not have."""
 
 

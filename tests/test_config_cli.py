@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from docpost.config import (
     parse_config_text,
     save_config,
 )
-from docpost import config, idtp, layout, rewards, table_grid, table_merge
+from docpost import config, errors, idtp, layout, rewards, table_grid, table_merge
 from docpost.idtp import read_ppm, write_ppm, PixelBuffer
 from docpost.table_grid import parse_grid
 
@@ -76,17 +77,24 @@ def test_library_defaults_are_config_defaults():
     assert rewards.rule_checks("<table><tr><td></td></tr></table>", 0, cfg).score == 0.75
 
 
+def _imports(module) -> list[ast.stmt]:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_config_imports_only_external_from_docpost():
-    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    # config depends on no library module: _external is the scorer transport
+    # and errors, which imports nothing, holds the exception bases
     docpost_modules = set()
-    for node in ast.walk(tree):
+    for node in _imports(config):
         if isinstance(node, ast.ImportFrom) and node.level:
             docpost_modules.add(node.module)
         elif isinstance(node, ast.ImportFrom) and node.module.startswith("docpost"):
             docpost_modules.add(node.module)
         elif isinstance(node, ast.Import):
             docpost_modules.update(a.name for a in node.names if a.name.startswith("docpost"))
-    assert docpost_modules == {"_external"}
+    assert docpost_modules == {"_external", "errors"}
+    assert _imports(errors) == []
 
 
 @pytest.mark.parametrize(
@@ -658,6 +666,107 @@ def test_cli_pairs_no_ground_truth_exit2(tmp_path, capsys):
     empty.mkdir()
     assert main(["pairs", str(empty), "--out", str(tmp_path / "pairs.jsonl")]) == 2
     _assert_format_error(capsys, "no ground-truth tables found")
+
+
+def _mask_argv(tmp_path, image: bytes, detections) -> list[str]:
+    img_path = tmp_path / "page.ppm"
+    img_path.write_bytes(image)
+    det_path = tmp_path / "det.json"
+    det_path.write_text(json.dumps(detections))
+    return ["mask", str(img_path), str(det_path), "--table-bbox", "2,2,18,9",
+            "--out-prefix", str(tmp_path / "t0")]
+
+
+def _restore_argv(tmp_path, pmap) -> list[str]:
+    html_path = tmp_path / "rec.html"
+    html_path.write_text("<table><tr><td><img></td></tr></table>")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(pmap))
+    return ["restore", str(html_path), str(map_path), "-o", str(tmp_path / "out.html")]
+
+
+PAGE = write_ppm(PixelBuffer(20, 10, b"\xff" * 600))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            lambda tmp: _mask_argv(tmp, b"P6 # comment without a newline", []),
+            "not a P6 PPM header with width, height and maxval of 1-10 digits",
+        ),
+        (
+            lambda tmp: _mask_argv(tmp, PAGE, [{"bbox": [8, 3, 4, 6], "confidence": 0.9}]),
+            "degenerate detection bbox (8, 3, 4, 6)",
+        ),
+        (
+            lambda tmp: _mask_argv(tmp, PAGE, [{"bbox": [4, 3, 8, 6], "confidence": 1.5}]),
+            "confidence 1.5 outside [0,1]",
+        ),
+        (
+            lambda tmp: _restore_argv(tmp, {"entries": [{"id": 1, "bbox": [0, 0, 1, 1]}]}),
+            "placeholder ids must be 0..n-1 in order",
+        ),
+    ],
+    ids=["ppm_header", "degenerate_bbox", "confidence", "sparse_ids"],
+)
+def test_cli_image_input_error_exit1(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ImageInputError", "message": message}
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, code, error",
+    [("eval", 2, "FormatError"), ("assemble", 1, "LayoutSyntaxError")],
+)
+def test_cli_deeply_nested_json(tmp_path, capsys, command, code, error):
+    deep_path = tmp_path / "deep.json"
+    deep_path.write_text(DEEP)
+    if command == "eval":
+        argv = ["eval", str(deep_path)]
+    else:
+        fixture_path = tmp_path / "rec.json"
+        fixture_path.write_text("{}")
+        argv = ["assemble", str(deep_path), str(fixture_path), "-o", str(tmp_path / "doc.md")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error, "message": "JSON nested too deeply"}
+
+
+def test_cli_reward_rule_weights_outside_unit_interval_exit1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DOCPOST_RULE_WEIGHTS", "[1.5, -0.5, 0, 0]")
+    assert main(["reward", *_reward_files(tmp_path, [FRAG_A])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ConfigError",
+        "message": "rule_weights must each be in [0,1], got (1.5, -0.5, 0, 0)",
+    }
+
+
+@pytest.mark.parametrize("scorer", [False, True])
+def test_cli_reward_rule_score_capped_at_one(tmp_path, capsys, monkeypatch, scorer):
+    # the weights pass the sum check (1 + 9e-10) but sum above 1
+    monkeypatch.setenv("DOCPOST_RULE_WEIGHTS", "[0.25, 0.25, 0.25, 0.2500000009]")
+    if scorer:
+        monkeypatch.setenv("DOCPOST_REWARD_SCORER_CMD", keyset_scorer_cmd(REWARD_KEYS, 0.25))
+    assert main(["reward", *_reward_files(tmp_path, [FRAG_A])]) == 0
+    row = json.loads(capsys.readouterr().out)["candidates"][0]
+    assert row["rule"]["score"] == 1.0
+    assert row["reward"] == (0.625 if scorer else 1.0)
+
+
+def test_cli_refuses_to_write_nan(tmp_path, monkeypatch):
+    # NaN is not JSON: a NaN reaching an output is a bug, not an exit code
+    monkeypatch.setattr(rewards, "group_advantages", lambda rewards, eps: [math.nan])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        main(["reward", *_reward_files(tmp_path, [FRAG_A])])
 
 
 def test_cli_pairs(tmp_path, capsys):

@@ -8,6 +8,7 @@ from docpost.config import Config
 from docpost.idtp import (
     DimensionMismatch,
     ImageDetection,
+    ImageInputError,
     Mask,
     MaskPlan,
     PixelBuffer,
@@ -165,6 +166,43 @@ def test_ppm_with_comment():
 def test_ppm_rejects_other_formats():
     with pytest.raises(ValueError):
         read_ppm(b"P3\n1 1\n255\n0 0 0")
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.integers(1, 8), h=st.integers(1, 8), data=st.data())
+def test_ppm_round_trip_random_buffers(w, h, data):
+    buf = PixelBuffer(w, h, data.draw(st.binary(min_size=w * h * 3, max_size=w * h * 3)))
+    assert read_ppm(write_ppm(buf)) == buf
+
+
+def test_ppm_header_separators():
+    # any whitespace or "#" comment between fields; one whitespace byte ends
+    # the header, so pixels may start with whitespace or "#"
+    pixels = b" #\n\t\r\x0b\x0c"[:6]
+    raw = b"P6#c1\n\t2 #c2\r\n#c3\n1\x0b\x0c255\r" + pixels
+    assert read_ppm(raw) == PixelBuffer(2, 1, pixels)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"P6 # comment without a newline",
+        b"P6\n2 1\n255",  # no whitespace byte after maxval
+        b"P6\n2 1",
+        b"P6\n+2 1\n255\n" + bytes(6),
+        b"P6\n2 1\n255#c\n" + bytes(6),
+        b"P6\n12345678901 1\n255\n",  # 11 digits
+        b"P62 1 255\n" + bytes(6),
+    ],
+)
+def test_ppm_malformed_header_is_image_input_error(raw):
+    with pytest.raises(ImageInputError, match="not a P6 PPM header"):
+        read_ppm(raw)
+
+
+def test_ppm_unsupported_maxval():
+    with pytest.raises(ImageInputError, match="unsupported maxval 65535"):
+        read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
 
 
 # -- restore_images -------------------------------------------------------------------
