@@ -184,6 +184,12 @@ def cmd_mask(args) -> int:
     cfg = _load_cfg(args)
     table_bbox = _parse_bbox(args.table_bbox)
     page = _load_image(args.image)
+    x1, y1, x2, y2 = table_bbox
+    if not (0 <= x1 < x2 <= page.width and 0 <= y1 < y2 <= page.height):
+        raise idtp.ImageInputError(
+            f"table bbox {table_bbox} is empty or reaches past the "
+            f"{page.width}x{page.height} page"
+        )
     dets = _parse_detections(_read_json(args.detections))
     plan, pmap = idtp.plan_masks(table_bbox, dets, cfg)
     crop = idtp.crop_buffer(page, table_bbox)

@@ -243,6 +243,14 @@ def tree_edit_distance(
     """Zhang-Shasha ordered tree edit distance with unit insert/delete.
 
     ``None`` stands for the empty tree (pure deletions/insertions).
+
+    Each pair of keyroot forests runs the recurrence its shape allows. A
+    leaf against a leaf is the rename cost. A leaf against an inner forest is
+    one row of the forest table, and an inner forest against B's leaves is
+    one column per leaf, all leaves at once, before the inner forests that
+    read them. Only inner forest against inner forest fills an ``fd`` table.
+    Every cell adds the same operands in the same order as the full table
+    does, with no closed form, so each distance is bit-identical to it.
     """
     if cost_model not in (STRUCTURE_ONLY, CONTENT_AWARE):
         raise ValueError(f"unknown cost model {cost_model!r}")
@@ -257,31 +265,75 @@ def tree_edit_distance(
     rename = _rename_costs(A.nodes, B.nodes, cost_model)
     lmds_a = A.lmds
     treedist = [[0.0] * len(B.nodes) for _ in A.nodes]
-    # Per keyroot j of B: its first node lj, and for each forest column
-    # y = bj - lj + 1 the offset q of B.lmds[bj] from lj (0: a whole subtree).
-    b_forests, b_leaves = [], []
+    # B's leaf keyroots, and per inner keyroot j: its first node lj, and for
+    # each forest column y = bj - lj + 1 the offset q of B.lmds[bj] from lj
+    # (0: a whole subtree).
+    b_leaves, b_inner = [], []
     for j in B.keyroots:
         lj = B.lmds[j]
         if lj == j:
             b_leaves.append(j)
-        qs = [0] + [B.lmds[bj] - lj for bj in range(lj, j + 1)]
-        b_forests.append((lj, qs, [float(y) for y in range(len(qs))]))
-    b_inner = [forest for forest in b_forests if len(forest[1]) > 2]
+        else:
+            qs = [0] + [B.lmds[bj] - lj for bj in range(lj, j + 1)]
+            b_inner.append((lj, qs, [float(y) for y in range(len(qs))]))
 
-    # The loops below take the min of the textbook recurrence's three sums
-    # with explicit compares; a tie keeps an equal value, so every distance
-    # is bit-identical to min(...) over the full fd table.
+    # Each loop below computes the textbook recurrence's cells from the same
+    # sums in the same order, and takes their min with explicit compares; a
+    # tie keeps an equal value, so every distance is bit-identical to
+    # min(...) over the full fd table.
     for i in A.keyroots:
         li = lmds_a[i]
-        forests = b_forests
         if li == i:
+            td, ren = treedist[i], rename[i]
             # leaf against leaf: rename costs are at most 1, so the one DP
             # cell min(2.0, 2.0, 0.0 + rename) is the rename cost itself
-            td, ren = treedist[i], rename[i]
             for j in b_leaves:
                 td[j] = ren[j]
-            forests = b_inner
-        for lj, qs, first_row in forests:
+            # leaf against an inner forest of B: fd has one row below
+            # fd[0] = first_row, and the leaf is a whole subtree (p == 0)
+            for lj, qs, first_row in b_inner:
+                left = 1.0
+                for y in range(1, len(qs)):
+                    bj = y + lj - 1
+                    v = first_row[y] + 1.0
+                    w = left + 1.0
+                    if w < v:
+                        v = w
+                    q = qs[y]
+                    if q == 0:
+                        w = first_row[y - 1] + ren[bj]
+                        if w < v:
+                            v = w
+                        td[bj] = v
+                    else:
+                        w = first_row[q] + td[bj]
+                        if w < v:
+                            v = w
+                    left = v
+            continue
+        # inner forest against each leaf of B: fd has one column next to
+        # fd[x][0] = x, so a cell needs only the one above it, col[k]
+        col = [1.0] * len(b_leaves)
+        for x, ai in enumerate(range(li, i + 1), 1):
+            p = lmds_a[ai] - li
+            td = treedist[ai]
+            # a subtree against a subtree adds its rename to fd[x-1][0];
+            # any other forest adds treedist to fd[p][0]
+            base, costs = (float(x - 1), rename[ai]) if p == 0 else (float(p), td)
+            w_left = float(x) + 1.0
+            for k, j in enumerate(b_leaves):
+                v = col[k] + 1.0
+                if w_left < v:
+                    v = w_left
+                w = base + costs[j]
+                if w < v:
+                    v = w
+                col[k] = v
+            if p == 0:
+                for k, j in enumerate(b_leaves):
+                    td[j] = col[k]
+        # inner forest against inner forest of B: the full fd table
+        for lj, qs, first_row in b_inner:
             n = len(qs)
             fd = [first_row]  # fd[x][y]: forest li..li+x-1 against lj..lj+y-1
             for ai in range(li, i + 1):

@@ -2,7 +2,8 @@
 
 These deliberately use different algorithms from the library: the tree
 distance enumerates every valid edit mapping instead of running the
-dynamic program, the string distance fills the full textbook matrix, the
+dynamic program, the Zhang-Shasha reference fills a whole forest table for
+every pair of keyroots, the string distance fills the full textbook matrix, the
 rename-cost matrix costs every node pair on its own, the swap-cell
 candidates normalize both cells of every pair afresh, the row and column
 perturbations edit the occupancy matrix and rebuild each cell from the
@@ -16,7 +17,13 @@ from __future__ import annotations
 
 import random
 
-from docpost.metrics import CONTENT_AWARE, DocTree, normalized_edit_distance
+from docpost.metrics import (
+    CONTENT_AWARE,
+    DocTree,
+    _Annotated,
+    _rename_costs,
+    normalized_edit_distance,
+)
 from docpost.rewards import InapplicablePerturbation, PerturbationKind, PrefPair
 from docpost.table_grid import (
     MAX_COLSPAN,
@@ -208,6 +215,68 @@ def exhaustive_tree_distance(t1: DocTree | None, t2: DocTree | None, cost_model:
 
     rec(0, -1, 0.0, 0)
     return best
+
+
+def zhang_shasha_reference(t1: DocTree, t2: DocTree, cost_model: str) -> float:
+    """The Zhang-Shasha loop with one ``fd`` table for every forest pair,
+    leaf keyroots included, and no shortcut for equal trees or skeletons."""
+    A, B = _Annotated(t1), _Annotated(t2)
+    rename = _rename_costs(A.nodes, B.nodes, cost_model)
+    lmds_a = A.lmds
+    treedist = [[0.0] * len(B.nodes) for _ in A.nodes]
+    # Per keyroot j of B: its first node lj, and for each forest column
+    # y = bj - lj + 1 the offset q of B.lmds[bj] from lj (0: a whole subtree).
+    b_forests, b_leaves = [], []
+    for j in B.keyroots:
+        lj = B.lmds[j]
+        if lj == j:
+            b_leaves.append(j)
+        qs = [0] + [B.lmds[bj] - lj for bj in range(lj, j + 1)]
+        b_forests.append((lj, qs, [float(y) for y in range(len(qs))]))
+    b_inner = [forest for forest in b_forests if len(forest[1]) > 2]
+
+    # The loops below take the min of the textbook recurrence's three sums
+    # with explicit compares; a tie keeps an equal value, so every distance
+    # is bit-identical to min(...) over the full fd table.
+    for i in A.keyroots:
+        li = lmds_a[i]
+        forests = b_forests
+        if li == i:
+            # leaf against leaf: rename costs are at most 1, so the one DP
+            # cell min(2.0, 2.0, 0.0 + rename) is the rename cost itself
+            td, ren = treedist[i], rename[i]
+            for j in b_leaves:
+                td[j] = ren[j]
+            forests = b_inner
+        for lj, qs, first_row in forests:
+            n = len(qs)
+            fd = [first_row]  # fd[x][y]: forest li..li+x-1 against lj..lj+y-1
+            for ai in range(li, i + 1):
+                up = fd[-1]
+                td = treedist[ai]
+                row = up[:]  # a buffer of the right length; all cells are set
+                left = row[0] = up[0] + 1.0
+                p = lmds_a[ai] - li
+                fp, ren = fd[p], rename[ai]
+                for y in range(1, n):
+                    bj = y + lj - 1
+                    v = up[y] + 1.0
+                    w = left + 1.0
+                    if w < v:
+                        v = w
+                    q = qs[y]
+                    if q == 0 and p == 0:  # subtree against subtree
+                        w = up[y - 1] + ren[bj]
+                        if w < v:
+                            v = w
+                        td[bj] = v
+                    else:
+                        w = fp[q] + td[bj]
+                        if w < v:
+                            v = w
+                    row[y] = left = v
+                fd.append(row)
+    return treedist[-1][-1]
 
 
 _TAGS = ["table", "tr", "td[1,1]", "td[2,1]", "td[1,2]", "th[1,1]"]

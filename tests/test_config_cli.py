@@ -633,6 +633,44 @@ def test_cli_mask_bad_table_bbox_exit2(tmp_path, capsys):
     _assert_format_error(capsys, "bbox must be four integers x1,y1,x2,y2, got '0,0,a,4'")
 
 
+
+@pytest.mark.parametrize(
+    "bbox",
+    [
+        "2,2,25,9",  # one edge past the page
+        "-5,-5,99,99",  # every edge past the page
+        "18,2,2,9",  # inverted
+        "2,5,18,5",  # empty
+    ],
+)
+def test_cli_mask_table_bbox_off_the_page_exit1(tmp_path, capsys, bbox):
+    img_path = tmp_path / "page.ppm"
+    img_path.write_bytes(write_ppm(PixelBuffer(20, 10, b"\xff" * 600)))
+    det_path = tmp_path / "det.json"
+    det_path.write_text(json.dumps([{"bbox": [4, 3, 8, 6], "confidence": 0.9}]))
+    argv = ["mask", str(img_path), str(det_path), f"--table-bbox={bbox}"]
+    assert main([*argv, "--out-prefix", str(tmp_path / "t0")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    rect = tuple(int(v) for v in bbox.split(","))
+    assert json.loads(captured.err) == {
+        "error": "ImageInputError",
+        "message": f"table bbox {rect} is empty or reaches past the 20x10 page",
+    }
+    assert list(tmp_path.glob("t0*")) == []
+
+
+def test_cli_mask_table_bbox_on_the_page_edges(tmp_path, capsys):
+    img_path = tmp_path / "page.ppm"
+    img_path.write_bytes(write_ppm(PixelBuffer(20, 10, b"\xff" * 600)))
+    det_path = tmp_path / "det.json"
+    det_path.write_text("[]")
+    argv = ["mask", str(img_path), str(det_path), "--table-bbox", "0,0,20,10"]
+    assert main([*argv, "--out-prefix", str(tmp_path / "t0")]) == 0
+    capsys.readouterr()
+    masked = read_ppm((tmp_path / "t0.masked.ppm").read_bytes())
+    assert (masked.width, masked.height) == (20, 10)
+
 def test_cli_mask_non_ppm_without_pillow_exit2(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(sys.modules, "PIL", None)
     img_path = tmp_path / "page.png"

@@ -12,6 +12,7 @@ from oracles import (
     levenshtein_full_matrix,
     random_tree,
     rename_costs_reference,
+    zhang_shasha_reference,
 )
 from docpost.metrics import (
     CONTENT_AWARE,
@@ -154,6 +155,47 @@ def test_structure_distance_never_exceeds_content_distance(seed):
     assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) <= tree_edit_distance(
         t1, t2, CONTENT_AWARE
     ) + 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tree_distance_equals_zhang_shasha_reference_on_random_trees(seed):
+    rng = random.Random(seed)
+    t1, t2 = random_tree(rng, 14), random_tree(rng, 14)
+    for model in (STRUCTURE_ONLY, CONTENT_AWARE):
+        assert tree_edit_distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
+
+
+def table_tree(rows) -> DocTree:
+    """table -> tr -> cells from a list of rows of (tag, content) pairs."""
+    return DocTree(
+        "table", children=[DocTree("tr", children=[leaf(*c) for c in row]) for row in rows]
+    )
+
+
+table_cells = st.tuples(
+    st.sampled_from(["td[1,1]", "th[1,1]", "td[2,1]", "td[1,2]", "th[1,3]"]),
+    st.sampled_from(["", "a", "ab", "ba", "total", "12", "x y"]),
+)
+# empty rows (a tr leaf keyroot), one-cell rows, th cells, spanned tags, and
+# a single leaf: an empty table, a lone row or a lone cell
+table_trees = st.one_of(
+    st.lists(st.lists(table_cells, max_size=4), max_size=5).map(table_tree),
+    st.builds(leaf, st.sampled_from(["table", "tr", "td[1,1]", "th[1,1]"]), st.just("a")),
+)
+ONE_CELL_ROWS = table_tree([[("td[1,1]", "a")], [("th[1,1]", "b")], [("td[1,2]", "ab")]])
+EMPTY_ROWS = table_tree([[], [("td[1,1]", "a"), ("td[1,1]", "b")], []])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t1=table_trees, t2=table_trees)
+@example(t1=EMPTY_ROWS, t2=ONE_CELL_ROWS)
+@example(t1=ONE_CELL_ROWS, t2=EMPTY_ROWS)
+@example(t1=leaf("td[1,1]", "a"), t2=EMPTY_ROWS)
+@example(t1=EMPTY_ROWS, t2=leaf("table", ""))
+def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
+    for model in (STRUCTURE_ONLY, CONTENT_AWARE):
+        assert tree_edit_distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
 
 
 # cell contents that repeat, are empty, differ only in case or whitespace,
