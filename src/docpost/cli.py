@@ -360,8 +360,16 @@ def cmd_pairs(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments raise :class:`FormatError`, so they exit 2 with a JSON
+    diagnostic like any other format error; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="docpost",
         description="Post-processing toolkit for two-stage document parsers.",
     )
@@ -432,8 +440,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _diag("io", str(exc))

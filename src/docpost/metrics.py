@@ -30,65 +30,94 @@ class BatchFormatError(FormatError):
 # -- sequence edit distance ------------------------------------------------------
 
 
-def _myers_masks(pattern) -> dict:
-    """Match masks of ``pattern`` for :func:`_myers`: bit ``i`` of
-    ``masks[token]`` is set where ``pattern[i] == token``."""
+# Width of one packed Myers bit vector. A block's match masks hold one int of
+# this many bits per distinct token, so the width bounds their memory; a
+# pattern longer than this gets a block of its own.
+BLOCK_BITS = 4096
+
+
+def _pack(patterns) -> tuple[dict, int, int, list[int]]:
+    """Match masks of non-empty ``patterns`` laid end to end in one bit
+    vector, for :func:`_myers`: the pattern at bit offset ``o`` sets bit
+    ``o + i`` of ``masks[token]`` where ``pattern[i] == token``. Also returns
+    the top and the bottom bit of every field, and each field's mask."""
     masks: dict = {}
-    bit = 1
-    for token in pattern:
-        masks[token] = masks.get(token, 0) | bit
-        bit <<= 1
-    return masks
+    tops = bottoms = offset = 0
+    fields = []
+    for pattern in patterns:
+        own: dict = {}
+        bit = 1
+        for token in pattern:
+            own[token] = own.get(token, 0) | bit
+            bit <<= 1
+        for token, bits in own.items():
+            masks[token] = masks.get(token, 0) | bits << offset
+        fields.append((bit - 1) << offset)
+        bottoms |= 1 << offset
+        offset += len(pattern)
+        tops |= 1 << (offset - 1)
+    return masks, tops, bottoms, fields
 
 
-def _myers(masks: dict, m: int, text) -> int:
-    """Edit distance between a non-empty pattern of length ``m``, given by
-    its :func:`_myers_masks`, and ``text``.
+def _myers(masks: dict, tops: int, bottoms: int, text) -> tuple[int, int]:
+    """Final ``vp`` and ``vn`` of one scan of ``text`` against every
+    pattern :func:`_pack` laid into ``masks``.
 
-    Bit-parallel dynamic program of Myers (1999) in the form of Hyyrö (2003):
-    bit ``i`` of ``vp`` / ``vn`` says that DP cell ``(i + 1, j)`` is one more /
-    one less than cell ``(i, j)``, so each text token advances a whole column
-    of the table with a few integer operations. Python ints act as unbounded
-    two's-complement bit vectors; masking ``vp`` keeps every vector m bits wide.
+    Bit-parallel dynamic program of Myers (1999) in the form of Hyyrö (2003),
+    with several patterns in one vector as in Hyyrö, Fredriksson & Navarro
+    (2005): bit ``i`` of ``vp`` / ``vn`` says that DP cell ``(i + 1, j)`` is
+    one more / one less than cell ``(i, j)``, so each text token advances a
+    column of every pattern's table with a few integer operations. No bit
+    crosses into the next field: the addition runs with the fields' top bits
+    masked off and a xor puts them back, and both shifts drop each field's
+    top bit, the shifted ``hp`` taking a 1 at each field's bottom bit (the DP's
+    top row is ``0..n``). Since that row ends at ``len(text)``, a field's
+    distance is ``len(text) + popcount(vp & field) - popcount(vn & field)``.
     """
-    full = (1 << m) - 1
-    top = 1 << (m - 1)
-    vp, vn, dist = full, 0, m
+    full = (1 << tops.bit_length()) - 1
+    low = full ^ tops
+    vp, vn = full, 0
     get = masks.get
     for token in text:
         eq = get(token, 0)
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | ~(d0 | vp)
-        hn = d0 & vp
-        if hp & top:
-            dist += 1
-        elif hn & top:
-            dist -= 1
-        hp = (hp << 1) | 1
-        vp = ((hn << 1) | ~(d0 | hp)) & full
+        x, vl = eq & vp, vp & low
+        d0 = ((((x & low) + vl) ^ ((x ^ vp) & tops)) ^ vp) | eq | vn
+        hp = (((vn | ~(d0 | vp)) & low) << 1) | bottoms
+        vp = (((d0 & vl) << 1) | ~(d0 | hp)) & full
         vn = hp & d0
-    return dist
+    return vp, vn
 
 
-def _token_ids(a, b) -> tuple[list[int], list[int]]:
-    """Number the tokens of ``a`` and ``b`` so that tokens equal under ``==``
-    share a number; for token types that cannot be hashed."""
-    seen: list = []
-
-    def number(token) -> int:
-        for k, other in enumerate(seen):
-            if other == token:
-                return k
-        seen.append(token)
-        return len(seen) - 1
-
-    return [number(t) for t in a], [number(t) for t in b]
+def _frozen(token):
+    """A hashable token equal to ``token`` under ``==``: JSON arrays become
+    tuples and objects frozensets of their items, so ``1``, ``1.0`` and
+    ``true`` still match. The walk keeps its own stack, so it freezes any
+    nesting the JSON reader accepts."""
+    out: list = []  # frozen values, each container's items on top
+    stack = [(token, False)]
+    while stack:
+        value, items_done = stack.pop()
+        if items_done:
+            start = len(out) - len(value)
+            items = out[start:]
+            del out[start:]
+            out.append(tuple(items) if isinstance(value, list) else frozenset(zip(value, items)))
+        elif isinstance(value, (list, dict)):
+            stack.append((value, True))
+            items = value if isinstance(value, list) else value.values()
+            stack.extend((item, False) for item in reversed(items))
+        else:
+            out.append(value)
+    return out[0]
 
 
 def _levenshtein(a, b) -> int:
-    """Unit-cost edit distance over any two indexable token sequences.
+    """Unit-cost edit distance over any two indexable token sequences: the
+    one-field case of :func:`_myers`.
 
-    Hashable tokens are matched as dict keys (identity, then ``==``).
+    Tokens are matched as dict keys (identity, then ``==``). Unhashable
+    tokens must be JSON values; they are matched by their :func:`_frozen`
+    form.
     """
     if a == b:
         return 0
@@ -97,10 +126,12 @@ def _levenshtein(a, b) -> int:
     if not b:
         return len(a)
     try:
-        return _myers(_myers_masks(a), len(a), b)
-    except TypeError:
-        a, b = _token_ids(a, b)
-        return _myers(_myers_masks(a), len(a), b)
+        masks, tops, bottoms, _ = _pack([a])
+        vp, vn = _myers(masks, tops, bottoms, b)
+    except TypeError:  # unhashable tokens
+        masks, tops, bottoms, _ = _pack([[_frozen(t) for t in a]])
+        vp, vn = _myers(masks, tops, bottoms, [_frozen(t) for t in b])
+    return len(b) + vp.bit_count() - vn.bit_count()
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -153,6 +184,48 @@ STRUCTURE_ONLY = "structure"
 CONTENT_AWARE = "content"
 
 
+def _content_costs(texts, patterns: list[str]) -> dict[str, list[float]]:
+    """``costs[text][k]`` is the normalized edit distance of ``text`` and
+    ``patterns[k]``, for distinct texts and distinct patterns.
+
+    The non-empty patterns are packed into blocks of at most
+    :data:`BLOCK_BITS` bits, and each non-empty text is scanned once per
+    block (:func:`_myers`), unless the block holds only the text itself. The
+    costs are ``dist / max(len)``, and equal costs share one float.
+    """
+    slot = {pattern: k for k, pattern in enumerate(patterns)}
+    costs = {}
+    for text in texts:
+        costs[text] = row = [1.0] * len(patterns)  # 1.0 against an empty side
+        if text in slot:
+            row[slot[text]] = 0.0
+    lengths = {len(s) for s in (*costs, *patterns) if s}
+    fractions = {m: [d / m for d in range(m + 1)] for m in lengths}
+    blocks: list[list[int]] = []  # slots of the non-empty patterns, block by block
+    width = 0
+    for k, pattern in enumerate(patterns):
+        if pattern:
+            if not blocks or width + len(pattern) > BLOCK_BITS:
+                blocks.append([])
+                width = 0
+            blocks[-1].append(k)
+            width += len(pattern)
+    for slots in blocks:
+        block = [patterns[k] for k in slots]
+        masks, tops, bottoms, fields = _pack(block)
+        lanes = list(zip(slots, fields, map(len, block)))
+        for text, row in costs.items():
+            if not text or block == [text]:
+                continue
+            vp, vn = _myers(masks, tops, bottoms, text)
+            n = len(text)
+            for k, f, m in lanes:
+                row[k] = fractions[m if m > n else n][
+                    n + (vp & f).bit_count() - (vn & f).bit_count()
+                ]
+    return costs
+
+
 def _rename_costs(
     a_nodes: list[DocTree], b_nodes: list[DocTree], cost_model: str
 ) -> list[list[float]]:
@@ -160,10 +233,9 @@ def _rename_costs(
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
     of the contents, which the structure-only model treats as all empty.
-    Each distinct (tag, content) key on either side is costed once. The
-    distance is symmetric, so each unordered pair of distinct contents is
-    scanned once, with the longer one as the pattern, and each pattern's
-    Myers masks are built once.
+    Each distinct (tag, content) key on either side is costed once, and each
+    distinct content of A is scanned against all of B's contents at once
+    (:func:`_content_costs`).
     """
     content = cost_model == CONTENT_AWARE
     b_keys: dict[tuple[str, str], int] = {}
@@ -171,35 +243,16 @@ def _rename_costs(
         b_keys.setdefault((n.tag, n.content if content else ""), len(b_keys))
         for n in b_nodes
     ]
-    pair_costs: dict[tuple[str, str], float] = {}
-    masks: dict[str, dict] = {}
-
-    def pair_cost(x: str, y: str) -> float:
-        if (len(x), x) < (len(y), y):
-            x, y = y, x  # the longer is the pattern; either order gives one key
-        cost = pair_costs.get((x, y))
-        if cost is None:
-            dist = len(x)
-            if y:
-                x_masks = masks.get(x)
-                if x_masks is None:
-                    x_masks = masks[x] = _myers_masks(x)
-                dist = _myers(x_masks, len(x), y)
-            cost = pair_costs[x, y] = dist / len(x)
-        return cost
-
-    rows: dict[tuple[str, str], list[float]] = {}
-    costs = []
-    for node in a_nodes:
-        tag, text = key = (node.tag, node.content if content else "")
-        if key not in rows:
-            by_key = [
-                1.0 if other_tag != tag else 0.0 if other == text else pair_cost(text, other)
-                for other_tag, other in b_keys
-            ]
-            rows[key] = [by_key[k] for k in b_index]
-        costs.append(rows[key])
-    return costs
+    a_keys = dict.fromkeys((n.tag, n.content if content else "") for n in a_nodes)
+    patterns: dict[str, int] = {}
+    b_slots = [(tag, patterns.setdefault(text, len(patterns))) for tag, text in b_keys]
+    content_costs = _content_costs(dict.fromkeys(text for _, text in a_keys), list(patterns))
+    rows = {}
+    for key in a_keys:
+        tag, costs = key[0], content_costs[key[1]]
+        by_key = [1.0 if other_tag != tag else costs[k] for other_tag, k in b_slots]
+        rows[key] = [by_key[k] for k in b_index]
+    return [rows[n.tag, n.content if content else ""] for n in a_nodes]
 
 
 class _Annotated:

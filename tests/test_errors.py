@@ -12,6 +12,7 @@ import pkgutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -160,22 +161,44 @@ COMMAND_INPUTS = {
 TABLE_BBOXES = ["2,2,18,9", "0,0,20,10", "9,9,2,2", "0,0,1,1", "-5,-5,99,99", "a,b"]
 
 
-def _argv(command: str, d: Path, paths: list[str], table_bbox: str) -> list[str]:
+def _argv(command: str, d: Path, paths: list[str], table_bbox: str):
+    """The command's positional arguments, and its options as token tuples."""
     if command == "assemble":
         (d / "dets").mkdir()
         Path(paths[2]).rename(d / "dets" / "page0_el0.json")
-        return [*paths[:2], "-o", str(d / "doc.md"), "--detections-dir", str(d / "dets")]
+        return paths[:2], [("-o", str(d / "doc.md")), ("--detections-dir", str(d / "dets"))]
     if command == "merge":
-        return [*paths, "--out-prefix", str(d / "merged")]
+        return paths, [("--out-prefix", str(d / "merged"))]
     if command == "mask":
-        return [*paths, f"--table-bbox={table_bbox}", "--out-prefix", str(d / "t0")]
+        return paths, [(f"--table-bbox={table_bbox}",), ("--out-prefix", str(d / "t0"))]
     if command == "restore":
-        return [*paths, "-o", str(d / "out.html")]
+        return paths, [("-o", str(d / "out.html"))]
     if command == "eval":
-        return [*paths, "--json-out", str(d / "rows.json")]
+        return paths, [("--json-out", str(d / "rows.json"))]
     if command == "reward":
-        return paths
-    return [*paths, "--seeds", "2", "--out", str(d / "pairs.jsonl")]
+        return paths, []
+    return paths, [("--seeds", "2"), ("--out", str(d / "pairs.jsonl"))]
+
+
+INT_OPTIONS = {"eval": "--jobs", "reward": "--expected-placeholders", "pairs": "--seeds"}
+# argv mutations; the last two always exit 2
+ARGV_MUTATIONS = ("drop_option", "repeat_option", "drop_positional", "unknown_option", "non_integer")
+
+
+def _mutated(command, positionals, options, mutation, pick: int) -> list[str]:
+    positionals, options = list(positionals), list(options)
+    if mutation == "drop_option" and options:
+        del options[pick % len(options)]
+    elif mutation == "repeat_option" and options:
+        options.append(options[pick % len(options)])
+    elif mutation == "drop_positional":
+        del positionals[pick % len(positionals)]
+    elif mutation == "unknown_option":
+        options.insert(pick % (len(options) + 1), ("--nosuch",))
+    elif mutation == "non_integer":
+        # a command without an integer option gets an unknown one
+        options.append((INT_OPTIONS.get(command, "--seeds"), ("abc", "1.5", "")[pick % 3]))
+    return [command, *positionals, *(token for option in options for token in option)]
 
 
 @settings(
@@ -197,11 +220,53 @@ def test_cli_exits_by_the_contract(command, data):
             content = data.draw(FILES[kind], label=kind) if i == fuzzed else VALID_FILES[kind]
             Path(paths[-1]).write_bytes(content)
         table_bbox = data.draw(st.sampled_from(TABLE_BBOXES), label="table_bbox")
+        mutation = data.draw(
+            st.one_of(st.none(), st.none(), st.sampled_from(ARGV_MUTATIONS)), label="argv mutation"
+        )
+        argv = _mutated(
+            command, *_argv(command, d, paths, table_bbox), mutation, data.draw(st.integers(0, 5))
+        )
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, *_argv(command, d, paths, table_bbox)])
+            code = main(argv)
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert all("error" in json.loads(line) for line in lines)
     if code != 0:
         assert len(lines) == 1
+    if mutation in ("unknown_option", "non_integer"):
+        assert code == 2 and json.loads(lines[0])["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nosuch"], "docpost: argument command: invalid choice: 'nosuch'"),
+        ([], "docpost: the following arguments are required: command"),
+        (["eval"], "docpost eval: the following arguments are required: batch"),
+        (["eval", "b.json", "--jobs"], "docpost eval: argument --jobs: expected one argument"),
+        (
+            ["pairs", "x", "--seeds", "abc", "--out", "/dev/null"],
+            "docpost pairs: argument --seeds: invalid int value: 'abc'",
+        ),
+        (
+            ["reward", "a", "b", "--expected-placeholders", "1.5"],
+            "docpost reward: argument --expected-placeholders: invalid int value: '1.5'",
+        ),
+    ],
+)
+def test_cli_argument_errors_exit2_with_one_json_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "FormatError" and diag["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_cli_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: docpost")

@@ -1,7 +1,9 @@
 import gc
 import json
 import random
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,55 +201,87 @@ def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
 
 
 # cell contents that repeat, are empty, differ only in case or whitespace,
-# or hold characters outside the BMP
+# hold characters outside the BMP or CJK text, or are long: repeated units
+# of up to a few thousand characters, so that B's contents can fill more
+# than one 4,096-bit block
 cell_content = st.one_of(
     st.sampled_from(
         ["", "a", "A", "a ", " a", "a b", "a  b", "ab", "ba", "Total", "total",
          "\U0001F600", "a\U0001F600", "\U0001F600a", "\u00e9", "e\u0301"]
     ),
     st.text(alphabet=st.sampled_from("aA \U0001F600\u00e9"), max_size=12),
+    st.text(alphabet=st.characters(min_codepoint=0x4E00, max_codepoint=0x4E20), max_size=20),
+    st.builds(
+        lambda unit, times: unit * times,
+        st.sampled_from(["ab", "ba", "a\U0001F600", "\u4e00\u4e8c", "ab "]),
+        st.integers(10, 700),
+    ),
 )
 node_lists = st.lists(
     st.builds(DocTree, st.sampled_from(["tr", "td[1,1]", "th[1,1]", "td[1,2]"]), cell_content),
     max_size=12,
 )
+TD, TH = "td[1,1]", "th[1,1]"
+WIDE = "ab" * 2100  # wider than one block
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=node_lists, b=node_lists)
+@given(a=node_lists, b=node_lists, width=st.sampled_from([metrics.BLOCK_BITS, 16, 1]))
 @example(
-    a=[DocTree("td[1,1]", "ab"), DocTree("th[1,1]", "ab"), DocTree("td[1,1]", "ba")],
-    b=[DocTree("td[1,1]", "ba"), DocTree("td[1,1]", "ab"), DocTree("th[1,1]", "")],
+    a=[DocTree(TD, "ab"), DocTree(TH, "ab"), DocTree(TD, "ba")],
+    b=[DocTree(TD, "ba"), DocTree(TD, "ab"), DocTree(TH, "")],
+    width=metrics.BLOCK_BITS,
 )
-def test_rename_costs_match_per_pair_reference(a, b):
-    for model in (STRUCTURE_ONLY, CONTENT_AWARE):
-        assert metrics._rename_costs(a, b, model) == rename_costs_reference(a, b, model)
+# B holds 4,200 + 3 x 1,500 bits of contents, so several blocks, one of them
+# for a content wider than a block alone
+@example(
+    a=[DocTree(TD, WIDE[:-1] + "x"), DocTree(TD, "ba" * 700), DocTree(TD, "\u4e00"), DocTree(TD, "")],
+    b=[DocTree(TD, c) for c in ("ab" * 750, WIDE, "ba" * 750, "\u4e00\u4e8c" * 750, "", "ab" * 750)],
+    width=metrics.BLOCK_BITS,
+)
+def test_rename_costs_match_per_pair_reference(a, b, width):
+    with mock.patch.object(metrics, "BLOCK_BITS", width):
+        for model in (STRUCTURE_ONLY, CONTENT_AWARE):
+            assert metrics._rename_costs(a, b, model) == rename_costs_reference(a, b, model)
 
 
-def test_rename_costs_scan_each_content_pair_once(monkeypatch):
-    # "abc" against "abx" under two tags and in both directions; "" and
-    # equal contents need no scan
-    td, th = "td[1,1]", "th[1,1]"
-    a = [leaf(td, "abc"), leaf(th, "abc"), leaf(td, "abx"), leaf(td, "")]
-    b = [leaf(td, "abx"), leaf(th, "abx"), leaf(td, "abc"), leaf(td, "zz")]
+@pytest.mark.parametrize(
+    "width, texts",
+    [
+        # one block: one scan per distinct non-empty content of A
+        (metrics.BLOCK_BITS, ["abc", "abx"]),
+        # blocks [abx] and [abc, zz]: "abx" alone in a block needs no scan
+        (5, ["abc", "abc", "abx"]),
+        # blocks [abx], [abc] and [zz]: each content skips its own
+        (1, ["abc", "abc", "abx", "abx"]),
+    ],
+)
+def test_rename_costs_scan_each_content_once_per_block(monkeypatch, width, texts):
+    # "abc" and "abx" under two tags, and an empty content on both sides
+    a = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "abx"), leaf(TD, "")]
+    b = [leaf(TD, "abx"), leaf(TH, "abx"), leaf(TD, "abc"), leaf(TD, "zz"), leaf(TD, "")]
     expected = rename_costs_reference(a, b, CONTENT_AWARE)
-    scans, built = [], []
-    myers, myers_masks = metrics._myers, metrics._myers_masks
+    scans = []
+    myers = metrics._myers
 
-    def counting_myers(masks, m, text):
+    def counting_myers(masks, tops, bottoms, text):
         scans.append(text)
-        return myers(masks, m, text)
-
-    def counting_masks(pattern):
-        built.append(pattern)
-        return myers_masks(pattern)
+        return myers(masks, tops, bottoms, text)
 
     monkeypatch.setattr(metrics, "_myers", counting_myers)
-    monkeypatch.setattr(metrics, "_myers_masks", counting_masks)
+    monkeypatch.setattr(metrics, "BLOCK_BITS", width)
     assert metrics._rename_costs(a, b, CONTENT_AWARE) == expected
-    # one scan for each of {abc, abx}, {abc, zz} and {abx, zz}
-    assert len(scans) == 3 and scans.count("zz") == 2
-    assert len(built) == len(set(built)) == 2
+    assert sorted(scans) == texts
+    # no scan for equal contents in a block of their own, nor for empty ones
+    scans.clear()
+    same = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "")]
+    assert metrics._rename_costs(same, same, CONTENT_AWARE) == rename_costs_reference(
+        same, same, CONTENT_AWARE
+    )
+    assert metrics._rename_costs(a, b, STRUCTURE_ONLY) == rename_costs_reference(
+        a, b, STRUCTURE_ONLY
+    )
+    assert scans == []
 
 
 # -- TEDS ----------------------------------------------------------------------------
@@ -497,6 +531,33 @@ order_token = st.one_of(
 def test_reading_order_matches_token_oracle(pred, gt):
     expected = levenshtein_full_matrix(pred, gt) / max(len(pred), len(gt), 1)
     assert reading_order_edit(pred, gt) == expected
+
+
+# JSON values: numbers that are equal across types (1, 1.0, true and 0,
+# 0.0, false), null, strings, and arrays and objects nesting them
+json_token = st.recursive(
+    st.sampled_from([0, 1, 2, 0.0, 1.0, True, False, None, "a", "b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("xy"), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(json_token, max_size=12), b=st.lists(json_token, max_size=12))
+@example(a=[{"x": [1, {"y": None}]}, [True]], b=[{"x": [1.0, {"y": None}]}, [1], [1.0]])
+@example(a=[[1], {"x": 1}, None], b=[[True], {"x": True}, {"x": None}])
+def test_unhashable_tokens_match_full_matrix_oracle(a, b):
+    assert metrics._levenshtein(a, b) == levenshtein_full_matrix(a, b)
+
+
+def test_unhashable_tokens_number_in_linear_time():
+    # one rotation step of 8,000 array tokens; numbering tokens by scanning
+    # the ones seen so far took over 3 s here
+    tokens = [[i, i % 7] for i in range(8000)]
+    start = time.perf_counter()
+    [row] = evaluate_batch([{"pred": tokens, "gt": tokens[1:] + tokens[:1], "kind": "order"}])
+    assert time.perf_counter() - start < 1.0
+    assert row["metrics"]["reading_order_edit"] == 2 / 8000
 
 
 # -- batch ---------------------------------------------------------------------------------
