@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, FormatError
-from .table_grid import TableError, TableGrid, cells_by_row, normalize_text, parse_grid
+from .table_grid import TableError, TableGrid, normalize_text, parse_grid
 
 
 class GtParseError(DomainError):
@@ -165,19 +165,13 @@ class DocTree:
 
 def grid_to_tree(grid: TableGrid) -> DocTree:
     """table -> tr* -> (td|th)* with spans folded into the tag signature."""
-    root = DocTree("table")
-    for row in cells_by_row(grid):
-        tr = DocTree("tr")
-        for cell in row:
-            tag = "th" if cell.is_header else "td"
-            tr.children.append(
-                DocTree(
-                    f"{tag}[{cell.rowspan},{cell.colspan}]",
-                    normalize_text(cell.content),
-                )
-            )
-        root.children.append(tr)
-    return root
+    rows = [DocTree("tr") for _ in range(grid.n_rows)]
+    for cell in grid.cells:  # in anchor order
+        tag = "th" if cell.is_header else "td"
+        rows[cell.anchor_row].children.append(
+            DocTree(f"{tag}[{cell.rowspan},{cell.colspan}]", normalize_text(cell.content))
+        )
+    return DocTree("table", children=rows)
 
 
 STRUCTURE_ONLY = "structure"

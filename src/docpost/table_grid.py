@@ -276,46 +276,37 @@ _CANONICAL_CELL = (
 
 @functools.cache
 def _canonical_patterns() -> tuple[re.Pattern, re.Pattern]:
-    # Compiled on first use: commands that parse no table skip the cost.
+    # Compiled on first use: commands that parse no table skip the cost. The
+    # token pattern matches a row boundary, with every group empty, or a cell.
     table = rf"<table>(?:<tr>(?:{_CANONICAL_CELL})*</tr>)+</table>"
-    return re.compile(_CANONICAL_CELL), re.compile(table)
+    return re.compile("</tr><tr>|" + _CANONICAL_CELL), re.compile(table)
 
 
-def _parse_canonical(html: str) -> TableFragment | None:
-    """The fragment _TableSoupParser builds from canonical markup, else None."""
-    cell_re, table_re = _canonical_patterns()
+def _parse_canonical(html: str) -> list[list[tuple[str, int, int, bool]]] | None:
+    """The ``(content, rowspan, colspan, is_header)`` rows _TableSoupParser
+    reads from canonical markup, else None."""
+    token_re, table_re = _canonical_patterns()
     body = html.strip()
     if table_re.fullmatch(body) is None:
         return None
-    rows = tuple(
-        tuple(
-            RawCell(
-                content,
-                max(int(rowspan), 1) if rowspan else 1,
-                max(int(colspan), 1) if colspan else 1,
-                tag == "th",
-            )
-            for tag, rowspan, colspan, content in cell_re.findall(row)
-        )
-        for row in body[len("<table><tr>") : -len("</tr></table>")].split("</tr><tr>")
-    )
+    rows = [row := []]
+    # the fullmatch passed, so the tokens tile the body from the first <tr>
+    # to the last </tr>
+    for tag, rowspan, colspan, content in token_re.findall(
+        body, len("<table><tr>"), len(body) - len("</tr></table>")
+    ):
+        if tag:
+            rowspan = max(int(rowspan), 1) if rowspan else 1
+            colspan = max(int(colspan), 1) if colspan else 1
+            row.append((content, rowspan, colspan, tag == "th"))
+        else:
+            rows.append(row := [])
     # A table of empty rows is malformed; the tolerant parser reports it.
-    return TableFragment(rows) if any(rows) else None
+    return rows if any(rows) else None
 
 
-def parse_table_html(html: str) -> TableFragment:
-    """Parse the first <table> in ``html`` into a :class:`TableFragment`.
-
-    <th> cells and cells inside <thead> get ``is_header=True``. Markup inside
-    a cell (including <img> tags) is preserved verbatim in ``content``.
-    Raises :class:`NoTableFound` when there is no table element and
-    :class:`MalformedMarkup` when the table yields no rows. Markup in the
-    shape :func:`serialize_grid` writes skips ``html.parser`` and gives the
-    same fragment.
-    """
-    fragment = _parse_canonical(html)
-    if fragment is not None:
-        return fragment
+def _parse_tolerant(html: str) -> list[list[RawCell]]:
+    """The rows of the first <table> in ``html``, read by _TableSoupParser."""
     parser = _TableSoupParser()
     try:
         parser.feed(html)
@@ -328,8 +319,23 @@ def parse_table_html(html: str) -> TableFragment:
         raise MalformedMarkup("table has no cells")
     # Empty <tr></tr> rows are kept: they carry positions owned by rowspans
     # from rows above (canonical serialization emits them).
-    rows = tuple(tuple(row) for row in parser.rows)
-    return TableFragment(rows)
+    return parser.rows
+
+
+def parse_table_html(html: str) -> TableFragment:
+    """Parse the first <table> in ``html`` into a :class:`TableFragment`.
+
+    <th> cells and cells inside <thead> get ``is_header=True``. Markup inside
+    a cell (including <img> tags) is preserved verbatim in ``content``.
+    Raises :class:`NoTableFound` when there is no table element and
+    :class:`MalformedMarkup` when the table yields no rows. Markup in the
+    shape :func:`serialize_grid` writes is checked by one regex match and
+    read in one scan instead of by ``html.parser``, with the same result.
+    """
+    rows = _parse_canonical(html)
+    if rows is None:
+        rows = _parse_tolerant(html)
+    return TableFragment(tuple(tuple(map(RawCell._make, row)) for row in rows))
 
 
 # The HTML table model's span limits: larger values are clamped to them.
@@ -352,7 +358,17 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
     more than :data:`MAX_GRID_POSITIONS` positions raises
     :class:`MalformedMarkup` before the cell that would widen it is placed.
     """
-    n_rows = len(fragment.rows)
+    return _layout(fragment.rows)
+
+
+# builds a GridCell from all six fields without NamedTuple.__new__'s Python call
+_new_tuple = tuple.__new__
+
+
+def _layout(rows) -> TableGrid:
+    """:func:`normalize_grid` over rows of ``(content, rowspan, colspan,
+    is_header)`` tuples with spans >= 1, at least one row."""
+    n_rows = len(rows)
     warnings: list[str] = []
     cells: list[GridCell] = []
     # occupancy rows grow on demand while cells are placed
@@ -360,7 +376,7 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
     # a cell ending past this column would take the grid over the cap
     max_end = MAX_GRID_POSITIONS // n_rows
 
-    for r, raw_row in enumerate(fragment.rows):
+    for r, raw_row in enumerate(rows):
         row = occ[r]
         max_rowspan = min(MAX_ROWSPAN, n_rows - r)
         cursor = 0
@@ -383,7 +399,7 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
                     f"table exceeds {MAX_GRID_POSITIONS} grid positions at ({r},{cursor})"
                 )
             idx = len(cells)
-            cells.append(GridCell(r, cursor, rowspan, colspan, content, is_header))
+            cells.append(_new_tuple(GridCell, (r, cursor, rowspan, colspan, content, is_header)))
             if rowspan == 1 and colspan == 1:
                 # the cursor position is free, or one past the row's end
                 if cursor < len(row):
@@ -483,36 +499,35 @@ def _finish_grid(
     )
 
 
-def cells_by_row(grid: TableGrid) -> list[list[GridCell]]:
-    """The cells anchored in each grid row, left to right."""
-    rows: list[list[GridCell]] = [[] for _ in range(grid.n_rows)]
-    for cell in grid.cells:
-        rows[cell.anchor_row].append(cell)
-    return rows
-
-
 def serialize_grid(grid: TableGrid) -> str:
     """Canonical byte-deterministic HTML: cells at anchors, spans only when > 1."""
-    parts = ["<table>"]
-    for row in cells_by_row(grid):
-        parts.append("<tr>")
-        # unpacked, since a NamedTuple field read costs more than a tuple unpack
-        for _, _, rowspan, colspan, content, is_header in row:
-            tag = "th" if is_header else "td"
-            attrs = ""
-            if rowspan > 1:
-                attrs += f' rowspan="{rowspan}"'
-            if colspan > 1:
-                attrs += f' colspan="{colspan}"'
-            parts.append(f"<{tag}{attrs}>{content}</{tag}>")
-        parts.append("</tr>")
-    parts.append("</table>")
+    if not grid.n_rows:
+        return "<table></table>"
+    parts = ["<table><tr>"]
+    r = 0
+    # cells are in anchor order; unpacked, since a NamedTuple field read
+    # costs more than a tuple unpack
+    for row, _, rowspan, colspan, content, is_header in grid.cells:
+        if row != r:
+            parts.append("</tr><tr>" * (row - r))
+            r = row
+        tag = "th" if is_header else "td"
+        attrs = ""
+        if rowspan > 1:
+            attrs += f' rowspan="{rowspan}"'
+        if colspan > 1:
+            attrs += f' colspan="{colspan}"'
+        parts.append(f"<{tag}{attrs}>{content}</{tag}>")
+    parts.append("</tr><tr>" * (grid.n_rows - 1 - r) + "</tr></table>")
     return "".join(parts)
 
 
 def parse_grid(html: str) -> TableGrid:
-    """Convenience: parse then normalize."""
-    return normalize_grid(parse_table_html(html))
+    """:func:`parse_table_html` then :func:`normalize_grid`, without building
+    the fragment: canonical markup is checked by one regex match and its
+    cells are laid out directly."""
+    rows = _parse_canonical(html)
+    return _layout(_parse_tolerant(html) if rows is None else rows)
 
 
 def detect_header_rows(grid: TableGrid) -> int:
@@ -541,13 +556,3 @@ def detect_header_rows(grid: TableGrid) -> int:
         if any(looks_numeric(grid.content_at(r, c)) for r in range(1, grid.n_rows)):
             return 1
     return 0
-
-
-def grid_to_fragment(grid: TableGrid) -> TableFragment:
-    """Inverse of :func:`normalize_grid` for grids that satisfy the invariants."""
-    return TableFragment(
-        tuple(
-            tuple(RawCell(c.content, c.rowspan, c.colspan, c.is_header) for c in row)
-            for row in cells_by_row(grid)
-        )
-    )

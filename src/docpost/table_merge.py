@@ -298,13 +298,6 @@ def _band_cells(
     return cells
 
 
-def slice_rows(grid: TableGrid, start: int, stop: int) -> TableGrid:
-    """Horizontal band [start, stop) as a standalone grid."""
-    if not 0 <= start <= stop <= grid.n_rows:
-        raise PlanMismatch(f"band [{start},{stop}) outside 0..{grid.n_rows}")
-    return grid_from_cells(stop - start, grid.n_cols, _band_cells(grid, start, stop, 0, 0))
-
-
 def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
     """Apply a merge plan; raises :class:`PlanMismatch` on inconsistency.
 

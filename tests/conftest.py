@@ -11,7 +11,7 @@ import sys
 import threading
 
 from docpost.table_grid import GridCell, TableGrid, grid_from_cells
-from docpost.table_merge import slice_rows
+from oracles import slice_rows
 
 # One row of 200 cells 1000 wide over a one-cell row: 5,043 bytes that would
 # lay out as a 2x200,000 grid, over table_grid.MAX_GRID_POSITIONS.

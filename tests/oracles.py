@@ -11,6 +11,8 @@ positions it still owns, and the table merge
 goes through a chain of whole-grid rebuilds (band, column remap, vertical
 stack) instead of laying out its result once, and the grid layouts claim
 one position at a time instead of placing each spanned row as a slice.
+Two grid helpers that only tests use live here too: :func:`slice_rows` and
+:func:`grid_to_fragment`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from docpost.table_grid import (
     MAX_ROWSPAN,
     GridCell,
     MalformedMarkup,
+    RawCell,
     SpanConflict,
     TableFragment,
     TableGrid,
@@ -295,7 +298,9 @@ def random_tree(rng: random.Random, max_nodes: int = 8) -> DocTree:
     return root
 
 
-def _slice_rows_reference(grid: TableGrid, start: int, stop: int) -> TableGrid:
+def slice_rows(grid: TableGrid, start: int, stop: int) -> TableGrid:
+    """Horizontal band [start, stop) as a standalone grid; cells cut at the
+    top keep their footprint but lose their content and header flag."""
     if not 0 <= start <= stop <= grid.n_rows:
         raise PlanMismatch(f"band [{start},{stop}) outside 0..{grid.n_rows}")
     cells = []
@@ -356,7 +361,7 @@ def merge_reference(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
     if plan.pattern is Pattern.PATTERN1:
         if not 1 <= plan.header_rows_to_drop <= b.n_rows:
             raise PlanMismatch("header drop count outside fragment B")
-        body = _slice_rows_reference(b, plan.header_rows_to_drop, b.n_rows)
+        body = slice_rows(b, plan.header_rows_to_drop, b.n_rows)
         return _vstack_reference(a, _remap_columns_reference(body, plan.column_map, a.n_cols))
     if plan.pattern is Pattern.PATTERN2:
         return _vstack_reference(a, _remap_columns_reference(b, plan.column_map, a.n_cols))
@@ -388,7 +393,7 @@ def merge_reference(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
         for c in a.cells
     ]
     a_joined = grid_from_cells_reference(a.n_rows, a.n_cols, new_a_cells)
-    rest = _slice_rows_reference(b, 1, b.n_rows)
+    rest = slice_rows(b, 1, b.n_rows)
     if rest.n_rows == 0:
         return a_joined
     return _vstack_reference(a_joined, _remap_columns_reference(rest, plan.column_map, a.n_cols))
@@ -491,3 +496,11 @@ def grid_from_cells_reference(n_rows: int, n_cols: int, cells) -> TableGrid:
         tuple(out[i] for i in ordered),
         tuple(tuple(remap[i] for i in row) for row in occ),  # type: ignore[misc]
     )
+
+
+def grid_to_fragment(grid: TableGrid) -> TableFragment:
+    """Inverse of ``normalize_grid`` for grids that satisfy the invariants."""
+    rows: list[list[RawCell]] = [[] for _ in range(grid.n_rows)]
+    for c in grid.cells:
+        rows[c.anchor_row].append(RawCell(c.content, c.rowspan, c.colspan, c.is_header))
+    return TableFragment(tuple(map(tuple, rows)))

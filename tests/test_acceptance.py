@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_grid, split_row_mid_word, split_with_header_copy
-from oracles import exhaustive_tree_distance, random_tree
+from oracles import exhaustive_tree_distance, random_tree, slice_rows
 from docpost.cli import main as cli_main
 from docpost.idtp import (
     ImageDetection,
@@ -121,8 +121,6 @@ def test_criterion_3_merge_round_trips():
             failures.append((case, "a", plan.pattern))
 
         # (b) no header copy -> pattern 2
-        from docpost.table_merge import slice_rows
-
         a2, b2 = slice_rows(grid, 0, split), slice_rows(grid, split, n_rows)
         plan2 = decide_merge(a2, b2)
         if plan2.pattern is not Pattern.PATTERN2 or merge(a2, b2, plan2) != grid:

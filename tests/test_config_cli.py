@@ -777,6 +777,48 @@ def test_cli_deeply_nested_json(tmp_path, capsys, command, code, error):
     assert json.loads(captured.err) == {"error": error, "message": "JSON nested too deeply"}
 
 
+def _nested(depth: int, kind: str) -> str:
+    if kind == "array":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+@pytest.mark.parametrize("kind", ["array", "object"])
+def test_loads_finite_accepts_the_depth_limit(kind):
+    value = layout.loads_finite(_nested(layout.MAX_JSON_DEPTH, kind))
+    for _ in range(layout.MAX_JSON_DEPTH - 1):
+        value = value[0] if kind == "array" else value["a"]
+    assert value == ([] if kind == "array" else {"a": 1})
+
+
+# At the limit the nesting is read and the shape is refused; past it, and at
+# 1,400 levels, which 3.12 and later parse but 3.10 and 3.11 do not, every
+# interpreter refuses the nesting itself.
+@pytest.mark.parametrize(
+    "command, code, error, shape_error",
+    [("eval", 2, "FormatError", "BatchFormatError"), ("assemble", 1, "LayoutSyntaxError", "LayoutSchemaError")],
+)
+@pytest.mark.parametrize("kind", ["array", "object"])
+@pytest.mark.parametrize("extra", [0, 1, 1400 - layout.MAX_JSON_DEPTH])
+def test_cli_json_depth_limit(tmp_path, capsys, command, code, error, shape_error, kind, extra):
+    deep_path = tmp_path / "deep.json"
+    deep_path.write_text(_nested(layout.MAX_JSON_DEPTH + extra, kind))
+    if command == "eval":
+        argv = ["eval", str(deep_path)]
+    else:
+        fixture_path = tmp_path / "rec.json"
+        fixture_path.write_text("{}")
+        argv = ["assemble", str(deep_path), str(fixture_path), "-o", str(tmp_path / "doc.md")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err)
+    if extra:
+        assert diagnostic == {"error": error, "message": "JSON nested too deeply"}
+    else:
+        assert diagnostic["error"] == shape_error
+
+
 def test_cli_reward_rule_weights_outside_unit_interval_exit1(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DOCPOST_RULE_WEIGHTS", "[1.5, -0.5, 0, 0]")
     assert main(["reward", *_reward_files(tmp_path, [FRAG_A])]) == 1

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WIDE_ROW_TABLE, random_grid
-from oracles import grid_from_cells_reference, normalize_grid_reference
+from oracles import grid_from_cells_reference, grid_to_fragment, normalize_grid_reference
 from docpost import table_grid
 from docpost.rewards import rule_checks
 from docpost.table_grid import (
@@ -24,7 +24,6 @@ from docpost.table_grid import (
     TableFragment,
     detect_header_rows,
     grid_from_cells,
-    grid_to_fragment,
     looks_numeric,
     normalize_grid,
     normalize_text,
@@ -175,9 +174,10 @@ PADDED_AT_CAP_TABLE = (
 
 def test_normalize_rejects_grid_over_position_cap():
     start = time.perf_counter()
-    with pytest.raises(MalformedMarkup, match="grid positions"):
+    with pytest.raises(MalformedMarkup) as raised:
         parse_grid(WIDE_ROW_TABLE)
     assert time.perf_counter() - start < 0.1
+    assert str(raised.value) == f"table exceeds {MAX_GRID_POSITIONS} grid positions at (0,50000)"
 
 
 def test_normalize_position_cap_counts_rows():
@@ -505,6 +505,133 @@ def test_serialized_grids_skip_the_tolerant_parser(monkeypatch):
     assert built == []
     parse_table_html("<table><tr><TD>a</TD></tr></table>")
     assert len(built) == 1
+
+
+# -- parse_grid against parse_table_html + normalize_grid ---------------------
+
+_SPAN_EDITS = ("0", "00", "1", "07", "123456", "999999", "1234567")
+
+
+def _edit_span(draw, html):
+    """Set one cell's rowspan or colspan, keeping the canonical attribute order."""
+    tags = list(re.finditer(r'<(t[dh])(?: rowspan="(\d+)")?(?: colspan="(\d+)")?>', html))
+    tag = draw(st.sampled_from(tags))
+    spans = {"rowspan": tag[2], "colspan": tag[3]}
+    spans[draw(st.sampled_from(sorted(spans)))] = draw(st.sampled_from(_SPAN_EDITS))
+    attrs = "".join(f' {name}="{value}"' for name, value in spans.items() if value)
+    return f"{html[: tag.start()]}<{tag[1]}{attrs}>{html[tag.end() :]}"
+
+
+def _edit_char(draw, html):
+    """Insert, delete or replace one character."""
+    pos = draw(st.integers(0, len(html)))
+    new = draw(st.sampled_from(list('<>/&#;="t dhrx0\n')))
+    cut = draw(st.sampled_from([0, 1]))
+    return html[:pos] + draw(st.sampled_from(["", new])) + html[pos + cut :]
+
+
+def _edit_tag(draw, html):
+    """Uppercase one tag, or put a space or newline inside or after it."""
+    tag = draw(st.sampled_from(list(re.finditer(r"<[^>]*>", html))))
+    text = tag[0]
+    edit = draw(st.sampled_from(["upper", "inside", "after"]))
+    if edit == "upper":
+        text = text.upper()
+    elif edit == "inside":
+        text = text[:-1] + draw(st.sampled_from([" ", "\n", " /"])) + ">"
+    else:
+        text += draw(st.sampled_from([" ", "\n", "\t\n  "]))
+    return html[: tag.start()] + text + html[tag.end() :]
+
+
+def _edit_thead(draw, html):
+    """Put the first row, or the first two, inside <thead>."""
+    ends = [m.end() for m in re.finditer("</tr>", html)]
+    end = ends[min(draw(st.integers(0, 1)), len(ends) - 1)]
+    start = len("<table>")
+    return f"{html[:start]}<thead>{html[start:end]}</thead>{html[end:]}"
+
+
+_EDITS = (_edit_span, _edit_char, _edit_tag, _edit_thead)
+
+
+@st.composite
+def _near_canonical(draw):
+    """serialize_grid of a random grid with canonical contents (stretched
+    grids leave empty rows), then up to three edits."""
+    grid = _canonical_grid(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 5)),
+        draw(st.integers(0, 2)),
+        draw(st.booleans()),
+    )
+    html = serialize_grid(grid)
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+        html = edit(draw, html)
+    return html
+
+
+def _grid_outcome(parse, html):
+    try:
+        grid = parse(html)
+    except TableError as exc:
+        return type(exc), str(exc)
+    return grid, grid.warnings
+
+
+def _normalize_tolerant(html):
+    return normalize_grid(_tolerant_parse(html))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(html=st.one_of(_near_canonical(), _TAG_SOUP))
+@example(html="<table><tr></tr><tr></tr></table>")
+@example(html='<table><tr><td rowspan="0">a</td><td>b</td></tr><tr></tr></table>')
+@example(html='<table><tr><td colspan="1234567">a</td></tr><tr><td>b</td></tr></table>')
+@example(html=WIDE_ROW_TABLE)
+def test_parse_grid_matches_tolerant_parse_then_normalize(html):
+    assert _grid_outcome(parse_grid, html) == _grid_outcome(_normalize_tolerant, html)
+
+
+def test_parse_grid_reads_canonical_markup_once_without_fragments(monkeypatch):
+    reads = []
+    read = table_grid._parse_canonical
+
+    def counting_read(html):
+        reads.append(html)
+        return read(html)
+
+    def refuse(*args):
+        raise TypeError("parse_grid built a fragment")
+
+    monkeypatch.setattr(table_grid, "_parse_canonical", counting_read)
+    declined = "<TABLE><tr><td>a</td></tr></TABLE>"
+    parse_grid(declined)
+    assert reads == [declined]
+    html = serialize_grid(_canonical_grid(3, 4, 4, 1, stretch=True))
+    expected = _normalize_tolerant(html)
+    monkeypatch.setattr(table_grid, "RawCell", refuse)
+    monkeypatch.setattr(table_grid, "TableFragment", refuse)
+    assert parse_grid(html) == expected
+    assert reads == [declined, html]
+
+
+@pytest.mark.parametrize(
+    "html",
+    [
+        "<table><tr><td>" + "x" * 100_000,
+        "<table><tr><td>" + "x" * 100_000 + "</tr></table>",
+        "<table><tr>" + "<td>" * 20_000,
+        "<table><tr>" + "<td>" * 20_000 + "</tr></table>",
+    ],
+    ids=["unclosed_cell", "unclosed_cell_in_table", "td_starts", "td_starts_in_table"],
+)
+def test_canonical_reader_declines_quickly(html):
+    table_grid._parse_canonical("<table><tr><td>a</td></tr></table>")  # compile first
+    start = time.perf_counter()
+    assert table_grid._parse_canonical(html) is None
+    assert time.perf_counter() - start < 0.1
 
 
 def test_normalize_is_idempotent():

@@ -39,9 +39,8 @@ from docpost.table_merge import (
     merge,
     merge_fragment_sequence,
     merge_fragment_sequence_with_plans,
-    slice_rows,
 )
-from oracles import merge_reference
+from oracles import merge_reference, slice_rows
 
 
 def grid_of(rows, header_rows=0):
