@@ -105,10 +105,30 @@ def _parse_placeholder_map(data) -> idtp.PlaceholderMap:
     return idtp.PlaceholderMap.from_dict(data)
 
 
-def _load_image(path: str) -> idtp.PixelBuffer:
-    raw = Path(path).read_bytes()
-    if raw[:2] == b"P6":
-        return idtp.read_ppm(raw)
+def _load_table(path: str, table_bbox: tuple[int, int, int, int]) -> idtp.PixelBuffer:
+    """Crop ``table_bbox`` out of the page image at ``path``.
+
+    A PPM page is read only over the table's rows; any other format is
+    decoded whole by Pillow.
+    """
+    x1, y1, x2, y2 = table_bbox
+    with open(path, "rb") as fh:
+        head = fh.read(2)
+        if head == b"P6":
+            width, height, rows = idtp.read_ppm_rows(fh, y1, y2, head)
+            top = y1  # where rows starts once the bbox is checked
+        else:
+            rows = _load_image(path, head + fh.read())
+            width, height, top = rows.width, rows.height, 0
+    if not (0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height):
+        raise idtp.ImageInputError(
+            f"table bbox {table_bbox} is empty or reaches past the {width}x{height} page"
+        )
+    return idtp.crop_buffer(rows, (x1, y1 - top, x2, y2 - top))
+
+
+def _load_image(path: str, raw: bytes) -> idtp.PixelBuffer:
+    """Decode a page image that is not a PPM, with Pillow."""
     try:
         from PIL import Image
     except ImportError:
@@ -120,6 +140,12 @@ def _load_image(path: str) -> idtp.PixelBuffer:
     with Image.open(io.BytesIO(raw)) as img:
         rgb = img.convert("RGB")
         return idtp.PixelBuffer(rgb.width, rgb.height, rgb.tobytes())
+
+
+def _save_ppm(path: str, buffer: idtp.PixelBuffer) -> None:
+    with open(path, "wb") as fh:
+        fh.write(idtp.ppm_header(buffer))
+        fh.write(buffer.data)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -183,22 +209,15 @@ def cmd_merge(args) -> int:
 def cmd_mask(args) -> int:
     cfg = _load_cfg(args)
     table_bbox = _parse_bbox(args.table_bbox)
-    page = _load_image(args.image)
-    x1, y1, x2, y2 = table_bbox
-    if not (0 <= x1 < x2 <= page.width and 0 <= y1 < y2 <= page.height):
-        raise idtp.ImageInputError(
-            f"table bbox {table_bbox} is empty or reaches past the "
-            f"{page.width}x{page.height} page"
-        )
+    crop = _load_table(args.image, table_bbox)
     dets = _parse_detections(_read_json(args.detections))
     plan, pmap = idtp.plan_masks(table_bbox, dets, cfg)
-    crop = idtp.crop_buffer(page, table_bbox)
-    masked = idtp.apply_masks(crop, plan)
-    Path(f"{args.out_prefix}.masked.ppm").write_bytes(idtp.write_ppm(masked))
+    _save_ppm(f"{args.out_prefix}.masked.ppm", idtp.apply_masks(crop, plan))
     refs = []
-    for entry in pmap.entries:
+    # each image is cut from the unmasked table crop, in its local coordinates
+    for entry, mask in zip(pmap.entries, plan.masks):
         ref = f"{args.out_prefix}_img{entry.id}.ppm"
-        Path(ref).write_bytes(idtp.write_ppm(idtp.crop_buffer(page, entry.bbox)))
+        _save_ppm(ref, idtp.crop_buffer(crop, mask.rect))
         refs.append(ref)
     pmap = pmap.with_refs(refs)
     Path(f"{args.out_prefix}.map.json").write_text(

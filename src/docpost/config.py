@@ -166,7 +166,8 @@ def save_config(cfg: Config, path: str) -> None:
 
 
 def apply_env_overrides(cfg: Config, environ=None) -> Config:
-    """Apply ``DOCPOST_<UPPERCASE_KEY>`` environment overrides."""
+    """Apply ``DOCPOST_<UPPERCASE_KEY>`` environment overrides; ``cfg``
+    itself comes back when none is set."""
     environ = os.environ if environ is None else environ
     overrides: dict = {}
     for f in fields(Config):
@@ -179,4 +180,4 @@ def apply_env_overrides(cfg: Config, environ=None) -> Config:
         else:
             parsed = _parse_value(raw)
         overrides[f.name] = parsed
-    return dataclasses.replace(cfg, **overrides)
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg

@@ -8,8 +8,11 @@ references from the stored id mapping afterwards.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from dataclasses import dataclass, replace
+from typing import BinaryIO
 
 from .config import Config
 from .errors import DomainError
@@ -177,9 +180,11 @@ class PixelBuffer:
 
     def __post_init__(self):
         if len(self.data) != self.width * self.height * 3:
-            raise DimensionMismatch(
-                f"buffer holds {len(self.data)} bytes, expected {self.width * self.height * 3}"
-            )
+            raise _short_pixels(len(self.data), self.width * self.height * 3)
+
+
+def _short_pixels(held: int, expected: int) -> DimensionMismatch:
+    return DimensionMismatch(f"buffer holds {held} bytes, expected {expected}")
 
 
 def apply_masks(buffer: PixelBuffer, plan: MaskPlan) -> PixelBuffer:
@@ -206,32 +211,100 @@ def crop_buffer(buffer: PixelBuffer, rect: Rect) -> PixelBuffer:
     y2 = min(max(rect[3], 0), buffer.height)
     if x1 >= x2 or y1 >= y2:
         raise DimensionMismatch(f"crop rect {rect} is empty within the buffer")
-    rows = []
-    for y in range(y1, y2):
-        start = (y * buffer.width + x1) * 3
-        rows.append(buffer.data[start : start + (x2 - x1) * 3])
+    stride = buffer.width * 3
+    span = (x2 - x1) * 3
+    view = memoryview(buffer.data)
+    rows = [view[s : s + span] for s in range(y1 * stride + x1 * 3, y2 * stride, stride)]
     return PixelBuffer(x2 - x1, y2 - y1, b"".join(rows))
 
 
 # P6, then width, height and maxval, each separated by whitespace or "#"
 # comments, then the single whitespace byte that ends the header.
 _PPM_HEADER_RE = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,10})" * 3 + rb"\s")
+# First read of a streamed header; a longer one (long comments) doubles it.
+_HEADER_READ = 4096
+# Completes every header cut short after its "P6", and no text that can
+# never become a header.
+_HEADER_END = b"\n1 1 1 "
+# Pixel bytes read at a time from a stream that cannot seek.
+_PIPE_READ = 1 << 20
 
 
-def read_ppm(data: bytes) -> PixelBuffer:
-    """Parse a binary P6 PPM with maxval 255."""
-    header = _PPM_HEADER_RE.match(data)
+def _ppm_dimensions(header: re.Match | None) -> tuple[int, int]:
     if header is None:
         raise ImageInputError("not a P6 PPM header with width, height and maxval of 1-10 digits")
     width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise ImageInputError(f"unsupported maxval {maxval}")
+    return width, height
+
+
+def read_ppm(data: bytes) -> PixelBuffer:
+    """Parse a binary P6 PPM with maxval 255."""
+    header = _PPM_HEADER_RE.match(data)
+    width, height = _ppm_dimensions(header)
     pos = header.end()
     return PixelBuffer(width, height, data[pos : pos + width * height * 3])
 
 
+def read_ppm_rows(
+    stream: BinaryIO, y1: int, y2: int, head: bytes = b""
+) -> tuple[int, int, PixelBuffer]:
+    """Read a binary P6 PPM from ``stream``, keeping only its rows ``y1..y2``.
+
+    ``head`` is what the caller already read from the start of the stream.
+    The row range is clamped to the page. Returns the page's width and
+    height and a buffer of the kept rows. The stream must hold all
+    ``width*height*3`` pixel bytes after the header, as :func:`read_ppm`
+    requires, with the same errors raised in the same order. A regular file
+    is checked by its size and read only over the kept rows; any other
+    stream (a pipe) is read through in bounded chunks. Either way memory
+    grows with the kept rows, not with the page.
+    """
+    buf = head
+    while (header := _PPM_HEADER_RE.match(buf)) is None:
+        if len(buf) >= 2 and not _PPM_HEADER_RE.match(buf + _HEADER_END):
+            break  # no more bytes can make it a header
+        more = stream.read(max(len(buf), _HEADER_READ))
+        if not more:
+            break
+        buf += more
+    width, height = _ppm_dimensions(header)
+    stride = width * 3
+    expected = stride * height
+    top = min(max(y1, 0), height)
+    bottom = max(min(max(y2, 0), height), top)
+    start, stop = top * stride, bottom * stride
+    tail = buf[header.end() :]  # pixel bytes read along with the header
+    info = os.fstat(stream.fileno())
+    if stat.S_ISREG(info.st_mode):
+        pixels_at = stream.tell() - len(tail)
+        if info.st_size - pixels_at < expected:
+            raise _short_pixels(info.st_size - pixels_at, expected)
+        stream.seek(pixels_at + start)
+        rows = stream.read(stop - start)
+    else:
+        kept = []
+        held = 0
+        while held < expected:
+            chunk = tail or stream.read(min(expected - held, _PIPE_READ))
+            tail = b""
+            if not chunk:
+                raise _short_pixels(held, expected)
+            view = memoryview(chunk)[: expected - held]
+            if held < stop and start < held + len(view):
+                kept.append(view[max(start - held, 0) : stop - held])
+            held += len(view)
+        rows = b"".join(kept)
+    return width, height, PixelBuffer(width, bottom - top, rows)
+
+
+def ppm_header(buffer: PixelBuffer) -> bytes:
+    return b"P6\n%d %d\n255\n" % (buffer.width, buffer.height)
+
+
 def write_ppm(buffer: PixelBuffer) -> bytes:
-    return b"P6\n%d %d\n255\n" % (buffer.width, buffer.height) + buffer.data
+    return ppm_header(buffer) + buffer.data
 
 
 # -- placeholder restoration --------------------------------------------------------

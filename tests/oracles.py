@@ -11,6 +11,9 @@ positions it still owns, and the table merge
 goes through a chain of whole-grid rebuilds (band, column remap, vertical
 stack) instead of laying out its result once, and the grid layouts claim
 one position at a time instead of placing each spanned row as a slice.
+The ``mask`` reference reads the whole page, cuts each crop out of it in
+page coordinates with a bytes slice per row, and writes each PPM as one
+concatenated string, where the CLI reads only the table's rows.
 Two grid helpers that only tests use live here too: :func:`slice_rows` and
 :func:`grid_to_fragment`.
 """
@@ -19,6 +22,16 @@ from __future__ import annotations
 
 import random
 
+from docpost.errors import FormatError
+from docpost.idtp import (
+    ImageDetection,
+    ImageInputError,
+    PixelBuffer,
+    apply_masks,
+    plan_masks,
+    read_ppm,
+    write_ppm,
+)
 from docpost.metrics import (
     CONTENT_AWARE,
     DocTree,
@@ -504,3 +517,42 @@ def grid_to_fragment(grid: TableGrid) -> TableFragment:
     for c in grid.cells:
         rows[c.anchor_row].append(RawCell(c.content, c.rowspan, c.colspan, c.is_header))
     return TableFragment(tuple(map(tuple, rows)))
+
+
+def crop_reference(buffer: PixelBuffer, rect) -> PixelBuffer:
+    """The pixels under ``rect``, which must lie inside the buffer, cut as
+    one bytes slice per row and joined."""
+    x1, y1, x2, y2 = rect
+    rows = [
+        buffer.data[(y * buffer.width + x1) * 3 : (y * buffer.width + x2) * 3]
+        for y in range(y1, y2)
+    ]
+    return PixelBuffer(x2 - x1, y2 - y1, b"".join(rows))
+
+
+def mask_reference(
+    raw: bytes, path: str, table_bbox, detections: list[ImageDetection]
+) -> dict[str, bytes]:
+    """What ``docpost mask`` computes from a page file's every byte ``raw``:
+    the table crop under ``"crop"``, and the bytes of each output file under
+    its name after the out prefix (``".masked.ppm"``, ``"_img<k>.ppm"``).
+    Raises what the command reports, in the same order: the page's header,
+    maxval and length, then the table bbox against the page. A page that is
+    not a PPM is the error of a run without Pillow."""
+    if raw[:2] != b"P6":
+        raise FormatError(
+            f"{path} is not a PPM and Pillow is not installed (pip install docpost[images])"
+        )
+    page = read_ppm(raw)
+    x1, y1, x2, y2 = table_bbox
+    if not (0 <= x1 < x2 <= page.width and 0 <= y1 < y2 <= page.height):
+        raise ImageInputError(
+            f"table bbox {tuple(table_bbox)} is empty or reaches past the "
+            f"{page.width}x{page.height} page"
+        )
+    plan, pmap = plan_masks(tuple(table_bbox), detections)
+    crop = crop_reference(page, table_bbox)
+    out = {"crop": crop.data, ".masked.ppm": write_ppm(apply_masks(crop, plan))}
+    for entry in pmap.entries:
+        out[f"_img{entry.id}.ppm"] = write_ppm(crop_reference(page, entry.bbox))
+    return out

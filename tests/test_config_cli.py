@@ -184,6 +184,12 @@ def test_config_env_overrides():
     assert cfg.include_headers_footers is True
 
 
+def test_env_overrides_without_docpost_keys_return_cfg_itself():
+    cfg = Config(near_threshold=0.9)
+    assert apply_env_overrides(cfg, {}) is cfg
+    assert apply_env_overrides(cfg, {"DOCPOST": "1", "NEAR_THRESHOLD": "0.5"}) is cfg
+
+
 def test_config_scorers_share_one_transport():
     assert Config().continuation_scorer() is None and Config().reward_scorer() is None
     # the command wins over the URL; nothing listens on the URL

@@ -1,10 +1,19 @@
+import io
+import json
+import os
 import random
+import sys
+import threading
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docpost.cli import main
 from docpost.config import Config
+from docpost.errors import DomainError, FormatError
 from docpost.idtp import (
     DimensionMismatch,
     ImageDetection,
@@ -15,13 +24,16 @@ from docpost.idtp import (
     PlaceholderEntry,
     PlaceholderMap,
     apply_masks,
+    crop_buffer,
     plan_masks,
     read_ppm,
+    read_ppm_rows,
     restore_images,
     verify_restoration,
     write_ppm,
 )
 from docpost.table_grid import parse_grid, serialize_grid
+from oracles import mask_reference
 
 
 TABLE = (0, 0, 100, 50)
@@ -203,6 +215,205 @@ def test_ppm_malformed_header_is_image_input_error(raw):
 def test_ppm_unsupported_maxval():
     with pytest.raises(ImageInputError, match="unsupported maxval 65535"):
         read_ppm(b"P6\n1 1\n65535\n" + bytes(6))
+
+
+# -- mask reads only the table's rows -------------------------------------------------
+
+
+def _run_mask(page, bbox, detections, out_dir):
+    det_path = out_dir / "det.json"
+    det_path.write_text(json.dumps(detections))
+    argv = ["mask", str(page), str(det_path), "--table-bbox=%d,%d,%d,%d" % tuple(bbox),
+            "--out-prefix", str(out_dir / "t")]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_mask_against_reference(raw, page, bbox, detections, out_dir):
+    """``docpost mask`` on ``page``, whose bytes are ``raw``, writes what the
+    whole-page reference computes, or fails with its exception."""
+    dets = [ImageDetection(tuple(d["bbox"]), d["confidence"]) for d in detections]
+    try:
+        expected = mask_reference(raw, str(page), bbox, dets)
+    except (DomainError, FormatError) as exc:
+        code, out, err = _run_mask(page, bbox, detections, out_dir)
+        assert code == (1 if isinstance(exc, DomainError) else 2)
+        assert out == ""
+        assert json.loads(err) == {"error": type(exc).__name__, "message": str(exc)}
+        return
+    code, out, err = _run_mask(page, bbox, detections, out_dir)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["masks"] == len(expected) - 2
+    written = {f.name[1:]: f.read_bytes() for f in out_dir.glob("t[._]*.ppm")}
+    assert written == {k: v for k, v in expected.items() if k != "crop"}
+    if page.is_file():
+        x1, y1, x2, y2 = bbox
+        with open(page, "rb") as fh:
+            width, height, rows = read_ppm_rows(fh, y1, y2)
+        page_buffer = read_ppm(raw)
+        assert (width, height) == (page_buffer.width, page_buffer.height)
+        assert crop_buffer(rows, (x1, 0, x2, y2 - y1)).data == expected["crop"]
+
+
+_SEPARATORS = [b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"#c\n", b"# x y\r\n"]
+
+
+@st.composite
+def mask_cases(draw):
+    """A page file's bytes, a table bbox on the page and detections."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    seps = [
+        b"".join(draw(st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=3)))
+        for _ in range(3)
+    ]
+    if draw(st.booleans()):  # a comment longer than the first header read
+        comment = b"c" * draw(st.sampled_from([5000, 10_000]))
+        seps[draw(st.integers(0, 2))] = b"\n#" + comment + b"\n"
+    end = draw(st.sampled_from([b" ", b"\n", b"\t", b"\r"]))
+    pixels = random.Random(draw(st.integers(0, 2**32 - 1))).randbytes(w * h * 3)
+    trailing = draw(st.sampled_from([b"", b"\n", b"#", b"junk" * 100]))
+    raw = (
+        b"P6" + seps[0] + b"%d" % w + seps[1] + b"%d" % h + seps[2] + b"255" + end
+        + pixels + trailing
+    )
+    x1 = draw(st.integers(0, w - 1))
+    y1 = draw(st.integers(0, h - 1))
+    bbox = (x1, y1, draw(st.integers(x1 + 1, w)), draw(st.integers(y1 + 1, h)))
+    detections = []
+    for _ in range(draw(st.integers(0, 3))):
+        dx1, dy1 = draw(st.integers(-2, w)), draw(st.integers(-2, h))
+        detections.append({
+            "bbox": [dx1, dy1, draw(st.integers(dx1 + 1, w + 2)),
+                     draw(st.integers(dy1 + 1, h + 2))],
+            "confidence": draw(st.sampled_from([0.3, 0.9])),
+        })
+    return raw, bbox, detections
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=mask_cases())
+def test_mask_matches_whole_page_reference(tmp_path_factory, case):
+    raw, bbox, detections = case
+    out_dir = tmp_path_factory.mktemp("mask")
+    page = out_dir / "page.ppm"
+    page.write_bytes(raw)
+    check_mask_against_reference(raw, page, bbox, detections, out_dir)
+
+
+PAGE_20x10 = b"P6\n20 10\n255\n" + bytes(range(200)) * 3
+ONE_IMAGE = [{"bbox": [4, 3, 8, 6], "confidence": 0.9}]
+
+
+@pytest.mark.parametrize(
+    "raw, bbox",
+    [
+        (PAGE_20x10[:-5], (2, 2, 18, 9)),
+        (PAGE_20x10[:-1], (2, 2, 18, 9)),  # only the last row is short
+        (PAGE_20x10[:-5], (2, 2, 18, 99)),  # the short page is reported first
+        (b"P6\n9999999999 9999999999\n255\n" + bytes(100), (2, 2, 18, 9)),
+        (b"P6\n20 10\n65535\n" + bytes(1200), (2, 2, 18, 9)),
+        (b"P6 # comment without a newline" + bytes(6000), (2, 2, 18, 9)),
+        (b"P6\n20 10\n255", (2, 2, 18, 9)),
+        (b"", (2, 2, 18, 9)),
+        (PAGE_20x10, (2, 2, 21, 9)),
+        (PAGE_20x10, (5, 2, 3, 9)),
+        (PAGE_20x10, (0, 10, 20, 10)),
+        (PAGE_20x10 + b"trailing", (0, 0, 20, 10)),
+    ],
+    ids=[
+        "truncated", "last_byte_missing", "truncated_and_off_page", "ten_digit_dimensions", "maxval",
+        "malformed_header", "header_only", "empty", "off_page", "inverted", "empty_bbox",
+        "whole_page_trailing_bytes",
+    ],
+)
+def test_mask_errors_match_whole_page_reference(tmp_path, monkeypatch, raw, bbox):
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    page = tmp_path / "page.ppm"
+    page.write_bytes(raw)
+    check_mask_against_reference(raw, page, bbox, ONE_IMAGE, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"P6\n#" + b"c" * 10_000 + PAGE_20x10[2:] + b"trailing" * 1000, PAGE_20x10[:-5]],
+    ids=["long_comment_and_trailing_bytes", "truncated"],
+)
+def test_mask_reads_a_pipe(tmp_path, raw):
+    fifo = tmp_path / "page.ppm"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(raw)
+        except BrokenPipeError:  # mask stops reading after the pixels
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    check_mask_against_reference(raw, fifo, (2, 2, 18, 9), ONE_IMAGE, tmp_path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_read_ppm_rows_resumes_a_header_cut_anywhere(tmp_path):
+    # the caller's first read may end anywhere in the header: in a comment,
+    # in whitespace or in a number, here one of 10 digits
+    raw = b"P6 #c1\n\t20\r\n#c2 \n10 \x0b0000000255\n" + PAGE_20x10[13:]
+    page = tmp_path / "page.ppm"
+    page.write_bytes(raw)
+    whole = read_ppm(raw)
+    for cut in range(len(raw) - 600 + 2):
+        with open(page, "rb") as fh:
+            head = fh.read(cut)
+            width, height, rows = read_ppm_rows(fh, 3, 7, head)
+        assert (width, height) == (20, 10)
+        assert rows == crop_buffer(whole, (0, 3, 20, 7))
+
+
+@pytest.mark.parametrize("start", [b"P6x\n", b"P6 12345678901 ", b"P6 20 10 255#"])
+def test_mask_stops_reading_a_header_that_can_never_match(tmp_path, start):
+    page = tmp_path / "page.ppm"
+    with open(page, "wb") as fh:
+        fh.write(start)
+        fh.truncate(48_000_000)
+    tracemalloc.start()
+    try:
+        code, out, err = _run_mask(page, (0, 0, 10, 10), [], tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"].startswith("not a P6 PPM header")
+    assert peak < 1_000_000
+
+
+def test_mask_memory_follows_the_table_not_the_page(tmp_path):
+    # a sparse 4,000x4,000 page: 48 MB of pixels that take no disk blocks
+    page = tmp_path / "page.ppm"
+    header = b"P6\n4000 4000\n255\n"
+    with open(page, "wb") as fh:
+        fh.write(header)
+        fh.truncate(len(header) + 4000 * 4000 * 3)
+    detections = [{"bbox": [1050, 2020, 1100, 2060], "confidence": 0.9}]
+    tracemalloc.start()
+    try:
+        code, out, err = _run_mask(page, (1000, 2000, 1200, 2100), detections, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["masks"] == 1
+    assert peak < 8_000_000
+    assert (tmp_path / "t_img0.ppm").read_bytes() == b"P6\n50 40\n255\n" + bytes(50 * 40 * 3)
+    masked = read_ppm((tmp_path / "t.masked.ppm").read_bytes())
+    fill = bytes(Config().mask_fill)
+    expected = bytearray(200 * 100 * 3)
+    for y in range(20, 60):
+        expected[(y * 200 + 50) * 3 : (y * 200 + 100) * 3] = fill * 50
+    assert masked == PixelBuffer(200, 100, bytes(expected))
 
 
 # -- restore_images -------------------------------------------------------------------
