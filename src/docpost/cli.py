@@ -10,10 +10,13 @@ objects on stderr. Exit codes: 0 success, 1 domain validation failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -142,8 +145,36 @@ def _load_image(path: str, raw: bytes) -> idtp.PixelBuffer:
         return idtp.PixelBuffer(rgb.width, rgb.height, rgb.tobytes())
 
 
+@contextlib.contextmanager
+def _output(path: str, binary: bool = False):
+    """Open ``path`` for writing: every file the CLI writes goes through here.
+
+    An existing file is written over in place, without ``O_TRUNC``: cutting
+    a file that holds data costs far more than overwriting its bytes. On
+    leaving the block, also by an exception, a regular file is cut to the
+    bytes written, so no stale tail survives; a pipe or device is not cut.
+    A new file gets the mode ``open(path, "w")`` gives it, and an existing
+    one keeps its inode, mode and owner.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+def _write_text(path: str, text: str) -> None:
+    # text is made before the file is opened, so a failure making it
+    # leaves the file as it was
+    with _output(path) as fh:
+        fh.write(text)
+
+
 def _save_ppm(path: str, buffer: idtp.PixelBuffer) -> None:
-    with open(path, "wb") as fh:
+    with _output(path, binary=True) as fh:
         fh.write(idtp.ppm_header(buffer))
         fh.write(buffer.data)
 
@@ -170,11 +201,8 @@ def cmd_assemble(args) -> int:
     result = layout.pipeline_run(
         args.layout, args.fixture, cfg, detections, layout.OutputFormat(args.format), scorer
     )
-    Path(args.out).write_text(result.document, encoding="utf-8")
-    reports_path = Path(args.out + ".reports.json")
-    reports_path.write_text(
-        _dumps(result.reports_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_text(args.out, result.document)
+    _write_text(args.out + ".reports.json", _dumps(result.reports_dict(), indent=2) + "\n")
     for warning in result.warnings:
         _diag("warning", warning)
     return EXIT_OK
@@ -191,7 +219,7 @@ def cmd_merge(args) -> int:
     out_files = []
     for i, table in enumerate(tables):
         out_path = f"{args.out_prefix}_{i}.html"
-        Path(out_path).write_text(table_grid.serialize_grid(table), encoding="utf-8")
+        _write_text(out_path, table_grid.serialize_grid(table))
         out_files.append(out_path)
     print(
         _dumps(
@@ -220,9 +248,7 @@ def cmd_mask(args) -> int:
         _save_ppm(ref, idtp.crop_buffer(crop, mask.rect))
         refs.append(ref)
     pmap = pmap.with_refs(refs)
-    Path(f"{args.out_prefix}.map.json").write_text(
-        _dumps(pmap.to_dict(table_bbox), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_text(f"{args.out_prefix}.map.json", _dumps(pmap.to_dict(table_bbox), indent=2) + "\n")
     print(
         _dumps(
             {"masks": len(plan.masks), "map": f"{args.out_prefix}.map.json"}
@@ -236,7 +262,7 @@ def cmd_restore(args) -> int:
     html = Path(args.html).read_text(encoding="utf-8")
     pmap = _parse_placeholder_map(_read_json(args.map))
     result = idtp.restore_images(html, pmap, strict_ids=args.strict_ids)
-    Path(args.out).write_text(result.html, encoding="utf-8")
+    _write_text(args.out, result.html)
     report = idtp.verify_restoration(result.html, pmap)
     print(
         _dumps(
@@ -278,9 +304,7 @@ def cmd_eval(args) -> int:
     rows = metrics.evaluate_batch(_read_json(args.batch))
     print(_format_eval_table(rows))
     if args.json_out:
-        Path(args.json_out).write_text(
-            _dumps(rows, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_text(args.json_out, _dumps(rows, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -356,7 +380,7 @@ def cmd_pairs(args) -> int:
     except ValueError as exc:  # an unknown kind
         raise FormatError(str(exc)) from None
     written = skipped = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out) as fh:
         for source in sources:
             gt_html = source.read_text(encoding="utf-8")
             if args.seeds <= 0:  # no pair is attempted, so nothing is parsed

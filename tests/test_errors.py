@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import operator
+import os
 import pkgutil
 import tempfile
 from pathlib import Path
@@ -227,8 +228,15 @@ def test_cli_exits_by_the_contract(command, data):
             command, *_argv(command, d, paths, table_bbox), mutation, data.draw(st.integers(0, 5))
         )
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        # a dropped --out-prefix makes merge write its default merged_0.html
+        # into the working directory, so that is the temporary one
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert all("error" in json.loads(line) for line in lines)
