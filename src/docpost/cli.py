@@ -151,19 +151,25 @@ def _output(path: str, binary: bool = False):
 
     An existing file is written over in place, without ``O_TRUNC``: cutting
     a file that holds data costs far more than overwriting its bytes. On
-    leaving the block, also by an exception, a regular file is cut to the
-    bytes written, so no stale tail survives; a pipe or device is not cut.
-    A new file gets the mode ``open(path, "w")`` gives it, and an existing
-    one keeps its inode, mode and owner.
+    leaving the block, also by an exception, a regular file that held more
+    bytes than were written is cut to the bytes written, so no stale tail
+    survives. A new file, or one written to at least its old length, needs
+    no cut; a pipe or device is not cut. A new file gets the mode
+    ``open(path, "w")`` gives it, and an existing one keeps its inode, mode
+    and owner.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8") as fh:
+        st = os.fstat(fd)
+        old_size = st.st_size if stat.S_ISREG(st.st_mode) else 0
         try:
             yield fh
         finally:
             fh.flush()
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            if old_size:
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if end < old_size:
+                    os.ftruncate(fd, end)
 
 
 def _write_text(path: str, text: str) -> None:

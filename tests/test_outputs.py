@@ -136,6 +136,29 @@ def test_cli_overwrites_longer_outputs_in_place(tmp_path, capsys, command):
     assert {str(p) for p in outputs} <= {os.fspath(path) for path, _ in named}
 
 
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_cli_cuts_only_outputs_with_a_stale_tail(tmp_path, capsys, monkeypatch, command):
+    # a first run, a rerun of the same length and a rerun over a shorter
+    # file write no bytes past the old end, so nothing is cut
+    cuts = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: cuts.append(n) or ftruncate(fd, n))
+    argv, outputs = _command(command, tmp_path)
+    assert main(argv) == 0
+    expected = [p.read_bytes() for p in outputs]
+    assert main(argv) == 0
+    for path in outputs:
+        path.write_bytes(b"x")
+    assert main(argv) == 0
+    assert cuts == []
+    assert [p.read_bytes() for p in outputs] == expected
+    for path in outputs:
+        path.write_bytes(b"x" * 100_000)
+    assert main(argv) == 0
+    assert cuts == [len(content) for content in expected]
+    assert [p.read_bytes() for p in outputs] == expected
+
+
 def test_cli_pairs_failing_part_way_keeps_only_the_written_records(tmp_path, capsys):
     good = _write(tmp_path / "a.html", TABLE)
     bad = _write(tmp_path / "b.html", b"\xff not UTF-8")
