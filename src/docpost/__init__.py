@@ -4,12 +4,9 @@ __version__ = "0.1.0"
 
 from .table_grid import (  # noqa: F401
     GridCell,
-    TableFragment,
     TableGrid,
     detect_header_rows,
-    normalize_grid,
     parse_grid,
-    parse_table_html,
     serialize_grid,
 )
 from .table_merge import (  # noqa: F401
@@ -17,7 +14,6 @@ from .table_merge import (  # noqa: F401
     Pattern,
     decide_merge,
     merge,
-    merge_fragment_sequence,
 )
 from .idtp import (  # noqa: F401
     ImageDetection,

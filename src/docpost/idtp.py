@@ -223,6 +223,8 @@ def crop_buffer(buffer: PixelBuffer, rect: Rect) -> PixelBuffer:
 _PPM_HEADER_RE = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,10})" * 3 + rb"\s")
 # First read of a streamed header; a longer one (long comments) doubles it.
 _HEADER_READ = 4096
+# Longest streamed header; a longer one (an unterminated comment) is malformed.
+_HEADER_MAX = 1 << 16
 # Completes every header cut short after its "P6", and no text that can
 # never become a header.
 _HEADER_END = b"\n1 1 1 "
@@ -256,16 +258,17 @@ def read_ppm_rows(
     The row range is clamped to the page. Returns the page's width and
     height and a buffer of the kept rows. The stream must hold all
     ``width*height*3`` pixel bytes after the header, as :func:`read_ppm`
-    requires, with the same errors raised in the same order. A regular file
+    requires, with the same errors raised in the same order, except that a
+    header longer than :data:`_HEADER_MAX` bytes is malformed. A regular file
     is checked by its size and read only over the kept rows; any other
     stream (a pipe) is read through in bounded chunks. Either way memory
     grows with the kept rows, not with the page.
     """
     buf = head
-    while (header := _PPM_HEADER_RE.match(buf)) is None:
+    while (header := _PPM_HEADER_RE.match(buf)) is None and len(buf) < _HEADER_MAX:
         if len(buf) >= 2 and not _PPM_HEADER_RE.match(buf + _HEADER_END):
             break  # no more bytes can make it a header
-        more = stream.read(max(len(buf), _HEADER_READ))
+        more = stream.read(min(max(len(buf), _HEADER_READ), _HEADER_MAX - len(buf)))
         if not more:
             break
         buf += more

@@ -1,4 +1,4 @@
-"""HTML table fragments -> normalized span-aware grids and back.
+"""HTML tables -> normalized span-aware grids and back.
 
 The grid is the universal table representation for the rest of the package:
 every position of an ``n_rows x n_cols`` matrix is owned by exactly one cell
@@ -32,28 +32,6 @@ class MalformedMarkup(TableError):
 
 class SpanConflict(TableError):
     """Two cells claim the same grid position."""
-
-
-class RawCell(NamedTuple):
-    content: str
-    rowspan: int = 1
-    colspan: int = 1
-    is_header: bool = False
-
-
-@dataclass(frozen=True)
-class TableFragment:
-    """Rows of raw cells as they appeared in markup; may be ragged."""
-
-    rows: tuple[tuple[RawCell, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("fragment needs at least one row")
-        for row in self.rows:
-            for cell in row:
-                if cell.rowspan < 1 or cell.colspan < 1:
-                    raise ValueError("cell spans must be >= 1")
 
 
 class GridCell(NamedTuple):
@@ -122,12 +100,12 @@ class _TableSoupParser(HTMLParser):
 
     def __init__(self):
         super().__init__(convert_charrefs=False)
-        self.rows: list[list[RawCell]] = []
+        self.rows: list[list[tuple[str, int, int, bool]]] = []
         self.done = False
         self._in_table = False
         self._in_thead = False
         self._nested_table = 0
-        self._row: list[RawCell] | None = None
+        self._row: list[tuple[str, int, int, bool]] | None = None
         self._cell_parts: list[str] | None = None
         self._cell_attrs: tuple[int, int, bool] | None = None  # rowspan, colspan, header
 
@@ -160,9 +138,7 @@ class _TableSoupParser(HTMLParser):
             return
         rowspan, colspan, header = self._cell_attrs
         assert self._row is not None
-        self._row.append(
-            RawCell("".join(self._cell_parts), rowspan, colspan, header)
-        )
+        self._row.append(("".join(self._cell_parts), rowspan, colspan, header))
         self._cell_parts = None
         self._cell_attrs = None
 
@@ -305,7 +281,7 @@ def _parse_canonical(html: str) -> list[list[tuple[str, int, int, bool]]] | None
     return rows if any(rows) else None
 
 
-def _parse_tolerant(html: str) -> list[list[RawCell]]:
+def _parse_tolerant(html: str) -> list[list[tuple[str, int, int, bool]]]:
     """The rows of the first <table> in ``html``, read by _TableSoupParser."""
     parser = _TableSoupParser()
     try:
@@ -322,22 +298,6 @@ def _parse_tolerant(html: str) -> list[list[RawCell]]:
     return parser.rows
 
 
-def parse_table_html(html: str) -> TableFragment:
-    """Parse the first <table> in ``html`` into a :class:`TableFragment`.
-
-    <th> cells and cells inside <thead> get ``is_header=True``. Markup inside
-    a cell (including <img> tags) is preserved verbatim in ``content``.
-    Raises :class:`NoTableFound` when there is no table element and
-    :class:`MalformedMarkup` when the table yields no rows. Markup in the
-    shape :func:`serialize_grid` writes is checked by one regex match and
-    read in one scan instead of by ``html.parser``, with the same result.
-    """
-    rows = _parse_canonical(html)
-    if rows is None:
-        rows = _parse_tolerant(html)
-    return TableFragment(tuple(tuple(map(RawCell._make, row)) for row in rows))
-
-
 # The HTML table model's span limits: larger values are clamped to them.
 MAX_COLSPAN = 1000
 MAX_ROWSPAN = 65534
@@ -346,8 +306,14 @@ MAX_ROWSPAN = 65534
 MAX_GRID_POSITIONS = 100_000
 
 
-def normalize_grid(fragment: TableFragment) -> TableGrid:
-    """Lay out a fragment with the standard HTML table algorithm.
+# builds a GridCell from all six fields without NamedTuple.__new__'s Python call
+_new_tuple = tuple.__new__
+
+
+def _layout(rows) -> TableGrid:
+    """Lay out ragged rows of ``(content, rowspan, colspan, is_header)``
+    tuples (spans >= 1, at least one row) with the standard HTML table
+    algorithm.
 
     Each cell lands at the leftmost free column of its row and claims its
     span rectangle. Ragged rows are padded with empty 1x1 cells; rowspans
@@ -358,16 +324,6 @@ def normalize_grid(fragment: TableFragment) -> TableGrid:
     more than :data:`MAX_GRID_POSITIONS` positions raises
     :class:`MalformedMarkup` before the cell that would widen it is placed.
     """
-    return _layout(fragment.rows)
-
-
-# builds a GridCell from all six fields without NamedTuple.__new__'s Python call
-_new_tuple = tuple.__new__
-
-
-def _layout(rows) -> TableGrid:
-    """:func:`normalize_grid` over rows of ``(content, rowspan, colspan,
-    is_header)`` tuples with spans >= 1, at least one row."""
     n_rows = len(rows)
     warnings: list[str] = []
     cells: list[GridCell] = []
@@ -523,9 +479,15 @@ def serialize_grid(grid: TableGrid) -> str:
 
 
 def parse_grid(html: str) -> TableGrid:
-    """:func:`parse_table_html` then :func:`normalize_grid`, without building
-    the fragment: canonical markup is checked by one regex match and its
-    cells are laid out directly."""
+    """Parse the first <table> in ``html`` and lay it out with :func:`_layout`.
+
+    <th> cells and cells inside <thead> are headers, and markup inside a cell
+    (including <img> tags) is kept verbatim. Raises :class:`NoTableFound`
+    when there is no table element and :class:`MalformedMarkup` when the
+    table yields no cells. Markup in the shape :func:`serialize_grid` writes
+    is read by one regex scan instead of by ``html.parser``, with the same
+    result.
+    """
     rows = _parse_canonical(html)
     return _layout(_parse_tolerant(html) if rows is None else rows)
 

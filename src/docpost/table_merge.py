@@ -343,22 +343,13 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
     return grid_from_cells(a.n_rows + b.n_rows - start, a.n_cols, cells)
 
 
-def merge_fragment_sequence(
-    fragments: list[TableGrid],
-    scorer: Scorer | None = None,
-    cfg: Config | None = None,
-) -> list[TableGrid]:
-    """Greedy left-to-right fold of fragments in reading order."""
-    tables, _ = merge_fragment_sequence_with_plans(fragments, scorer, cfg)
-    return tables
-
-
 def merge_fragment_sequence_with_plans(
     fragments: list[TableGrid],
     scorer: Scorer | None = None,
     cfg: Config | None = None,
 ) -> tuple[list[TableGrid], list[MergePlan]]:
-    """Fold fragments and keep the pairwise decisions for reporting.
+    """Greedy left-to-right fold of fragments in reading order; the pairwise
+    decisions are kept for reporting.
 
     Plan ``i`` is the decision between the accumulated table and fragment
     ``i + 1``.

@@ -44,7 +44,7 @@ def random_grid(
 
     ``blocked_boundaries`` lists row boundaries (split indices) that no
     rowspan may cross, so tests can split the grid there afterwards.
-    Construction is independent of normalize_grid: cells are tiled directly.
+    Construction is independent of the table layout: cells are tiled directly.
     """
     blocked = blocked_boundaries or set()
     taken = [[False] * n_cols for _ in range(n_rows)]

@@ -15,7 +15,7 @@ The ``mask`` reference reads the whole page, cuts each crop out of it in
 page coordinates with a bytes slice per row, and writes each PPM as one
 concatenated string, where the CLI reads only the table's rows.
 Two grid helpers that only tests use live here too: :func:`slice_rows` and
-:func:`grid_to_fragment`.
+:func:`grid_to_rows`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ from docpost.table_grid import (
     MAX_ROWSPAN,
     GridCell,
     MalformedMarkup,
-    RawCell,
     SpanConflict,
-    TableFragment,
     TableGrid,
     normalize_text,
     serialize_grid,
@@ -412,10 +410,11 @@ def merge_reference(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
     return _vstack_reference(a_joined, _remap_columns_reference(rest, plan.column_map, a.n_cols))
 
 
-def normalize_grid_reference(fragment: TableFragment) -> TableGrid:
-    """The HTML table layout with one ``claim`` call per grid position, a
-    padding scan over every row, and a final renumbering into anchor order."""
-    n_rows = len(fragment.rows)
+def normalize_grid_reference(rows) -> TableGrid:
+    """The HTML table layout of rows of ``(content, rowspan, colspan,
+    is_header)`` tuples with one ``claim`` call per grid position, a padding
+    scan over every row, and a final renumbering into anchor order."""
+    n_rows = len(rows)
     warnings: list[str] = []
     cells: list[GridCell] = []
     occ: list[list[int | None]] = [[] for _ in range(n_rows)]
@@ -428,28 +427,28 @@ def normalize_grid_reference(fragment: TableFragment) -> TableGrid:
             raise SpanConflict(f"position ({r},{c}) claimed twice")
         row[c] = idx
 
-    for r, raw_row in enumerate(fragment.rows):
+    for r, raw_row in enumerate(rows):
         cursor = 0
-        for raw in raw_row:
+        for content, raw_rowspan, raw_colspan, is_header in raw_row:
             row = occ[r]
             while cursor < len(row) and row[cursor] is not None:
                 cursor += 1
-            rowspan = min(raw.rowspan, MAX_ROWSPAN, n_rows - r)
-            if rowspan != raw.rowspan:
+            rowspan = min(raw_rowspan, MAX_ROWSPAN, n_rows - r)
+            if rowspan != raw_rowspan:
                 warnings.append(
-                    f"clipped rowspan {raw.rowspan}->{rowspan} at ({r},{cursor})"
+                    f"clipped rowspan {raw_rowspan}->{rowspan} at ({r},{cursor})"
                 )
-            colspan = min(raw.colspan, MAX_COLSPAN)
-            if colspan != raw.colspan:
+            colspan = min(raw_colspan, MAX_COLSPAN)
+            if colspan != raw_colspan:
                 warnings.append(
-                    f"clipped colspan {raw.colspan}->{colspan} at ({r},{cursor})"
+                    f"clipped colspan {raw_colspan}->{colspan} at ({r},{cursor})"
                 )
             if n_rows * (cursor + colspan) > MAX_GRID_POSITIONS:
                 raise MalformedMarkup(
                     f"table exceeds {MAX_GRID_POSITIONS} grid positions at ({r},{cursor})"
                 )
             idx = len(cells)
-            cells.append(GridCell(r, cursor, rowspan, colspan, raw.content, raw.is_header))
+            cells.append(GridCell(r, cursor, rowspan, colspan, content, is_header))
             for rr in range(r, r + rowspan):
                 for cc in range(cursor, cursor + colspan):
                     claim(rr, cc, idx)
@@ -511,12 +510,13 @@ def grid_from_cells_reference(n_rows: int, n_cols: int, cells) -> TableGrid:
     )
 
 
-def grid_to_fragment(grid: TableGrid) -> TableFragment:
-    """Inverse of ``normalize_grid`` for grids that satisfy the invariants."""
-    rows: list[list[RawCell]] = [[] for _ in range(grid.n_rows)]
+def grid_to_rows(grid: TableGrid) -> list[list[tuple[str, int, int, bool]]]:
+    """The ``(content, rowspan, colspan, is_header)`` rows that lay out back
+    to ``grid``, for grids that satisfy the invariants."""
+    rows: list[list[tuple[str, int, int, bool]]] = [[] for _ in range(grid.n_rows)]
     for c in grid.cells:
-        rows[c.anchor_row].append(RawCell(c.content, c.rowspan, c.colspan, c.is_header))
-    return TableFragment(tuple(map(tuple, rows)))
+        rows[c.anchor_row].append((c.content, c.rowspan, c.colspan, c.is_header))
+    return rows
 
 
 def crop_reference(buffer: PixelBuffer, rect) -> PixelBuffer:

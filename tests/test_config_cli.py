@@ -38,7 +38,6 @@ SETTINGS_FUNCTIONS = (
     table_merge.match_headers,
     table_merge.classify_continuation,
     table_merge.decide_merge,
-    table_merge.merge_fragment_sequence,
     table_merge.merge_fragment_sequence_with_plans,
     idtp.plan_masks,
     rewards.rule_checks,

@@ -15,6 +15,7 @@ from docpost.cli import main
 from docpost.config import Config
 from docpost.errors import DomainError, FormatError
 from docpost.idtp import (
+    _HEADER_MAX,
     DimensionMismatch,
     ImageDetection,
     ImageInputError,
@@ -373,7 +374,8 @@ def test_read_ppm_rows_resumes_a_header_cut_anywhere(tmp_path):
         assert rows == crop_buffer(whole, (0, 3, 20, 7))
 
 
-@pytest.mark.parametrize("start", [b"P6x\n", b"P6 12345678901 ", b"P6 20 10 255#"])
+# "P6 #" opens a comment that never ends: it is cut at the header length cap
+@pytest.mark.parametrize("start", [b"P6x\n", b"P6 12345678901 ", b"P6 20 10 255#", b"P6 #"])
 def test_mask_stops_reading_a_header_that_can_never_match(tmp_path, start):
     page = tmp_path / "page.ppm"
     with open(page, "wb") as fh:
@@ -388,6 +390,21 @@ def test_mask_stops_reading_a_header_that_can_never_match(tmp_path, start):
     assert (code, out) == (1, "")
     assert json.loads(err)["message"].startswith("not a P6 PPM header")
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("extra, accepted", [(0, True), (1, False)])
+def test_read_ppm_rows_caps_the_header_length(tmp_path, extra, accepted):
+    header = b"P6\n20 10\n255\n"
+    comment = b"#" + b"c" * (_HEADER_MAX - len(header) - 2 + extra) + b"\n"
+    raw = header[:3] + comment + header[3:] + PAGE_20x10[len(header) :]
+    page = tmp_path / "page.ppm"
+    page.write_bytes(raw)
+    with open(page, "rb") as fh:
+        if accepted:
+            assert read_ppm_rows(fh, 0, 10)[2] == read_ppm(PAGE_20x10)
+        else:
+            with pytest.raises(ImageInputError, match="not a P6 PPM header"):
+                read_ppm_rows(fh, 0, 10)
 
 
 def test_mask_memory_follows_the_table_not_the_page(tmp_path):

@@ -1,14 +1,13 @@
 import random
 import re
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import WIDE_ROW_TABLE, random_grid
-from oracles import grid_from_cells_reference, grid_to_fragment, normalize_grid_reference
+from oracles import grid_from_cells_reference, grid_to_rows, normalize_grid_reference
 from docpost import table_grid
 from docpost.rewards import rule_checks
 from docpost.table_grid import (
@@ -18,17 +17,13 @@ from docpost.table_grid import (
     GridCell,
     MalformedMarkup,
     NoTableFound,
-    RawCell,
     SpanConflict,
     TableError,
-    TableFragment,
     detect_header_rows,
     grid_from_cells,
     looks_numeric,
-    normalize_grid,
     normalize_text,
     parse_grid,
-    parse_table_html,
     serialize_grid,
 )
 
@@ -37,67 +32,63 @@ from docpost.table_grid import (
 
 
 def test_parse_minimal_table():
-    frag = parse_table_html("<table><tr><td>a</td></tr></table>")
-    assert len(frag.rows) == 1
-    assert frag.rows[0] == (RawCell("a", 1, 1, False),)
+    rows = table_grid._parse_tolerant("<table><tr><td>a</td></tr></table>")
+    assert rows == [[("a", 1, 1, False)]]
 
 
 def test_parse_rowspan_attribute():
-    frag = parse_table_html(
+    rows = table_grid._parse_tolerant(
         '<table><tr><td rowspan="2">x</td><td>y</td></tr><tr><td>z</td></tr></table>'
     )
-    assert len(frag.rows) == 2
-    assert frag.rows[0][0].rowspan == 2
-    assert frag.rows[0][1] == RawCell("y", 1, 1, False)
+    assert rows == [[("x", 2, 1, False), ("y", 1, 1, False)], [("z", 1, 1, False)]]
 
 
 def test_parse_no_table():
     with pytest.raises(NoTableFound):
-        parse_table_html("<p>no table here</p>")
+        parse_grid("<p>no table here</p>")
 
 
 def test_parse_empty_table_is_malformed():
     with pytest.raises(MalformedMarkup):
-        parse_table_html("<table></table>")
+        parse_grid("<table></table>")
 
 
 def test_parse_thead_and_th_mark_headers():
-    frag = parse_table_html(
+    rows = table_grid._parse_tolerant(
         "<table><thead><tr><td>h</td></tr></thead><tbody><tr><td>b</td></tr></tbody></table>"
     )
-    assert frag.rows[0][0].is_header
-    assert not frag.rows[1][0].is_header
-    frag2 = parse_table_html("<table><tr><th>h</th><td>b</td></tr></table>")
-    assert frag2.rows[0][0].is_header and not frag2.rows[0][1].is_header
+    assert rows == [[("h", 1, 1, True)], [("b", 1, 1, False)]]
+    rows = table_grid._parse_tolerant("<table><tr><th>h</th><td>b</td></tr></table>")
+    assert rows == [[("h", 1, 1, True), ("b", 1, 1, False)]]
 
 
 def test_parse_preserves_cell_markup_verbatim():
     html = '<table><tr><td><img src="placeholder://0" width="10"/> and <b>bold</b></td></tr></table>'
-    frag = parse_table_html(html)
-    assert frag.rows[0][0].content == '<img src="placeholder://0" width="10"/> and <b>bold</b>'
+    rows = table_grid._parse_tolerant(html)
+    assert rows[0][0][0] == '<img src="placeholder://0" width="10"/> and <b>bold</b>'
 
 
 def test_parse_keeps_entities_verbatim():
-    frag = parse_table_html("<table><tr><td>a &amp; b &#38; c</td></tr></table>")
-    assert frag.rows[0][0].content == "a &amp; b &#38; c"
+    rows = table_grid._parse_tolerant("<table><tr><td>a &amp; b &#38; c</td></tr></table>")
+    assert rows[0][0][0] == "a &amp; b &#38; c"
 
 
 def test_parse_nested_table_is_opaque_content():
     html = "<table><tr><td>outer<table><tr><td>inner</td></tr></table></td><td>x</td></tr></table>"
-    frag = parse_table_html(html)
-    assert len(frag.rows) == 1 and len(frag.rows[0]) == 2
-    assert frag.rows[0][0].content == "outer<table><tr><td>inner</td></tr></table>"
+    rows = table_grid._parse_tolerant(html)
+    assert rows == [
+        [("outer<table><tr><td>inner</td></tr></table>", 1, 1, False), ("x", 1, 1, False)]
+    ]
 
 
 def test_parse_recovers_from_unclosed_tags():
-    frag = parse_table_html("<table><tr><td>a<td>b<tr><td>c")
-    assert [[c.content for c in row] for row in frag.rows] == [["a", "b"], ["c"]]
+    rows = table_grid._parse_tolerant("<table><tr><td>a<td>b<tr><td>c")
+    assert [[cell[0] for cell in row] for row in rows] == [["a", "b"], ["c"]]
 
 
 def test_parse_bad_span_values_default_to_one():
-    frag = parse_table_html('<table><tr><td rowspan="x" colspan="0">a</td></tr></table>')
-    assert frag.rows[0][0].rowspan == 1
-    assert frag.rows[0][0].colspan == 1
+    rows = table_grid._parse_tolerant('<table><tr><td rowspan="x" colspan="0">a</td></tr></table>')
+    assert rows == [[("a", 1, 1, False)]]
 
 
 # -- normalization ----------------------------------------------------------
@@ -194,12 +185,11 @@ def test_normalize_accepts_grid_at_position_cap():
 
 def test_normalize_span_conflict():
     # colspan=2 in row 1 would jump over the slot owned by b's rowspan.
-    frag = parse_table_html(
-        '<table><tr><td>a</td><td rowspan="2">b</td></tr>'
-        '<tr><td colspan="2">c</td></tr></table>'
-    )
     with pytest.raises(SpanConflict):
-        normalize_grid(frag)
+        parse_grid(
+            '<table><tr><td>a</td><td rowspan="2">b</td></tr>'
+            '<tr><td colspan="2">c</td></tr></table>'
+        )
 
 
 def test_normalize_colspan_widens_grid():
@@ -261,19 +251,15 @@ def test_exact_partition_of_random_fragments(seed, n_rows, n_cols):
     rng = random.Random(seed)
     rows = []
     for _ in range(n_rows):
-        row = tuple(
-            RawCell(
-                content=rng.choice("abcxyz"),
-                rowspan=rng.randint(1, 3),
-                colspan=rng.randint(1, 3),
-            )
+        row = [
+            (rng.choice("abcxyz"), rng.randint(1, 3), rng.randint(1, 3), False)
             for _ in range(rng.randint(0, n_cols))
-        )
+        ]
         rows.append(row)
     if all(not row for row in rows):
-        rows[0] = (RawCell("a"),)
+        rows[0] = [("a", 1, 1, False)]
     try:
-        grid = normalize_grid(TableFragment(tuple(rows)))
+        grid = table_grid._layout(rows)
     except SpanConflict:
         # a colspan jumping over an occupied slot is a legitimate rejection
         return
@@ -371,12 +357,6 @@ def _canonical_grid(seed, n_rows, n_cols, header_rows, stretch):
     return grid_from_cells(2 * n_rows, n_cols, cells)
 
 
-def _tolerant_parse(html):
-    """parse_table_html with the canonical reader switched off."""
-    with mock.patch.object(table_grid, "_parse_canonical", lambda html: None):
-        return table_grid.parse_table_html(html)
-
-
 # Markup the canonical reader must leave to the tolerant parser.
 CANONICAL_DECLINES = (
     "<table><tr><TD>a</TD></tr></table>",
@@ -453,13 +433,6 @@ def _canonical_or_mutated(draw):
     return "".join(tokens)
 
 
-def _outcome(parse, html):
-    try:
-        return parse(html)
-    except TableError as exc:
-        return type(exc)
-
-
 def _with_examples(*htmls):
     def pin(test):
         for html in htmls:
@@ -473,7 +446,9 @@ def _with_examples(*htmls):
 @given(html=_canonical_or_mutated())
 @_with_examples(*CANONICAL_DECLINES, *CANONICAL_EDGES)
 def test_canonical_reader_matches_tolerant_parser(html):
-    assert _outcome(parse_table_html, html) == _outcome(_tolerant_parse, html)
+    rows = table_grid._parse_canonical(html)
+    if rows is not None:
+        assert rows == table_grid._parse_tolerant(html)
 
 
 @pytest.mark.parametrize("html", CANONICAL_DECLINES)
@@ -503,11 +478,11 @@ def test_serialized_grids_skip_the_tolerant_parser(monkeypatch):
     for grid, html in zip(grids, htmls):
         assert parse_grid(html) == grid
     assert built == []
-    parse_table_html("<table><tr><TD>a</TD></tr></table>")
+    parse_grid("<table><tr><TD>a</TD></tr></table>")
     assert len(built) == 1
 
 
-# -- parse_grid against parse_table_html + normalize_grid ---------------------
+# -- parse_grid against the tolerant parser and the layout --------------------
 
 _SPAN_EDITS = ("0", "00", "1", "07", "123456", "999999", "1234567")
 
@@ -581,7 +556,7 @@ def _grid_outcome(parse, html):
 
 
 def _normalize_tolerant(html):
-    return normalize_grid(_tolerant_parse(html))
+    return table_grid._layout(table_grid._parse_tolerant(html))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -602,18 +577,12 @@ def test_parse_grid_reads_canonical_markup_once_without_fragments(monkeypatch):
         reads.append(html)
         return read(html)
 
-    def refuse(*args):
-        raise TypeError("parse_grid built a fragment")
-
     monkeypatch.setattr(table_grid, "_parse_canonical", counting_read)
     declined = "<TABLE><tr><td>a</td></tr></TABLE>"
     parse_grid(declined)
     assert reads == [declined]
     html = serialize_grid(_canonical_grid(3, 4, 4, 1, stretch=True))
-    expected = _normalize_tolerant(html)
-    monkeypatch.setattr(table_grid, "RawCell", refuse)
-    monkeypatch.setattr(table_grid, "TableFragment", refuse)
-    assert parse_grid(html) == expected
+    assert parse_grid(html) == _normalize_tolerant(html)
     assert reads == [declined, html]
 
 
@@ -642,7 +611,7 @@ def test_normalize_is_idempotent():
         "<tr><td>d</td><td>e</td></tr></table>",
     ):
         grid = parse_grid(html)
-        again = normalize_grid(grid_to_fragment(grid))
+        again = table_grid._layout(grid_to_rows(grid))
         assert again == grid
 
 
@@ -727,14 +696,9 @@ def test_cells_are_immutable_value_records():
     cell = GridCell(1, 2, 1, 3, "x")
     with pytest.raises(AttributeError):
         cell.content = "y"  # type: ignore[misc]
-    with pytest.raises(AttributeError):
-        RawCell("x").rowspan = 2  # type: ignore[misc]
     assert GridCell._fields == (
         "anchor_row", "anchor_col", "rowspan", "colspan", "content", "is_header"
     )
-    assert RawCell._fields == ("content", "rowspan", "colspan", "is_header")
-    raw = RawCell("x")
-    assert (raw.rowspan, raw.colspan, raw.is_header) == (1, 1, False)
     assert cell.is_header is False
     twin = GridCell(1, 2, 1, 3, "x", False)
     assert twin == cell and hash(twin) == hash(cell) and len({twin, cell}) == 1
@@ -744,7 +708,6 @@ def test_cells_are_immutable_value_records():
     assert repr(cell) == (
         "GridCell(anchor_row=1, anchor_col=2, rowspan=1, colspan=3, content='x', is_header=False)"
     )
-    assert repr(raw) == "RawCell(content='x', rowspan=1, colspan=1, is_header=False)"
 
 
 # -- layout against the claim-per-position references ------------------------
@@ -753,21 +716,19 @@ _ROWSPANS = st.one_of(st.integers(1, 4), st.sampled_from([MAX_ROWSPAN, MAX_ROWSP
 _COLSPANS = st.one_of(
     st.integers(1, 3), st.sampled_from([MAX_COLSPAN, MAX_COLSPAN + 1, 50_000])
 )
-_RAW_CELLS = st.builds(
-    RawCell, st.sampled_from(["", "a", "b c"]), _ROWSPANS, _COLSPANS, st.booleans()
-)
+_RAW_CELLS = st.tuples(st.sampled_from(["", "a", "b c"]), _ROWSPANS, _COLSPANS, st.booleans())
 
 
 @st.composite
-def _fragments(draw):
+def _ragged_rows(draw):
     """Ragged rows of spanning cells; tall tables leave all but their first
     rows empty, so wide cells run into MAX_GRID_POSITIONS."""
     n_rows = draw(st.one_of(st.integers(1, 5), st.sampled_from([40, 99, 100, 101])))
     filled = [tuple(draw(st.lists(_RAW_CELLS, max_size=4))) for _ in range(min(n_rows, 5))]
-    return TableFragment(tuple(filled) + ((),) * (n_rows - len(filled)))
+    return tuple(filled) + ((),) * (n_rows - len(filled))
 
 
-def _layout(fn, *args):
+def _layout_outcome(fn, *args):
     try:
         grid = fn(*args)
     except TableError as exc:
@@ -780,33 +741,31 @@ def _layout(fn, *args):
 
 
 @settings(max_examples=250, deadline=None)
-@given(fragment=_fragments())
+@given(rows=_ragged_rows())
 @example(  # rowspan clipped at MAX_ROWSPAN, not at the bottom edge
-    fragment=TableFragment(((RawCell("a", MAX_ROWSPAN + 5),),) + ((),) * (MAX_ROWSPAN + 1))
+    rows=((("a", MAX_ROWSPAN + 5, 1, False),),) + ((),) * (MAX_ROWSPAN + 1)
 )
 @example(  # colspan 2 runs into a rowspan from the row above: a span conflict
-    fragment=TableFragment(
-        ((RawCell("a"), RawCell("b", rowspan=2)), (RawCell("c", colspan=2),))
-    )
+    rows=((("a", 1, 1, False), ("b", 2, 1, False)), (("c", 1, 2, False),))
 )
 @example(  # a tall, wide cell runs into a rowspan from the row above
-    fragment=TableFragment(
-        (
-            (RawCell("a"), RawCell("b"), RawCell("c", rowspan=3)),
-            (RawCell("d", rowspan=2, colspan=3),),
-            (),
-        )
+    rows=(
+        (("a", 1, 1, False), ("b", 1, 1, False), ("c", 3, 1, False)),
+        (("d", 2, 3, False),),
+        (),
     )
 )
 @example(  # a rowspan starts to the right of a shorter row below
-    fragment=TableFragment(((RawCell("a"), RawCell("b"), RawCell("c", rowspan=2)), ()))
+    rows=((("a", 1, 1, False), ("b", 1, 1, False), ("c", 2, 1, False)), ())
 )
 @example(  # exactly at the position cap, then one column past it
-    fragment=TableFragment(((RawCell("a", colspan=MAX_COLSPAN),),) + ((),) * 99)
+    rows=((("a", 1, MAX_COLSPAN, False),),) + ((),) * 99
 )
-@example(fragment=TableFragment(((RawCell("a", colspan=MAX_COLSPAN),),) + ((),) * 100))
-def test_normalize_grid_matches_reference(fragment):
-    assert _layout(normalize_grid, fragment) == _layout(normalize_grid_reference, fragment)
+@example(rows=((("a", 1, MAX_COLSPAN, False),),) + ((),) * 100)
+def test_normalize_grid_matches_reference(rows):
+    assert _layout_outcome(table_grid._layout, rows) == _layout_outcome(
+        normalize_grid_reference, rows
+    )
 
 
 @st.composite
@@ -827,7 +786,9 @@ def _cell_lists(draw):
 @settings(max_examples=250, deadline=None)
 @given(case=_cell_lists())
 def test_grid_from_cells_matches_reference(case):
-    assert _layout(grid_from_cells, *case) == _layout(grid_from_cells_reference, *case)
+    assert _layout_outcome(grid_from_cells, *case) == _layout_outcome(
+        grid_from_cells_reference, *case
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -838,7 +799,7 @@ def test_grid_from_shuffled_cells_matches_reference(seed, n_rows, n_cols):
     cells = list(random_grid(rng, n_rows, n_cols, span_prob=0.4).cells)
     rng.shuffle(cells)
     del cells[: rng.randint(0, len(cells) // 2)]
-    assert _layout(grid_from_cells, n_rows, n_cols, cells) == _layout(
+    assert _layout_outcome(grid_from_cells, n_rows, n_cols, cells) == _layout_outcome(
         grid_from_cells_reference, n_rows, n_cols, cells
     )
 

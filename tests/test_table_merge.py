@@ -37,7 +37,6 @@ from docpost.table_merge import (
     decide_merge,
     match_headers,
     merge,
-    merge_fragment_sequence,
     merge_fragment_sequence_with_plans,
 )
 from oracles import merge_reference, slice_rows
@@ -559,8 +558,8 @@ def test_sequence_merges_then_splits():
 
 def test_sequence_singleton_and_empty():
     g = grid_of([["a"]])
-    assert merge_fragment_sequence([g]) == [g]
-    assert merge_fragment_sequence([]) == []
+    assert merge_fragment_sequence_with_plans([g]) == ([g], [])
+    assert merge_fragment_sequence_with_plans([]) == ([], [])
 
 
 @settings(max_examples=30, deadline=None)
@@ -571,7 +570,9 @@ def test_sequence_never_grows(seed, n):
         random_grid(rng, rng.randint(1, 3), rng.randint(1, 3), header_rows=rng.randint(0, 1))
         for _ in range(n)
     ]
-    assert len(merge_fragment_sequence(frags)) <= max(len(frags), 0) or n == 0
+    tables, plans = merge_fragment_sequence_with_plans(frags)
+    assert len(tables) <= max(len(frags), 0) or n == 0
+    assert len(plans) == max(n - 1, 0)
 
 
 # -- split/merge round trips ----------------------------------------------------------
