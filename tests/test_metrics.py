@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import random
@@ -406,14 +407,14 @@ def test_teds_structure_of_text_corruption_skips_the_dp(monkeypatch):
     assert len(built) == 2
 
 
-@pytest.mark.parametrize(
-    "pred, distance",
-    [
-        (GT3.replace("<th>A</th><th>B</th>", '<th colspan="2">A</th>'), 2.0),  # span
-        (GT3.replace(ROW2, ""), 3.0),  # dropped row
-        (GT3.replace(ROW2, ROW2 + ROW2), 3.0),  # duplicated row
-    ],
-)
+SHAPE_CORRUPTIONS = [
+    (GT3.replace("<th>A</th><th>B</th>", '<th colspan="2">A</th>'), 2.0),  # span
+    (GT3.replace(ROW2, ""), 3.0),  # dropped row
+    (GT3.replace(ROW2, ROW2 + ROW2), 3.0),  # duplicated row
+]
+
+
+@pytest.mark.parametrize("pred, distance", SHAPE_CORRUPTIONS)
 def test_teds_structure_of_shape_corruption_runs_the_dp(monkeypatch, pred, distance):
     t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
     built = count_annotations(monkeypatch)
@@ -458,6 +459,84 @@ def test_structure_distance_matches_the_dp(seed):
     t1 = random_tree(rng, 10)
     for t2 in (with_new_contents(t1, rng), random_tree(rng, 10)):
         assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == structure_distance_by_dp(t1, t2)
+
+
+def test_evaluate_pair_pins_teds_structure_without_the_dp(monkeypatch):
+    """The tag-count bound settles GT3's shape corruptions, so only the
+    content-aware distance builds the two annotated trees; it leaves the
+    3x1 table against the 1x4 one open, so that pair also runs the
+    structure-only dynamic program."""
+    three_rows = "<table><tr><td>1</td></tr><tr><td>2</td></tr><tr><td>3</td></tr></table>"
+    one_row = "<table><tr><td>1</td><td>2</td><td>3</td><td>4</td></tr></table>"
+    pairs = [(pred, GT3, 2) for pred, _ in SHAPE_CORRUPTIONS] + [(three_rows, one_row, 4)]
+    built = count_annotations(monkeypatch)
+    for pred, gt, builds in pairs:
+        built.clear()
+        values = {r.name: r.value for r in evaluate_pair(pred, gt, "table")}
+        assert len(built) == builds
+        assert values == {
+            "teds": teds(pred, gt),
+            "teds_structure": teds(pred, gt, structure_only=True),
+        }
+
+
+def corrupted(tree: DocTree, kind: str, rng: random.Random) -> DocTree:
+    """A copy of ``tree`` with one shape fault: a node's tag changed
+    (``"span"``), a child of the root dropped (``"drop_row"``) or repeated
+    in place (``"dup_row"``); half the time one content changes as well."""
+    out = copy.deepcopy(tree)
+    nodes, stack = [], [out]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1].children)
+    if kind == "span":
+        rng.choice(nodes).tag = rng.choice(["td[1,1]", "td[2,1]", "td[1,2]", "th[1,1]", "tr"])
+    elif out.children:
+        k = rng.randrange(len(out.children))
+        if kind == "drop_row":
+            del out.children[k]
+        else:
+            out.children.insert(k, copy.deepcopy(out.children[k]))
+    if rng.random() < 0.5:
+        rng.choice(nodes).content = rng.choice(["", "a", "ab", "total", "x y"])
+    return out
+
+
+any_trees = st.one_of(
+    table_trees, st.integers(0, 2**32 - 1).map(lambda seed: random_tree(random.Random(seed), 14))
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    t1=any_trees,
+    t2=any_trees,
+    kind=st.sampled_from(["span", "drop_row", "dup_row", None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(t1=EMPTY_ROWS, t2=ONE_CELL_ROWS, kind=None, seed=0)
+@example(t1=leaf("td[1,1]", "a"), t2=EMPTY_ROWS, kind=None, seed=0)
+def test_structure_bound_pins_the_structure_distance(t1, t2, kind, seed):
+    """The tag-count bound is at most the structure-only distance, and when
+    the content-aware distance is below ``bound + 1`` the structure-only
+    dynamic program returns ``float(bound)`` bit for bit. The scores that
+    ``eval`` takes from the bound equal those of both dynamic programs."""
+    if kind is not None:
+        t2 = corrupted(t1, kind, random.Random(seed))
+    tags1, tags2 = metrics._tags(t1), metrics._tags(t2)
+    bound = metrics._structure_bound(tags1, tags2)
+    structure = zhang_shasha_reference(t1, t2, STRUCTURE_ONLY)
+    assert bound <= structure
+    if tree_edit_distance(t1, t2, CONTENT_AWARE) < bound + 1:
+        for dist in (structure, tree_edit_distance(t1, t2, STRUCTURE_ONLY)):
+            assert dist == float(bound)
+            assert dist.hex() == float(bound).hex()
+    n_nodes = max(len(tags1), len(tags2))
+    expected = [
+        metrics._similarity(zhang_shasha_reference(t1, t2, model), n_nodes).hex()
+        for model in (CONTENT_AWARE, STRUCTURE_ONLY)
+    ]
+    assert [score.hex() for score in metrics._table_scores(t1, t2)] == expected
 
 
 EVAL_SHARDS = Path(__file__).parent / "fixtures" / "eval" / "shards.json"
