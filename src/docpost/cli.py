@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -64,8 +65,14 @@ def _parse_bbox(text: str) -> tuple[int, int, int, int]:
 
 
 def _is_finite_number(value) -> bool:
+    """A JSON number that fits a finite float; ``true`` and ``false`` are
+    not numbers."""
     try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
     except OverflowError:  # an integer too large for a float
         return False
 
@@ -194,16 +201,22 @@ def cmd_assemble(args) -> int:
         cfg = dataclasses.replace(cfg, include_headers_footers=True)
     scorer = cfg.continuation_scorer()
     detections: dict[tuple[int, int], list[idtp.ImageDetection]] = {}
+    names: dict[tuple[int, int], str] = {}
     if args.detections_dir:
         for path in sorted(Path(args.detections_dir).glob("page*_el*.json")):
-            stem = path.stem  # page<p>_el<i>
-            try:
-                page_no = int(stem.split("_")[0][len("page") :])
-                index = int(stem.split("_")[1][len("el") :])
-            except (IndexError, ValueError):
+            match = re.fullmatch(r"page([0-9]+)_el([0-9]+)", path.stem)
+            if match is None:
                 _diag("detections", f"cannot parse page/element from {path.name}")
                 return EXIT_IO
-            detections[(page_no, index)] = _parse_detections(_read_json(str(path)))
+            key = (int(match[1]), int(match[2]))
+            if key in names:
+                _diag(
+                    "detections",
+                    f"{names[key]} and {path.name} both name page {key[0]} element {key[1]}",
+                )
+                return EXIT_IO
+            names[key] = path.name
+            detections[key] = _parse_detections(_read_json(str(path)))
     result = layout.pipeline_run(
         args.layout, args.fixture, cfg, detections, layout.OutputFormat(args.format), scorer
     )

@@ -387,11 +387,11 @@ def parse_layout_document(text: str) -> list[LayoutPage]:
 def _parse_page_object(obj, pos: int) -> LayoutPage:
     if not isinstance(obj, dict) or "elements" not in obj:
         raise LayoutSchemaError(f"page {pos} must be an object with 'elements'")
-    try:
-        width = int(obj["page_width"])
-        height = int(obj["page_height"])
-    except (KeyError, TypeError, ValueError):
-        raise LayoutSchemaError(f"page {pos} needs integer page_width/page_height") from None
+    # JSON numbers only, floats truncated (A4's 595.28 is 595 wide)
+    size = [obj.get("page_width"), obj.get("page_height")]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in size):
+        raise LayoutSchemaError(f"page {pos} needs integer page_width/page_height")
+    width, height = map(int, size)
     return _validate_layout(obj["elements"], width, height)
 
 

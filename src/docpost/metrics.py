@@ -3,11 +3,11 @@ structures (TEDS / TEDS-S), and reading-order edit distance.
 
 The string distance is the bit-parallel Levenshtein algorithm of Myers
 (1999) as formulated by Hyyrö (2003). The tree distance is the Zhang-Shasha
-ordered tree edit distance with unit insert/delete costs. Two rename cost
-models are provided: structure-only (tag signatures must match, content
-ignored) and content-aware (tag mismatch costs 1, tag match costs the
-normalized edit distance between cell contents). Span values are folded
-into the tag signature, so span mistakes count as structural errors.
+ordered tree edit distance with unit insert/delete costs and one rename
+cost: a tag mismatch costs 1, a tag match the normalized edit distance
+between cell contents. TEDS-S is TEDS of the content-free trees, where
+every tag match costs 0. Span values are folded into the tag signature, so
+span mistakes count as structural errors.
 """
 
 from __future__ import annotations
@@ -175,10 +175,6 @@ def grid_to_tree(grid: TableGrid) -> DocTree:
     return DocTree("table", children=rows)
 
 
-STRUCTURE_ONLY = "structure"
-CONTENT_AWARE = "content"
-
-
 def _content_costs(texts, patterns: list[str]) -> dict[str, list[float]]:
     """``costs[text][k]`` is the normalized edit distance of ``text`` and
     ``patterns[k]``, for distinct texts and distinct patterns.
@@ -221,24 +217,17 @@ def _content_costs(texts, patterns: list[str]) -> dict[str, list[float]]:
     return costs
 
 
-def _rename_costs(
-    a_nodes: list[DocTree], b_nodes: list[DocTree], cost_model: str
-) -> list[list[float]]:
+def _rename_costs(a_nodes: list[DocTree], b_nodes: list[DocTree]) -> list[list[float]]:
     """``costs[i][j]`` is the rename cost of ``a_nodes[i]`` into ``b_nodes[j]``.
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
-    of the contents, which the structure-only model treats as all empty.
-    Each distinct (tag, content) key on either side is costed once, and each
-    distinct content of A is scanned against all of B's contents at once
-    (:func:`_content_costs`).
+    of the contents. Each distinct (tag, content) key on either side is
+    costed once, and each distinct content of A is scanned against all of
+    B's contents at once (:func:`_content_costs`).
     """
-    content = cost_model == CONTENT_AWARE
     b_keys: dict[tuple[str, str], int] = {}
-    b_index = [
-        b_keys.setdefault((n.tag, n.content if content else ""), len(b_keys))
-        for n in b_nodes
-    ]
-    a_keys = dict.fromkeys((n.tag, n.content if content else "") for n in a_nodes)
+    b_index = [b_keys.setdefault((n.tag, n.content), len(b_keys)) for n in b_nodes]
+    a_keys = dict.fromkeys((n.tag, n.content) for n in a_nodes)
     patterns: dict[str, int] = {}
     b_slots = [(tag, patterns.setdefault(text, len(patterns))) for tag, text in b_keys]
     content_costs = _content_costs(dict.fromkeys(text for _, text in a_keys), list(patterns))
@@ -247,7 +236,7 @@ def _rename_costs(
         tag, costs = key[0], content_costs[key[1]]
         by_key = [1.0 if other_tag != tag else costs[k] for other_tag, k in b_slots]
         rows[key] = [by_key[k] for k in b_index]
-    return [rows[n.tag, n.content if content else ""] for n in a_nodes]
+    return [rows[n.tag, n.content] for n in a_nodes]
 
 
 class _Annotated:
@@ -272,22 +261,7 @@ class _Annotated:
         self.keyroots: list[int] = sorted(highest.values())
 
 
-def _same_skeleton(t1: DocTree, t2: DocTree) -> bool:
-    """Equal tags and equal child counts at every node. The structure-only
-    distance of such trees is exactly 0: the identity mapping renames
-    nothing, and no mapping costs less."""
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        if a.tag != b.tag or len(a.children) != len(b.children):
-            return False
-        stack.extend(zip(a.children, b.children))
-    return True
-
-
-def tree_edit_distance(
-    t1: DocTree | None, t2: DocTree | None, cost_model: str = CONTENT_AWARE
-) -> float:
+def tree_edit_distance(t1: DocTree | None, t2: DocTree | None) -> float:
     """Zhang-Shasha ordered tree edit distance with unit insert/delete.
 
     ``None`` stands for the empty tree (pure deletions/insertions).
@@ -300,17 +274,12 @@ def tree_edit_distance(
     Every cell adds the same operands in the same order as the full table
     does, with no closed form, so each distance is bit-identical to it.
     """
-    if cost_model not in (STRUCTURE_ONLY, CONTENT_AWARE):
-        raise ValueError(f"unknown cost model {cost_model!r}")
     if t1 is None or t2 is None:
         return float((t1.size() if t1 else 0) + (t2.size() if t2 else 0))
-    if cost_model == STRUCTURE_ONLY:
-        if _same_skeleton(t1, t2):
-            return 0.0
-    elif t1 == t2:
+    if t1 == t2:
         return 0.0
     A, B = _Annotated(t1), _Annotated(t2)
-    rename = _rename_costs(A.nodes, B.nodes, cost_model)
+    rename = _rename_costs(A.nodes, B.nodes)
     lmds_a = A.lmds
     treedist = [[0.0] * len(B.nodes) for _ in A.nodes]
     # B's leaf keyroots, and per inner keyroot j: its first node lj, and for
@@ -424,6 +393,12 @@ def _table_trees(pred_html: str, gt_html: str) -> tuple[DocTree | None, DocTree]
         return None, gt_tree
 
 
+def _skeleton(tree: DocTree) -> DocTree:
+    """A copy of ``tree`` with every content empty, for TEDS-S: a tag
+    mismatch still renames for 1, a tag match for ``dist("", "") = 0``."""
+    return DocTree(tree.tag, "", [_skeleton(child) for child in tree.children])
+
+
 def _tags(tree: DocTree) -> list[str]:
     """The tag of every node of ``tree``, one per node, in no fixed order."""
     tags, stack = [], [tree]
@@ -435,7 +410,7 @@ def _tags(tree: DocTree) -> list[str]:
 
 
 def _structure_bound(tags1: list[str], tags2: list[str]) -> int:
-    """A lower bound on the structure-only distance of two trees with these
+    """A lower bound on the distance of two skeletons with these
     node tags (Kailing et al., 2004): a mapping with ``s`` equal-tag pairs
     and ``u`` other pairs costs ``n1 + n2 - 2s - u``, and ``s`` is at most
     the size of the tags' multiset intersection, ``s + u`` at most
@@ -452,7 +427,8 @@ def _similarity(dist: float, n_nodes: int) -> float:
 
 
 def teds(pred_html: str, gt_html: str, structure_only: bool = False) -> float:
-    """Tree-edit-distance similarity between two table HTML strings, in [0,1].
+    """Tree-edit-distance similarity between two table HTML strings, in [0,1];
+    with ``structure_only``, that of their :func:`_skeleton` trees (TEDS-S).
 
     An unparseable prediction scores 0; an unparseable ground truth raises
     :class:`GtParseError`.
@@ -460,47 +436,37 @@ def teds(pred_html: str, gt_html: str, structure_only: bool = False) -> float:
     pred_tree, gt_tree = _table_trees(pred_html, gt_html)
     if pred_tree is None:
         return 0.0
-    cost_model = STRUCTURE_ONLY if structure_only else CONTENT_AWARE
-    dist = tree_edit_distance(pred_tree, gt_tree, cost_model)
-    return _similarity(dist, max(len(_tags(pred_tree)), len(_tags(gt_tree))))
+    n_nodes = max(len(_tags(pred_tree)), len(_tags(gt_tree)))
+    if structure_only:
+        pred_tree, gt_tree = _skeleton(pred_tree), _skeleton(gt_tree)
+    return _similarity(tree_edit_distance(pred_tree, gt_tree), n_nodes)
 
 
 def _table_scores(pred_tree: DocTree | None, gt_tree: DocTree) -> tuple[float, float]:
     """TEDS and TEDS-S of two table trees, as :func:`teds` scores them.
 
-    The structure-only distance is an integer no less than
-    :func:`_structure_bound` and no greater than the content-aware distance:
-    each content-aware rename costs at least the structure-only rename of
-    the same pair, and rounded addition and ``min`` are monotone, so the
-    content-aware dynamic program returns at least what the structure-only
-    one does, an exact integer. When the content-aware distance is below
-    ``bound + 1``, that integer is ``bound`` and its dynamic program is not
-    run.
+    The distance of the skeletons is an integer no less than
+    :func:`_structure_bound` and no greater than the distance of the trees:
+    each rename costs at least the rename of the same pair of skeleton
+    nodes, and rounded addition and ``min`` are monotone, so the trees'
+    dynamic program returns at least what the skeletons' does, an exact
+    integer. When the trees' distance is below ``bound + 1``, that integer
+    is ``bound`` and the skeletons are not compared.
     """
     if pred_tree is None:
         return 0.0, 0.0
     pred_tags, gt_tags = _tags(pred_tree), _tags(gt_tree)
     n_nodes = max(len(pred_tags), len(gt_tags))
-    content = tree_edit_distance(pred_tree, gt_tree, CONTENT_AWARE)
+    content = tree_edit_distance(pred_tree, gt_tree)
     bound = _structure_bound(pred_tags, gt_tags)
     if content < bound + 1:
         structure = float(bound)
     else:
-        structure = tree_edit_distance(pred_tree, gt_tree, STRUCTURE_ONLY)
+        structure = tree_edit_distance(_skeleton(pred_tree), _skeleton(gt_tree))
     return _similarity(content, n_nodes), _similarity(structure, n_nodes)
 
 
 # -- batch evaluation ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    name: str
-    value: float
-    normalization: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "normalization": self.normalization}
 
 
 def _order_tokens(value) -> list:
@@ -509,32 +475,22 @@ def _order_tokens(value) -> list:
     return list(value)
 
 
-def evaluate_pair(pred, gt, kind: str) -> list[MetricReport]:
-    """Metrics for one prediction/ground-truth pair of the given kind."""
+def evaluate_pair(pred, gt, kind: str) -> dict[str, float]:
+    """Metrics for one prediction/ground-truth pair of the given kind, by
+    name."""
     if kind == "text":
         dist = edit_distance(pred, gt)
-        return [
-            MetricReport("edit_distance", float(dist), "unit costs"),
-            MetricReport(
-                "normalized_edit_distance",
-                dist / max(len(pred), len(gt), 1),
-                "distance / max(len)",
-            ),
-        ]
+        return {
+            "edit_distance": float(dist),
+            "normalized_edit_distance": dist / max(len(pred), len(gt), 1),
+        }
     if kind == "table":
         content, structure = _table_scores(*_table_trees(pred, gt))
-        return [
-            MetricReport("teds", content, "1 - TED / max(nodes)"),
-            MetricReport("teds_structure", structure, "structure-only rename"),
-        ]
+        return {"teds": content, "teds_structure": structure}
     if kind == "order":
-        return [
-            MetricReport(
-                "reading_order_edit",
-                reading_order_edit(_order_tokens(pred), _order_tokens(gt)),
-                "distance / max(len)",
-            )
-        ]
+        return {
+            "reading_order_edit": reading_order_edit(_order_tokens(pred), _order_tokens(gt))
+        }
     raise ValueError(f"unknown evaluation kind {kind!r}")
 
 
@@ -577,10 +533,7 @@ def evaluate_batch(entries: list[dict]) -> list[dict]:
         {
             "index": pos,
             "kind": entry["kind"],
-            "metrics": {
-                r.name: r.value
-                for r in evaluate_pair(entry["pred"], entry["gt"], entry["kind"])
-            },
+            "metrics": evaluate_pair(entry["pred"], entry["gt"], entry["kind"]),
         }
         for pos, entry in enumerate(entries)
     ]

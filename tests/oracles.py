@@ -33,7 +33,6 @@ from docpost.idtp import (
     write_ppm,
 )
 from docpost.metrics import (
-    CONTENT_AWARE,
     DocTree,
     _Annotated,
     _rename_costs,
@@ -175,10 +174,18 @@ def _postorder(root: DocTree):
     return nodes, desc
 
 
+# The references' two rename cost models. The library has one, the content
+# model; its structure-only distance is the content model's distance between
+# trees with empty contents, which these references check without emptying
+# any content.
+STRUCTURE = "structure"  # a tag mismatch costs 1, a tag match 0
+CONTENT = "content"  # a tag match costs the contents' normalized edit distance
+
+
 def _rename(a: DocTree, b: DocTree, cost_model: str) -> float:
     if a.tag != b.tag:
         return 1.0
-    if cost_model == CONTENT_AWARE:
+    if cost_model == CONTENT:
         return normalized_edit_distance(a.content, b.content)
     return 0.0
 
@@ -233,9 +240,14 @@ def exhaustive_tree_distance(t1: DocTree | None, t2: DocTree | None, cost_model:
 
 def zhang_shasha_reference(t1: DocTree, t2: DocTree, cost_model: str) -> float:
     """The Zhang-Shasha loop with one ``fd`` table for every forest pair,
-    leaf keyroots included, and no shortcut for equal trees or skeletons."""
+    leaf keyroots included, and no shortcut for equal trees. The content
+    model takes the library's rename costs, the structure model those of
+    :func:`rename_costs_reference`."""
     A, B = _Annotated(t1), _Annotated(t2)
-    rename = _rename_costs(A.nodes, B.nodes, cost_model)
+    if cost_model == CONTENT:
+        rename = _rename_costs(A.nodes, B.nodes)
+    else:
+        rename = rename_costs_reference(A.nodes, B.nodes, cost_model)
     lmds_a = A.lmds
     treedist = [[0.0] * len(B.nodes) for _ in A.nodes]
     # Per keyroot j of B: its first node lj, and for each forest column

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import shlex
+import shutil
 import sys
 from pathlib import Path
 
@@ -517,6 +518,15 @@ DETECTION_SHAPE = '{"bbox": [x1, y1, x2, y2], "confidence": f}'
         ([{"bbox": [4, 3, float("nan"), 6], "confidence": 0.9}], "number NaN is not finite"),
         ([{"bbox": [4, 3, 8, 6], "confidence": float("inf")}], "number Infinity is not finite"),
         ('[{"bbox": [4, 3, 8, 6], "confidence": -1e999}]', "number -1e999 is not finite"),
+        # JSON booleans are not numbers
+        (
+            [{"bbox": [False, False, True, True], "confidence": True}],
+            f"detection 0 is not a {DETECTION_SHAPE} object",
+        ),
+        (
+            [{"bbox": [4, 3, 8, 6], "confidence": False}],
+            f"detection 0 is not a {DETECTION_SHAPE} object",
+        ),
     ],
 )
 def test_cli_mask_malformed_detections_exit2(tmp_path, capsys, detections, message):
@@ -583,6 +593,32 @@ def test_cli_assemble_malformed_detections_exit2(tmp_path, capsys):
         "error": "FormatError",
         "message": f"detection 0 is not a {DETECTION_SHAPE} object",
     }
+
+
+DOC_IMAGES = Path(__file__).parent / "fixtures" / "doc_images"
+
+
+@pytest.mark.parametrize(
+    "stray, message",
+    [
+        # a name that only starts like a detections file
+        ("page0_el1_old.json", "cannot parse page/element from page0_el1_old.json"),
+        ("page0_el1x.json", "cannot parse page/element from page0_el1x.json"),
+        # a second name for the page and element of page0_el1.json
+        ("page00_el1.json", "page00_el1.json and page0_el1.json both name page 0 element 1"),
+        ("page0_el01.json", "page0_el01.json and page0_el1.json both name page 0 element 1"),
+    ],
+)
+def test_cli_assemble_detections_dir_stray_file_exit2(tmp_path, capsys, stray, message):
+    det_dir = tmp_path / "dets"
+    shutil.copytree(DOC_IMAGES / "detections", det_dir)
+    (det_dir / stray).write_text("[]")
+    out = tmp_path / "doc.md"
+    argv = ["assemble", str(DOC_IMAGES / "layout.json"), str(DOC_IMAGES / "recognition.json")]
+    assert main([*argv, "-o", str(out), "--detections-dir", str(det_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {"error": "detections", "message": message}
 
 
 HUGE_INT = "1" + "0" * 400  # valid JSON, too large for a float
@@ -1010,8 +1046,22 @@ def test_cli_assemble_single_page(tmp_path, capsys):
             ' "elements": [{"bbox": [0, 0, 5, 5], "index": 0, "label": "text"}]}',
             "LayoutSyntaxError",
         ),
+        # page sizes are JSON numbers, not strings or booleans
+        (
+            '{"page_width": "100", "page_height": 10,'
+            ' "elements": [{"bbox": [0, 0, 5, 5], "index": 0, "label": "text"}]}',
+            "LayoutSchemaError",
+        ),
+        (
+            '{"page_width": 100, "page_height": true,'
+            ' "elements": [{"bbox": [0, 0, 5, 5], "index": 0, "label": "text"}]}',
+            "LayoutSchemaError",
+        ),
     ],
-    ids=["missing_label", "infinity", "overflow", "nan", "infinite_page_width"],
+    ids=[
+        "missing_label", "infinity", "overflow", "nan", "infinite_page_width",
+        "string_page_width", "boolean_page_height",
+    ],
 )
 def test_cli_assemble_invalid_layout_exit1(tmp_path, capsys, layout_text, error):
     layout_path = tmp_path / "layout.json"

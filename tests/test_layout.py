@@ -474,6 +474,11 @@ def test_parse_layout_document_bare_array():
     assert pages[0].page_width == 10
 
 
+def test_page_size_floats_truncate():
+    [page] = parse_layout_document('{"page_width": 595.28, "page_height": 841.89, "elements": []}')
+    assert (page.page_width, page.page_height) == (595, 841)
+
+
 def test_fixture_page_count_mismatch():
     with pytest.raises(LayoutSchemaError):
         parse_recognition_fixture(json.dumps([{}, {}]), 1)

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CONTENT,
+    STRUCTURE,
     exhaustive_tree_distance,
     levenshtein_full_matrix,
     random_tree,
@@ -18,8 +20,6 @@ from oracles import (
     zhang_shasha_reference,
 )
 from docpost.metrics import (
-    CONTENT_AWARE,
-    STRUCTURE_ONLY,
     DocTree,
     GtParseError,
     edit_distance,
@@ -114,10 +114,18 @@ def leaf(tag, content=""):
     return DocTree(tag, content)
 
 
+def distance(t1, t2, model):
+    """``tree_edit_distance`` under one of the references' cost models: the
+    structure model's distance is that of the trees' skeletons."""
+    if model == STRUCTURE:
+        t1, t2 = metrics._skeleton(t1), metrics._skeleton(t2)
+    return tree_edit_distance(t1, t2)
+
+
 def test_tree_distance_identical():
     t = DocTree("table", children=[DocTree("tr", children=[leaf("td[1,1]", "x")])])
-    assert tree_edit_distance(t, t, STRUCTURE_ONLY) == 0.0
-    assert tree_edit_distance(t, t, CONTENT_AWARE) == 0.0
+    assert distance(t, t, STRUCTURE) == 0.0
+    assert distance(t, t, CONTENT) == 0.0
 
 
 def test_tree_distance_single_vs_empty():
@@ -129,14 +137,14 @@ def test_tree_distance_single_vs_empty():
 def test_tree_distance_one_rename():
     t1 = DocTree("table", children=[leaf("td[1,1]", "a")])
     t2 = DocTree("table", children=[leaf("td[2,1]", "a")])
-    assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == 1.0
+    assert distance(t1, t2, STRUCTURE) == 1.0
 
 
 def test_tree_distance_content_costs_normalized_edit():
     t1 = DocTree("table", children=[leaf("td[1,1]", "abcd")])
     t2 = DocTree("table", children=[leaf("td[1,1]", "abcx")])
-    assert tree_edit_distance(t1, t2, CONTENT_AWARE) == pytest.approx(0.25)
-    assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == 0.0
+    assert distance(t1, t2, CONTENT) == pytest.approx(0.25)
+    assert distance(t1, t2, STRUCTURE) == 0.0
 
 
 @settings(max_examples=120, deadline=None)
@@ -144,8 +152,8 @@ def test_tree_distance_content_costs_normalized_edit():
 def test_tree_distance_matches_exhaustive_oracle(seed):
     rng = random.Random(seed)
     t1, t2 = random_tree(rng, 8), random_tree(rng, 8)
-    for model in (STRUCTURE_ONLY, CONTENT_AWARE):
-        fast = tree_edit_distance(t1, t2, model)
+    for model in (STRUCTURE, CONTENT):
+        fast = distance(t1, t2, model)
         brute = exhaustive_tree_distance(t1, t2, model)
         assert fast == pytest.approx(brute, abs=1e-12)
 
@@ -155,9 +163,7 @@ def test_tree_distance_matches_exhaustive_oracle(seed):
 def test_structure_distance_never_exceeds_content_distance(seed):
     rng = random.Random(seed)
     t1, t2 = random_tree(rng, 8), random_tree(rng, 8)
-    assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) <= tree_edit_distance(
-        t1, t2, CONTENT_AWARE
-    ) + 1e-12
+    assert distance(t1, t2, STRUCTURE) <= distance(t1, t2, CONTENT) + 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -165,8 +171,8 @@ def test_structure_distance_never_exceeds_content_distance(seed):
 def test_tree_distance_equals_zhang_shasha_reference_on_random_trees(seed):
     rng = random.Random(seed)
     t1, t2 = random_tree(rng, 14), random_tree(rng, 14)
-    for model in (STRUCTURE_ONLY, CONTENT_AWARE):
-        assert tree_edit_distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
+    for model in (STRUCTURE, CONTENT):
+        assert distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
 
 
 def table_tree(rows) -> DocTree:
@@ -197,8 +203,8 @@ EMPTY_ROWS = table_tree([[], [("td[1,1]", "a"), ("td[1,1]", "b")], []])
 @example(t1=leaf("td[1,1]", "a"), t2=EMPTY_ROWS)
 @example(t1=EMPTY_ROWS, t2=leaf("table", ""))
 def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
-    for model in (STRUCTURE_ONLY, CONTENT_AWARE):
-        assert tree_edit_distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
+    for model in (STRUCTURE, CONTENT):
+        assert distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
 
 
 # cell contents that repeat, are empty, differ only in case or whitespace,
@@ -242,8 +248,14 @@ WIDE = "ab" * 2100  # wider than one block
 )
 def test_rename_costs_match_per_pair_reference(a, b, width):
     with mock.patch.object(metrics, "BLOCK_BITS", width):
-        for model in (STRUCTURE_ONLY, CONTENT_AWARE):
-            assert metrics._rename_costs(a, b, model) == rename_costs_reference(a, b, model)
+        assert metrics._rename_costs(a, b) == rename_costs_reference(a, b, CONTENT)
+        assert metrics._rename_costs(skeletons(a), skeletons(b)) == rename_costs_reference(
+            a, b, STRUCTURE
+        )
+
+
+def skeletons(nodes: list[DocTree]) -> list[DocTree]:
+    return [metrics._skeleton(node) for node in nodes]
 
 
 @pytest.mark.parametrize(
@@ -261,7 +273,7 @@ def test_rename_costs_scan_each_content_once_per_block(monkeypatch, width, texts
     # "abc" and "abx" under two tags, and an empty content on both sides
     a = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "abx"), leaf(TD, "")]
     b = [leaf(TD, "abx"), leaf(TH, "abx"), leaf(TD, "abc"), leaf(TD, "zz"), leaf(TD, "")]
-    expected = rename_costs_reference(a, b, CONTENT_AWARE)
+    expected = rename_costs_reference(a, b, CONTENT)
     scans = []
     myers = metrics._myers
 
@@ -271,16 +283,14 @@ def test_rename_costs_scan_each_content_once_per_block(monkeypatch, width, texts
 
     monkeypatch.setattr(metrics, "_myers", counting_myers)
     monkeypatch.setattr(metrics, "BLOCK_BITS", width)
-    assert metrics._rename_costs(a, b, CONTENT_AWARE) == expected
+    assert metrics._rename_costs(a, b) == expected
     assert sorted(scans) == texts
     # no scan for equal contents in a block of their own, nor for empty ones
     scans.clear()
     same = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "")]
-    assert metrics._rename_costs(same, same, CONTENT_AWARE) == rename_costs_reference(
-        same, same, CONTENT_AWARE
-    )
-    assert metrics._rename_costs(a, b, STRUCTURE_ONLY) == rename_costs_reference(
-        a, b, STRUCTURE_ONLY
+    assert metrics._rename_costs(same, same) == rename_costs_reference(same, same, CONTENT)
+    assert metrics._rename_costs(skeletons(a), skeletons(b)) == rename_costs_reference(
+        a, b, STRUCTURE
     )
     assert scans == []
 
@@ -350,8 +360,7 @@ def test_evaluate_pair_table_matches_teds(seed):
     rng = random.Random(seed)
     h1 = serialize_grid(random_grid(rng, rng.randint(1, 5), rng.randint(1, 5)))
     h2 = serialize_grid(random_grid(rng, rng.randint(1, 5), rng.randint(1, 5)))
-    values = {r.name: r.value for r in evaluate_pair(h1, h2, "table")}
-    assert values == {
+    assert evaluate_pair(h1, h2, "table") == {
         "teds": teds(h1, h2),
         "teds_structure": teds(h1, h2, structure_only=True),
     }
@@ -389,19 +398,14 @@ def count_annotations(monkeypatch) -> list:
     return built
 
 
-def structure_distance_by_dp(t1, t2) -> float:
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "_same_skeleton", lambda a, b: False)
-        return tree_edit_distance(t1, t2, STRUCTURE_ONLY)
-
-
 def test_teds_structure_of_text_corruption_skips_the_dp(monkeypatch):
     pred = GT3.replace(">1<", ">17<").replace(">B<", ">b <")
     t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
-    assert structure_distance_by_dp(t1, t2) == 0.0
+    assert zhang_shasha_reference(t1, t2, STRUCTURE) == 0.0
+    assert metrics._skeleton(t1) == metrics._skeleton(t2)
     built = count_annotations(monkeypatch)
     assert teds(pred, GT3, structure_only=True) == 1.0
-    assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == 0.0
+    assert distance(t1, t2, STRUCTURE) == 0.0
     assert built == []
     assert teds(pred, GT3) < 1.0  # the content-aware distance still runs the DP
     assert len(built) == 2
@@ -414,14 +418,16 @@ SHAPE_CORRUPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("pred, distance", SHAPE_CORRUPTIONS)
-def test_teds_structure_of_shape_corruption_runs_the_dp(monkeypatch, pred, distance):
+@pytest.mark.parametrize("pred, skeleton_distance", SHAPE_CORRUPTIONS)
+def test_teds_structure_of_shape_corruption_runs_the_dp(monkeypatch, pred, skeleton_distance):
     t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
     built = count_annotations(monkeypatch)
-    assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == distance
+    assert distance(t1, t2, STRUCTURE) == skeleton_distance
     assert len(built) == 2
-    assert structure_distance_by_dp(t1, t2) == distance
-    assert teds(pred, GT3, structure_only=True) == 1.0 - distance / max(t1.size(), t2.size())
+    assert zhang_shasha_reference(t1, t2, STRUCTURE) == skeleton_distance
+    assert teds(pred, GT3, structure_only=True) == 1.0 - skeleton_distance / max(
+        t1.size(), t2.size()
+    )
 
 
 def test_same_skeleton_edge_cases():
@@ -435,13 +441,15 @@ def test_same_skeleton_edge_cases():
     header = DocTree("table", children=[row("td[1,1]", "th[1,1]"), row("td[1,1]")])
     recontent = DocTree("table", children=[row("td[1,1]", "td[1,1]"), row("td[1,1]")])
     recontent.children[1].children[0].content = "x"
-    assert metrics._same_skeleton(base, recontent)
-    assert not metrics._same_skeleton(base, moved)
-    assert not metrics._same_skeleton(base, header)
-    assert tree_edit_distance(base, moved, STRUCTURE_ONLY) == 2.0
-    assert tree_edit_distance(base, header, STRUCTURE_ONLY) == 1.0
-    assert tree_edit_distance(base, recontent, STRUCTURE_ONLY) == 0.0
-    assert tree_edit_distance(base, recontent, CONTENT_AWARE) == 1.0
+    skeleton = metrics._skeleton
+    assert skeleton(base) == skeleton(recontent)
+    assert skeleton(base) != skeleton(moved)
+    assert skeleton(base) != skeleton(header)
+    assert recontent.children[1].children[0].content == "x"  # the copy leaves its tree alone
+    assert distance(base, moved, STRUCTURE) == 2.0
+    assert distance(base, header, STRUCTURE) == 1.0
+    assert distance(base, recontent, STRUCTURE) == 0.0
+    assert distance(base, recontent, CONTENT) == 1.0
 
 
 def with_new_contents(tree: DocTree, rng: random.Random) -> DocTree:
@@ -458,7 +466,7 @@ def test_structure_distance_matches_the_dp(seed):
     rng = random.Random(seed)
     t1 = random_tree(rng, 10)
     for t2 in (with_new_contents(t1, rng), random_tree(rng, 10)):
-        assert tree_edit_distance(t1, t2, STRUCTURE_ONLY) == structure_distance_by_dp(t1, t2)
+        assert distance(t1, t2, STRUCTURE) == zhang_shasha_reference(t1, t2, STRUCTURE)
 
 
 def test_evaluate_pair_pins_teds_structure_without_the_dp(monkeypatch):
@@ -472,7 +480,7 @@ def test_evaluate_pair_pins_teds_structure_without_the_dp(monkeypatch):
     built = count_annotations(monkeypatch)
     for pred, gt, builds in pairs:
         built.clear()
-        values = {r.name: r.value for r in evaluate_pair(pred, gt, "table")}
+        values = evaluate_pair(pred, gt, "table")
         assert len(built) == builds
         assert values == {
             "teds": teds(pred, gt),
@@ -525,16 +533,16 @@ def test_structure_bound_pins_the_structure_distance(t1, t2, kind, seed):
         t2 = corrupted(t1, kind, random.Random(seed))
     tags1, tags2 = metrics._tags(t1), metrics._tags(t2)
     bound = metrics._structure_bound(tags1, tags2)
-    structure = zhang_shasha_reference(t1, t2, STRUCTURE_ONLY)
+    structure = zhang_shasha_reference(t1, t2, STRUCTURE)
     assert bound <= structure
-    if tree_edit_distance(t1, t2, CONTENT_AWARE) < bound + 1:
-        for dist in (structure, tree_edit_distance(t1, t2, STRUCTURE_ONLY)):
+    if tree_edit_distance(t1, t2) < bound + 1:
+        for dist in (structure, distance(t1, t2, STRUCTURE)):
             assert dist == float(bound)
             assert dist.hex() == float(bound).hex()
     n_nodes = max(len(tags1), len(tags2))
     expected = [
         metrics._similarity(zhang_shasha_reference(t1, t2, model), n_nodes).hex()
-        for model in (CONTENT_AWARE, STRUCTURE_ONLY)
+        for model in (CONTENT, STRUCTURE)
     ]
     assert [score.hex() for score in metrics._table_scores(t1, t2)] == expected
 
@@ -653,6 +661,11 @@ def test_evaluate_batch_rows():
     assert rows[0]["metrics"]["edit_distance"] == 1.0
     assert rows[1]["metrics"]["teds"] == 1.0
     assert rows[2]["metrics"]["reading_order_edit"] == 1.0
+    assert [list(row["metrics"]) for row in rows] == [
+        ["edit_distance", "normalized_edit_distance"],
+        ["teds", "teds_structure"],
+        ["reading_order_edit"],
+    ]
 
 
 def test_evaluate_pair_unknown_kind():
