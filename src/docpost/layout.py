@@ -10,9 +10,10 @@ element index to recognized content.
 
 from __future__ import annotations
 
-import html as html_escape_mod
+import html
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,25 +49,6 @@ class UnknownElement(DomainError):
     pass
 
 
-KNOWN_LABELS = frozenset(
-    {
-        "text",
-        "title",
-        "formula",
-        "table",
-        "tablebody",
-        "table_caption",
-        "image",
-        "image_caption",
-        "header",
-        "footer",
-        "other",
-    }
-)
-
-TABLE_LABELS = frozenset({"table", "tablebody"})
-CAPTION_LABELS = frozenset({"table_caption", "image_caption"})
-
 VALID_ROTATIONS = (0, 90, 180, 270)
 
 # Reference of each image restored into a table, in its placeholder map.
@@ -78,6 +60,29 @@ class RecognizerKind(Enum):
     FORMULA_REC = "formula"
     TABLE_REC = "table"
     PASS_THROUGH = "image"
+
+
+# Each known label: the recognizer it routes to, then its Markdown and its HTML
+# block, "{}" standing for the content. A label not listed here routes and
+# renders as "text".
+LABELS = {
+    "text": (RecognizerKind.TEXT_REC, "{}", "<p>{}</p>"),
+    "title": (RecognizerKind.TEXT_REC, "# {}", "<h1>{}</h1>"),
+    "formula": (RecognizerKind.FORMULA_REC, "$$\n{}\n$$", '<div class="formula">$${}$$</div>'),
+    "table": (RecognizerKind.TABLE_REC, "{}", "{}"),
+    "tablebody": (RecognizerKind.TABLE_REC, "{}", "{}"),
+    "table_caption": (RecognizerKind.TEXT_REC, "*{}*", "<p><em>{}</em></p>"),
+    "image": (RecognizerKind.PASS_THROUGH, "![]({})", '<img src="{}">'),
+    "image_caption": (RecognizerKind.TEXT_REC, "*{}*", "<p><em>{}</em></p>"),
+    "header": (RecognizerKind.TEXT_REC, "{}", "<p>{}</p>"),
+    "footer": (RecognizerKind.TEXT_REC, "{}", "<p>{}</p>"),
+    "other": (RecognizerKind.TEXT_REC, "{}", "<p>{}</p>"),
+}
+
+TABLE_LABELS = frozenset(
+    label for label, (kind, _, _) in LABELS.items() if kind is RecognizerKind.TABLE_REC
+)
+CAPTION_LABELS = frozenset({"table_caption", "image_caption"})
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,14 @@ def loads_finite(text: str):
     return value
 
 
+def _load_layout_json(text: str):
+    """:func:`loads_finite` with its faults raised as :class:`LayoutSyntaxError`."""
+    try:
+        return loads_finite(text)
+    except ValueError as exc:
+        raise LayoutSyntaxError(str(exc)) from exc
+
+
 def parse_layout(json_text: str, page_width: int, page_height: int) -> LayoutPage:
     """Validate one page's layout JSON array into a :class:`LayoutPage`.
 
@@ -183,11 +196,7 @@ def parse_layout(json_text: str, page_width: int, page_height: int) -> LayoutPag
     :class:`LayoutSyntaxError`, :class:`LayoutSchemaError`,
     :class:`LayoutGeometryError`, or :class:`LayoutIndexError`.
     """
-    try:
-        raw = loads_finite(json_text)
-    except ValueError as exc:
-        raise LayoutSyntaxError(str(exc)) from exc
-    return _validate_layout(raw, page_width, page_height)
+    return _validate_layout(_load_layout_json(json_text), page_width, page_height)
 
 
 def _validate_layout(raw, page_width: int, page_height: int) -> LayoutPage:
@@ -214,13 +223,14 @@ def _validate_layout(raw, page_width: int, page_height: int) -> LayoutPage:
         label = obj["label"]
         if not isinstance(label, str):
             raise LayoutSchemaError(f"element {pos} label must be a string")
-        if label not in KNOWN_LABELS:
+        if label not in LABELS:
             warnings.append(f"element {pos}: unknown label {label!r} mapped to 'other'")
             label = "other"
         rotation = obj.get("rotation", 0)
         if isinstance(rotation, float) and rotation.is_integer():
             rotation = int(rotation)
-        if rotation not in VALID_ROTATIONS:
+        # False == 0, so a boolean would pass the membership test
+        if isinstance(rotation, bool) or rotation not in VALID_ROTATIONS:
             raise LayoutGeometryError(
                 f"element {pos} rotation {rotation!r} is not one of {VALID_ROTATIONS}"
             )
@@ -257,13 +267,7 @@ def crop_plan(page: LayoutPage, element_index: int) -> CropSpec:
 
 
 def route_region(label: str) -> RecognizerKind:
-    if label == "formula":
-        return RecognizerKind.FORMULA_REC
-    if label in TABLE_LABELS:
-        return RecognizerKind.TABLE_REC
-    if label == "image":
-        return RecognizerKind.PASS_THROUGH
-    return RecognizerKind.TEXT_REC
+    return LABELS.get(label, LABELS["text"])[0]
 
 
 class OutputFormat(Enum):
@@ -271,33 +275,8 @@ class OutputFormat(Enum):
     HTML = "html"
 
 
-def _render_markdown(el: LayoutElement, content: str) -> str:
-    if el.label == "title":
-        return f"# {content}"
-    if el.label == "formula":
-        return f"$$\n{content}\n$$"
-    if el.label in TABLE_LABELS:
-        return content
-    if el.label == "image":
-        return f"![]({content})"
-    if el.label in CAPTION_LABELS:
-        return f"*{content}*"
-    return content
-
-
-def _render_html(el: LayoutElement, content: str) -> str:
-    esc = html_escape_mod.escape
-    if el.label == "title":
-        return f"<h1>{esc(content)}</h1>"
-    if el.label == "formula":
-        return f'<div class="formula">$${esc(content)}$$</div>'
-    if el.label in TABLE_LABELS:
-        return content
-    if el.label == "image":
-        return f'<img src="{esc(content, quote=True)}">'
-    if el.label in CAPTION_LABELS:
-        return f"<p><em>{esc(content)}</em></p>"
-    return f"<p>{esc(content)}</p>"
+# Between the blocks of a page and between pages.
+SEPARATORS = {OutputFormat.MARKDOWN: "\n\n", OutputFormat.HTML: "\n"}
 
 
 def assemble(
@@ -320,18 +299,21 @@ def assemble(
         if slots[index] is not None:
             raise DuplicateElement(f"element index {index} recognized twice")
         slots[index] = rec
+    markdown = output_format is OutputFormat.MARKDOWN
     blocks = []
     for rec in filter(None, slots):
         if rec.element.label in ("header", "footer") and not include_headers_footers:
             continue
         if not rec.content:
             continue
-        if output_format is OutputFormat.MARKDOWN:
-            blocks.append(_render_markdown(rec.element, rec.content))
+        kind, markdown_block, html_block = LABELS.get(rec.element.label, LABELS["text"])
+        if markdown:
+            blocks.append(markdown_block.format(rec.content))
+        elif kind is RecognizerKind.TABLE_REC:
+            blocks.append(html_block.format(rec.content))
         else:
-            blocks.append(_render_html(rec.element, rec.content))
-    sep = "\n\n" if output_format is OutputFormat.MARKDOWN else "\n"
-    return sep.join(blocks)
+            blocks.append(html_block.format(html.escape(rec.content)))
+    return SEPARATORS[output_format].join(blocks)
 
 
 # -- multi-page pipeline -----------------------------------------------------------
@@ -357,10 +339,7 @@ class PipelineResult:
 def parse_layout_document(text: str) -> list[LayoutPage]:
     """Accept a bare element array (one page), a single page object, or
     ``{"pages": [...]}`` for multi-page documents."""
-    try:
-        raw = loads_finite(text)
-    except ValueError as exc:
-        raise LayoutSyntaxError(str(exc)) from exc
+    raw = _load_layout_json(text)
     if isinstance(raw, list):
         # bare arrays carry no page size; use the tight bbox extent so
         # clamping is a no-op (validation still vets every field)
@@ -398,10 +377,7 @@ def _parse_page_object(obj, pos: int) -> LayoutPage:
 def parse_recognition_fixture(text: str, n_pages: int) -> list[dict[int, dict]]:
     """Fixture content per page: ``{"<index>": {"content", "kind"}}`` for a
     single page, or a list of such objects for multi-page documents."""
-    try:
-        raw = loads_finite(text)
-    except ValueError as exc:
-        raise LayoutSyntaxError(str(exc)) from exc
+    raw = _load_layout_json(text)
     if isinstance(raw, dict) and "pages" in raw:
         raw = raw["pages"]
     if isinstance(raw, dict):
@@ -416,16 +392,28 @@ def parse_recognition_fixture(text: str, n_pages: int) -> list[dict[int, dict]]:
     for page_no, page_fixture in enumerate(raw):
         if not isinstance(page_fixture, dict):
             raise LayoutSchemaError("per-page fixture must be an object")
-        try:
-            out.append({int(k): v for k, v in page_fixture.items()})
-        except ValueError:
-            raise LayoutSchemaError("fixture keys must be element indices") from None
-        for index, entry in out[-1].items():
+        entries: dict[int, dict] = {}
+        keys: dict[int, str] = {}
+        for key, entry in page_fixture.items():
+            # int() would also take " 2" and "1_0"
+            if not re.fullmatch("[0-9]+", key):
+                raise LayoutSchemaError(
+                    f"page {page_no} fixture key {key!r} is not an element index"
+                )
+            index = int(key)
+            if index in keys:
+                raise LayoutSchemaError(
+                    f"page {page_no} fixture keys {keys[index]!r} and {key!r}"
+                    f" both name element {index}"
+                )
             if not (isinstance(entry, dict) and isinstance(entry.get("content", ""), str)):
                 raise LayoutSchemaError(
                     f"page {page_no} fixture entry {index} must be an object"
                     " whose 'content' is a string"
                 )
+            keys[index] = key
+            entries[index] = entry
+        out.append(entries)
     return out
 
 
@@ -525,8 +513,7 @@ def run_pipeline(
         rendered = assemble(recognized, page, output_format, cfg.include_headers_footers)
         if rendered:
             page_docs.append(rendered)
-    sep = "\n\n" if output_format is OutputFormat.MARKDOWN else "\n"
-    document = sep.join(page_docs)
+    document = SEPARATORS[output_format].join(page_docs)
     if document:
         document += "\n"
     return PipelineResult(document, merge_plans, placeholder_maps, restore_reports, warnings)

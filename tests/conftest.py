@@ -13,6 +13,17 @@ import threading
 from docpost.table_grid import GridCell, TableGrid, grid_from_cells
 from oracles import slice_rows
 
+# The derandomize setting of the property tests that must draw the same
+# examples on every plain run. Under --hypothesis-seed it is false, so the
+# seed reaches them too instead of being ignored.
+DERANDOMIZE = True
+
+
+def pytest_configure(config):
+    global DERANDOMIZE
+    DERANDOMIZE = config.getoption("--hypothesis-seed", None) is None
+
+
 # One row of 200 cells 1000 wide over a one-cell row: 5,043 bytes that would
 # lay out as a 2x200,000 grid, over table_grid.MAX_GRID_POSITIONS.
 WIDE_ROW_TABLE = (

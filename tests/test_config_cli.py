@@ -1057,10 +1057,15 @@ def test_cli_assemble_single_page(tmp_path, capsys):
             ' "elements": [{"bbox": [0, 0, 5, 5], "index": 0, "label": "text"}]}',
             "LayoutSchemaError",
         ),
+        # false == 0, yet it is no rotation
+        (
+            '[{"bbox": [0, 0, 5, 5], "index": 0, "label": "text", "rotation": false}]',
+            "LayoutGeometryError",
+        ),
     ],
     ids=[
         "missing_label", "infinity", "overflow", "nan", "infinite_page_width",
-        "string_page_width", "boolean_page_height",
+        "string_page_width", "boolean_page_height", "boolean_rotation",
     ],
 )
 def test_cli_assemble_invalid_layout_exit1(tmp_path, capsys, layout_text, error):
@@ -1103,6 +1108,21 @@ def test_cli_assemble_malformed_fixture_entry_exit1(tmp_path, capsys, entries, b
     assert json.loads(captured.err) == {
         "error": "LayoutSchemaError",
         "message": f"page 0 fixture entry {bad} must be an object whose 'content' is a string",
+    }
+
+
+def test_cli_assemble_two_fixture_keys_for_one_element_exit1(tmp_path, capsys):
+    layout_path = tmp_path / "layout.json"
+    layout_path.write_text('[{"bbox": [0, 0, 50, 10], "index": 0, "label": "text"}]')
+    fixture_path = tmp_path / "rec.json"
+    fixture_path.write_text('{"0": {"content": "a"}, "00": {"content": "b"}}')
+    out = tmp_path / "doc.md"
+    assert main(["assemble", str(layout_path), str(fixture_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "LayoutSchemaError",
+        "message": "page 0 fixture keys '0' and '00' both name element 0",
     }
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import DERANDOMIZE
 import docpost
 from docpost.cli import main
 from docpost.errors import DomainError, FormatError
@@ -204,7 +205,7 @@ def _mutated(command, positionals, options, mutation, pick: int) -> list[str]:
 
 @settings(
     max_examples=600,
-    derandomize=True,
+    derandomize=DERANDOMIZE,
     database=None,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],

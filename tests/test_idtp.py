@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DERANDOMIZE
 from docpost.cli import main
 from docpost.config import Config
 from docpost.errors import DomainError, FormatError
@@ -293,7 +294,7 @@ def mask_cases(draw):
     return raw, bbox, detections
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=DERANDOMIZE)
 @given(case=mask_cases())
 def test_mask_matches_whole_page_reference(tmp_path_factory, case):
     raw, bbox, detections = case

@@ -73,6 +73,16 @@ def test_parse_bad_rotation():
         parse_layout(layout_json(el((0, 0, 10, 10), 0, rotation=45)), 100, 100)
 
 
+def test_parse_rotation_boolean_refused_integral_float_read():
+    # False == 0, yet it is no rotation
+    with pytest.raises(LayoutGeometryError) as exc:
+        parse_layout(layout_json(el((0, 0, 10, 10), 0, rotation=False)), 100, 100)
+    assert str(exc.value) == "element 0 rotation False is not one of (0, 90, 180, 270)"
+    page = parse_layout(layout_json(el((0, 0, 10, 10), 0, rotation=90.0)), 100, 100)
+    assert type(page.elements[0].rotation) is int
+    assert page.to_json_list()[0]["rotation"] == 90
+
+
 def test_parse_non_permutation_indices():
     with pytest.raises(LayoutIndexError):
         parse_layout(
@@ -174,6 +184,7 @@ def test_crop_plan_clamped_bbox():
         ("table", RecognizerKind.TABLE_REC),
         ("tablebody", RecognizerKind.TABLE_REC),
         ("image", RecognizerKind.PASS_THROUGH),
+        ("sidebar", RecognizerKind.TEXT_REC),
     ],
 )
 def test_route_region(label, kind):
@@ -261,6 +272,43 @@ def test_assemble_rendering_rules():
     ]
     out = assemble(recs, page)
     assert out == "# Heading\n\n$$\nx^2\n$$\n\n![](fig.png)\n\n*Table 1*"
+
+
+@pytest.mark.parametrize(
+    "label,markdown,html",
+    [
+        ("text", 'a & <b> "q" {0} {}', '<p>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</p>'),
+        ("title", '# a & <b> "q" {0} {}', '<h1>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</h1>'),
+        (
+            "formula",
+            '$$\na & <b> "q" {0} {}\n$$',
+            '<div class="formula">$$a &amp; &lt;b&gt; &quot;q&quot; {0} {}$$</div>',
+        ),
+        ("table", 'a & <b> "q" {0} {}', 'a & <b> "q" {0} {}'),
+        ("tablebody", 'a & <b> "q" {0} {}', 'a & <b> "q" {0} {}'),
+        (
+            "table_caption",
+            '*a & <b> "q" {0} {}*',
+            '<p><em>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</em></p>',
+        ),
+        ("image", '![](a & <b> "q" {0} {})', '<img src="a &amp; &lt;b&gt; &quot;q&quot; {0} {}">'),
+        (
+            "image_caption",
+            '*a & <b> "q" {0} {}*',
+            '<p><em>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</em></p>',
+        ),
+        ("header", 'a & <b> "q" {0} {}', '<p>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</p>'),
+        ("footer", 'a & <b> "q" {0} {}', '<p>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</p>'),
+        ("other", 'a & <b> "q" {0} {}', '<p>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</p>'),
+        # a hand-built page skips the parser's downgrade to 'other'
+        ("sidebar", 'a & <b> "q" {0} {}', '<p>a &amp; &lt;b&gt; &quot;q&quot; {0} {}</p>'),
+    ],
+)
+def test_assemble_block_of_each_label(label, markdown, html):
+    page = make_page(((0, 0, 10, 10), 0, label, 0))
+    recs = [RecognizedElement(page.elements[0], 'a & <b> "q" {0} {}')]
+    assert assemble(recs, page, OutputFormat.MARKDOWN, True) == markdown
+    assert assemble(recs, page, OutputFormat.HTML, True) == html
 
 
 def test_assemble_excludes_header_footer_by_default():
@@ -451,6 +499,65 @@ def test_pipeline_fixture_kind_mismatch_warns():
     assert any("does not match" in w for w in result.warnings)
 
 
+def test_pipeline_warnings_in_order():
+    from docpost.idtp import ImageDetection
+
+    elements = {
+        "page_width": 200,
+        "page_height": 200,
+        "elements": [
+            el((0, 0, 100, 20), 0, "text"),
+            el((0, 30, 100, 50), 1, "sidebar"),
+            el((0, 60, 100, 120), 2, "table"),
+        ],
+    }
+    # element 1 has no entry; element 2 is no table
+    fixture = {
+        "0": {"content": "Intro."},
+        "2": {"content": "<p>no table here</p>", "kind": "table"},
+    }
+    pages, fixtures = single_page_doc(elements, fixture)
+    dets = [ImageDetection((10, 70, 30, 90), 0.9)]
+    result = run_pipeline(pages, fixtures, detections={(0, 9): dets, (0, 2): dets, (0, 1): dets})
+    assert result.warnings == [
+        "page 0: element 1: unknown label 'sidebar' mapped to 'other'",
+        "page 0 element 1: no recognition fixture entry",
+        "detections for non-table element (0, 1) ignored",
+        "page 0 element 2: restore skipped (no <table> element in input)",
+        "detections for unknown element (0, 9)",
+        "page 0 element 2: table not parseable (no <table> element in input)",
+    ]
+    assert result.document == "Intro.\n\n<p>no table here</p>\n"
+    # the map is planned before the restore fails; no report follows
+    assert [(m["page"], m["index"]) for m in result.placeholder_maps] == [(0, 2)]
+    assert result.restore_reports == [] and result.merge_plans == []
+
+
+def test_pipeline_no_merge_inside_a_chain_starts_a_group():
+    a = "<table><tr><td>a1.</td><td>a2.</td></tr></table>"
+    b = "<table><tr><td>b1.</td><td>b2.</td><td>b3.</td></tr></table>"
+    c = "<table><tr><td>c1.</td><td>c2.</td><td>c3.</td></tr></table>"
+    doc = {
+        "pages": [
+            {"page_width": 200, "page_height": 200, "elements": [el((0, 0, 100, 50), 0, "table")]}
+            for _ in range(3)
+        ]
+    }
+    fixture = [{"0": {"content": t, "kind": "table"}} for t in (a, b, c)]
+    pages = parse_layout_document(json.dumps(doc))
+    result = run_pipeline(pages, parse_recognition_fixture(json.dumps(fixture), 3))
+    # B is wider than A and has no header to align on; C continues B
+    assert [(p["from"], p["next"], p["pattern"]) for p in result.merge_plans] == [
+        ([0, 0], [1, 0], "no_merge"),
+        ([1, 0], [2, 0], "pattern2"),
+    ]
+    assert result.document == (
+        a + "\n\n<table><tr><td>b1.</td><td>b2.</td><td>b3.</td></tr>"
+        "<tr><td>c1.</td><td>c2.</td><td>c3.</td></tr></table>\n"
+    )
+    assert result.warnings == []
+
+
 def test_pipeline_deterministic():
     elements = {
         "page_width": 100,
@@ -477,6 +584,23 @@ def test_parse_layout_document_bare_array():
 def test_page_size_floats_truncate():
     [page] = parse_layout_document('{"page_width": 595.28, "page_height": 841.89, "elements": []}')
     assert (page.page_width, page.page_height) == (595, 841)
+
+
+@pytest.mark.parametrize("key", [" 2", "2 ", "1_0", "+1", "-1", "", "x", "\uff11"])
+def test_fixture_key_must_be_ascii_digits(key):
+    # int() takes all of these but "", "x"; " 2" would read as element 2
+    with pytest.raises(LayoutSchemaError) as exc:
+        parse_recognition_fixture(json.dumps({"0": {}, key: {"content": "x"}}), 1)
+    assert str(exc.value) == f"page 0 fixture key {key!r} is not an element index"
+
+
+def test_fixture_two_keys_for_one_element():
+    fixture = [{"0": {}}, {"1": {"content": "a"}, "01": {"content": "b"}}]
+    with pytest.raises(LayoutSchemaError) as exc:
+        parse_recognition_fixture(json.dumps(fixture), 2)
+    assert str(exc.value) == "page 1 fixture keys '1' and '01' both name element 1"
+    # leading zeros alone are an index
+    assert parse_recognition_fixture('{"007": {"content": "b"}}', 1) == [{7: {"content": "b"}}]
 
 
 def test_fixture_page_count_mismatch():

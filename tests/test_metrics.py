@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import DERANDOMIZE
 from oracles import (
     CONTENT,
     STRUCTURE,
@@ -166,7 +167,7 @@ def test_structure_distance_never_exceeds_content_distance(seed):
     assert distance(t1, t2, STRUCTURE) <= distance(t1, t2, CONTENT) + 1e-12
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=DERANDOMIZE)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_tree_distance_equals_zhang_shasha_reference_on_random_trees(seed):
     rng = random.Random(seed)
@@ -196,7 +197,7 @@ ONE_CELL_ROWS = table_tree([[("td[1,1]", "a")], [("th[1,1]", "b")], [("td[1,2]",
 EMPTY_ROWS = table_tree([[], [("td[1,1]", "a"), ("td[1,1]", "b")], []])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=DERANDOMIZE)
 @given(t1=table_trees, t2=table_trees)
 @example(t1=EMPTY_ROWS, t2=ONE_CELL_ROWS)
 @example(t1=ONE_CELL_ROWS, t2=EMPTY_ROWS)
@@ -515,7 +516,7 @@ any_trees = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=DERANDOMIZE)
 @given(
     t1=any_trees,
     t2=any_trees,

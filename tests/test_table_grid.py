@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import WIDE_ROW_TABLE, random_grid
+from conftest import DERANDOMIZE, WIDE_ROW_TABLE, random_grid
 from oracles import grid_from_cells_reference, grid_to_rows, normalize_grid_reference
 from docpost import table_grid
 from docpost.rewards import rule_checks
@@ -559,7 +559,7 @@ def _normalize_tolerant(html):
     return table_grid._layout(table_grid._parse_tolerant(html))
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=DERANDOMIZE)
 @given(html=st.one_of(_near_canonical(), _TAG_SOUP))
 @example(html="<table><tr></tr><tr></tr></table>")
 @example(html='<table><tr><td rowspan="0">a</td><td>b</td></tr><tr></tr></table>')
