@@ -195,6 +195,51 @@ table_trees = st.one_of(
 )
 ONE_CELL_ROWS = table_tree([[("td[1,1]", "a")], [("th[1,1]", "b")], [("td[1,2]", "ab")]])
 EMPTY_ROWS = table_tree([[], [("td[1,1]", "a"), ("td[1,1]", "b")], []])
+TD, TH = "td[1,1]", "th[1,1]"
+
+# Pairs that pin the recurrences and the band's passes. Each entry: the two
+# trees, and per model the band widths k of the passes tree_edit_distance
+# runs, from k = bound + 1 (n1 + n2 is the whole table; no pass for equal
+# skeletons).
+BAND_PAIRS = [
+    # an empty table against one cell: the one-row recurrence's subtree
+    # rename reads first_row[y - 1]
+    (table_tree([]), table_tree([[(TH, "ab")]]), {CONTENT: [4], STRUCTURE: [4]}),
+    # two rows against an empty table: the one-column recurrence adds
+    # treedist to fd[p][0] = p
+    (
+        table_tree([[("td[1,2]", "total")], [(TH, "12"), ("td[1,2]", "a")]]),
+        table_tree([]),
+        {CONTENT: [7], STRUCTURE: [7]},
+    ),
+    # a distance of exactly k: 1.0 for the trees
+    (table_tree([[(TH, "a")]]), table_tree([[(TH, "x y")]]), {CONTENT: [1], STRUCTURE: []}),
+    # 2.0 = k for the skeletons; 3.0 for the trees, whose second pass fills
+    # the whole table
+    (
+        table_tree([[], [(TH, "12"), (TH, "x y")]]),
+        table_tree([[], [(TH, "")], []]),
+        {CONTENT: [2, 10], STRUCTURE: [2]},
+    ),
+    # just above k = 1: 1.5, and a second pass in the band
+    (
+        table_tree([[(TD, "ab"), (TD, "12"), (TH, "ab")]]),
+        table_tree([[(TD, "ab"), (TD, "total"), (TH, "a")]]),
+        {CONTENT: [1, 2], STRUCTURE: []},
+    ),
+    # 2.0 on both, a second pass in the band
+    (
+        table_tree([[(TD, "x y"), (TH, "ab"), (TH, "x y")]]),
+        table_tree([[(TH, "ab"), (TH, "x y"), (TD, "ba")]]),
+        {CONTENT: [1, 2], STRUCTURE: [1, 2]},
+    ),
+    # two cells that swap: 2.0 on both, a second pass over the whole table
+    (
+        table_tree([[(TH, "x y"), (TD, "12")]]),
+        table_tree([[(TD, "12"), (TH, "x y")]]),
+        {CONTENT: [1, 8], STRUCTURE: [1, 8]},
+    ),
+]
 
 
 @settings(max_examples=300, deadline=None, derandomize=DERANDOMIZE)
@@ -203,9 +248,39 @@ EMPTY_ROWS = table_tree([[], [("td[1,1]", "a"), ("td[1,1]", "b")], []])
 @example(t1=ONE_CELL_ROWS, t2=EMPTY_ROWS)
 @example(t1=leaf("td[1,1]", "a"), t2=EMPTY_ROWS)
 @example(t1=EMPTY_ROWS, t2=leaf("table", ""))
+@example(t1=BAND_PAIRS[0][0], t2=BAND_PAIRS[0][1])
+@example(t1=BAND_PAIRS[1][0], t2=BAND_PAIRS[1][1])
+@example(t1=BAND_PAIRS[2][0], t2=BAND_PAIRS[2][1])
+@example(t1=BAND_PAIRS[3][0], t2=BAND_PAIRS[3][1])
+@example(t1=BAND_PAIRS[4][0], t2=BAND_PAIRS[4][1])
+@example(t1=BAND_PAIRS[5][0], t2=BAND_PAIRS[5][1])
+@example(t1=BAND_PAIRS[6][0], t2=BAND_PAIRS[6][1])
 def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
     for model in (STRUCTURE, CONTENT):
         assert distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
+
+
+@pytest.mark.parametrize(
+    "t1, t2, passes",
+    BAND_PAIRS,
+    ids=["one_row", "one_column", "at_k", "at_k_then_whole", "above_k", "above_k_both", "swap"],
+)
+def test_band_passes_of_pinned_pairs(monkeypatch, t1, t2, passes):
+    """Each pinned pair runs the passes it stands for, and its distance is
+    the reference's bit for bit, on the trees and on their skeletons."""
+    widths = []
+    zhang_shasha = metrics._zhang_shasha
+
+    def recording(A, B, k):
+        widths.append(k)
+        return zhang_shasha(A, B, k)
+
+    monkeypatch.setattr(metrics, "_zhang_shasha", recording)
+    for model in (CONTENT, STRUCTURE):
+        widths.clear()
+        dist, want = distance(t1, t2, model), zhang_shasha_reference(t1, t2, model)
+        assert dist.hex() == want.hex()
+        assert widths == passes[model]
 
 
 # cell contents that repeat, are empty, differ only in case or whitespace,
@@ -229,16 +304,28 @@ node_lists = st.lists(
     st.builds(DocTree, st.sampled_from(["tr", "td[1,1]", "th[1,1]", "td[1,2]"]), cell_content),
     max_size=12,
 )
-TD, TH = "td[1,1]", "th[1,1]"
 WIDE = "ab" * 2100  # wider than one block
 
 
+def in_band(costs, band):
+    """The entries of a rename matrix that a band of width ``band`` reads."""
+    if band is None:
+        return costs
+    return [[c for j, c in enumerate(row) if abs(i - j) <= band] for i, row in enumerate(costs)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(a=node_lists, b=node_lists, width=st.sampled_from([metrics.BLOCK_BITS, 16, 1]))
+@given(
+    a=node_lists,
+    b=node_lists,
+    width=st.sampled_from([metrics.BLOCK_BITS, 16, 1]),
+    band=st.sampled_from([None, 0, 1, 3]),
+)
 @example(
     a=[DocTree(TD, "ab"), DocTree(TH, "ab"), DocTree(TD, "ba")],
     b=[DocTree(TD, "ba"), DocTree(TD, "ab"), DocTree(TH, "")],
     width=metrics.BLOCK_BITS,
+    band=None,
 )
 # B holds 4,200 + 3 x 1,500 bits of contents, so several blocks, one of them
 # for a content wider than a block alone
@@ -246,12 +333,17 @@ WIDE = "ab" * 2100  # wider than one block
     a=[DocTree(TD, WIDE[:-1] + "x"), DocTree(TD, "ba" * 700), DocTree(TD, "\u4e00"), DocTree(TD, "")],
     b=[DocTree(TD, c) for c in ("ab" * 750, WIDE, "ba" * 750, "\u4e00\u4e8c" * 750, "", "ab" * 750)],
     width=metrics.BLOCK_BITS,
+    band=None,
 )
-def test_rename_costs_match_per_pair_reference(a, b, width):
+def test_rename_costs_match_per_pair_reference(a, b, width, band):
+    """Without a band every entry is the reference's; with one, every entry
+    within ``band`` of the diagonal."""
     with mock.patch.object(metrics, "BLOCK_BITS", width):
-        assert metrics._rename_costs(a, b) == rename_costs_reference(a, b, CONTENT)
-        assert metrics._rename_costs(skeletons(a), skeletons(b)) == rename_costs_reference(
-            a, b, STRUCTURE
+        assert in_band(metrics._rename_costs(a, b, band), band) == in_band(
+            rename_costs_reference(a, b, CONTENT), band
+        )
+        assert in_band(metrics._rename_costs(skeletons(a), skeletons(b), band), band) == in_band(
+            rename_costs_reference(a, b, STRUCTURE), band
         )
 
 
@@ -259,41 +351,75 @@ def skeletons(nodes: list[DocTree]) -> list[DocTree]:
     return [metrics._skeleton(node) for node in nodes]
 
 
+TD_CONTENTS = (["", "abc", "abx"], ["", "abc", "abx", "zz"])  # of a and b below
+
+
 @pytest.mark.parametrize(
-    "width, texts",
+    "band, width, calls, scans",
     [
-        # one block: one scan per distinct non-empty content of A
-        (metrics.BLOCK_BITS, ["abc", "abx"]),
-        # blocks [abx] and [abc, zz]: "abx" alone in a block needs no scan
-        (5, ["abc", "abc", "abx"]),
-        # blocks [abx], [abc] and [zz]: each content skips its own
-        (1, ["abc", "abc", "abx", "abx"]),
+        # one block: the td contents of both sides, then the th contents
+        pytest.param(
+            None, metrics.BLOCK_BITS, [TD_CONTENTS, (["abc"], ["abx"])], ["abc", "abc", "abx"],
+            id="one_block",
+        ),
+        # td blocks [abx] and [abc, zz]: "abx" alone in a block needs no scan
+        pytest.param(
+            None, 5, [TD_CONTENTS, (["abc"], ["abx"])], ["abc", "abc", "abc", "abx"],
+            id="blocks_of_5_bits",
+        ),
+        # td blocks [abx], [abc] and [zz]: each content skips its own
+        pytest.param(
+            None, 1, [TD_CONTENTS, (["abc"], ["abx"])], ["abc", "abc", "abc", "abx", "abx"],
+            id="blocks_of_1_bit",
+        ),
+        # chunks b[0:3] (against a[0:4]) and b[3:5] (against a[2:4])
+        pytest.param(
+            1,
+            metrics.BLOCK_BITS,
+            [(["", "abc", "abx"], ["abc", "abx"]), (["abc"], ["abx"]), (["", "abx"], ["", "zz"])],
+            ["abc", "abc", "abx", "abx"],
+            id="band_1",
+        ),
     ],
 )
-def test_rename_costs_scan_each_content_once_per_block(monkeypatch, width, texts):
+def test_rename_costs_compare_contents_under_one_tag(monkeypatch, band, width, calls, scans):
+    """Contents are scanned, and costs extracted, only between nodes of one
+    tag: a tag mismatch costs 1.0 without either. Each distinct content of A
+    is scanned once per chunk of B that holds another content under its
+    tag, and empty contents are never scanned."""
     # "abc" and "abx" under two tags, and an empty content on both sides
     a = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "abx"), leaf(TD, "")]
     b = [leaf(TD, "abx"), leaf(TH, "abx"), leaf(TD, "abc"), leaf(TD, "zz"), leaf(TD, "")]
     expected = rename_costs_reference(a, b, CONTENT)
-    scans = []
-    myers = metrics._myers
+    seen_calls, seen_scans = [], []
+    content_costs, myers = metrics._content_costs, metrics._myers
+
+    def recording_costs(texts, patterns):
+        seen_calls.append((sorted(texts), sorted(patterns)))
+        return content_costs(texts, patterns)
 
     def counting_myers(masks, tops, bottoms, text):
-        scans.append(text)
+        seen_scans.append(text)
         return myers(masks, tops, bottoms, text)
 
+    monkeypatch.setattr(metrics, "_content_costs", recording_costs)
     monkeypatch.setattr(metrics, "_myers", counting_myers)
     monkeypatch.setattr(metrics, "BLOCK_BITS", width)
-    assert metrics._rename_costs(a, b) == expected
-    assert sorted(scans) == texts
+    costs = metrics._rename_costs(a, b, band)
+    assert in_band(costs, band) == in_band(expected, band)
+    assert seen_calls == calls
+    assert sorted(seen_scans) == scans
     # no scan for equal contents in a block of their own, nor for empty ones
-    scans.clear()
     same = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "")]
-    assert metrics._rename_costs(same, same) == rename_costs_reference(same, same, CONTENT)
-    assert metrics._rename_costs(skeletons(a), skeletons(b)) == rename_costs_reference(
-        a, b, STRUCTURE
+    expected = [
+        rename_costs_reference(same, same, CONTENT), rename_costs_reference(a, b, STRUCTURE)
+    ]
+    seen_scans.clear()
+    assert metrics._rename_costs(same, same, band) == expected[0]
+    assert in_band(metrics._rename_costs(skeletons(a), skeletons(b), band), band) == in_band(
+        expected[1], band
     )
-    assert scans == []
+    assert seen_scans == []
 
 
 # -- TEDS ----------------------------------------------------------------------------
@@ -514,6 +640,48 @@ def corrupted(tree: DocTree, kind: str, rng: random.Random) -> DocTree:
 any_trees = st.one_of(
     table_trees, st.integers(0, 2**32 - 1).map(lambda seed: random_tree(random.Random(seed), 14))
 )
+
+
+# B is A with nodes inserted, so the least-cost mapping runs along the
+# band's edge: a row appended (the root cell k columns right of the
+# diagonal), two cells put before a row's cells (a leaf k to the right), and
+# a row put between two rows (a row's keyroot table k to the right)
+ONE_ROW = table_tree([[(TD, "a"), (TD, "b")]])
+EDGE_PAIRS = [
+    (ONE_ROW, table_tree([[(TD, "a"), (TD, "b")], [(TD, "c")]])),
+    (ONE_ROW, table_tree([[(TD, "x"), (TD, "y"), (TD, "a"), (TD, "b")]])),
+    (
+        table_tree([[(TD, "a")], [(TD, "c"), (TD, "d")]]),
+        table_tree([[(TD, "a")], [(TD, "x"), (TD, "y")], [(TD, "c"), (TD, "d")]]),
+    ),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=DERANDOMIZE)
+@given(t1=any_trees, t2=any_trees)
+@example(t1=BAND_PAIRS[3][0], t2=BAND_PAIRS[3][1])
+@example(t1=BAND_PAIRS[5][0], t2=BAND_PAIRS[5][1])
+@example(t1=EDGE_PAIRS[0][0], t2=EDGE_PAIRS[0][1])
+@example(t1=EDGE_PAIRS[0][1], t2=EDGE_PAIRS[0][0])
+@example(t1=EDGE_PAIRS[1][0], t2=EDGE_PAIRS[1][1])
+@example(t1=EDGE_PAIRS[1][1], t2=EDGE_PAIRS[1][0])
+@example(t1=EDGE_PAIRS[2][0], t2=EDGE_PAIRS[2][1])
+@example(t1=EDGE_PAIRS[2][1], t2=EDGE_PAIRS[2][0])
+def test_band_of_every_width_is_exact_within_it(t1, t2):
+    """At every band width k, the banded dynamic program returns no less
+    than the reference, and the reference bit for bit when either is at
+    most k: the band holds every derivation that costs at most k. The
+    second pass of tree_edit_distance would hide a band that is too narrow;
+    this reads each width alone."""
+    for model in (CONTENT, STRUCTURE):
+        a, b = (t1, t2) if model == CONTENT else (metrics._skeleton(t1), metrics._skeleton(t2))
+        A, B = metrics._Annotated(a), metrics._Annotated(b)
+        want = zhang_shasha_reference(t1, t2, model)
+        for k in range(1, len(A.nodes) + len(B.nodes) + 1):
+            dist = metrics._zhang_shasha(A, B, k)
+            assert dist >= want
+            if min(dist, want) <= k:
+                assert dist.hex() == want.hex()
 
 
 @settings(max_examples=400, deadline=None, derandomize=DERANDOMIZE)
