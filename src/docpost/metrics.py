@@ -39,27 +39,23 @@ class BatchFormatError(FormatError):
 BLOCK_BITS = 4096
 
 
-def _pack(patterns) -> tuple[dict, int, int, list[int]]:
+def _pack(patterns) -> tuple[dict, int, int]:
     """Match masks of non-empty ``patterns`` laid end to end in one bit
     vector, for :func:`_myers`: the pattern at bit offset ``o`` sets bit
     ``o + i`` of ``masks[token]`` where ``pattern[i] == token``. Also returns
-    the top and the bottom bit of every field, and each field's mask."""
+    the top and the bottom bit of every field."""
     masks: dict = {}
+    get = masks.get
     tops = bottoms = offset = 0
-    fields = []
     for pattern in patterns:
-        own: dict = {}
-        bit = 1
+        bit = 1 << offset
+        bottoms |= bit
         for token in pattern:
-            own[token] = own.get(token, 0) | bit
+            masks[token] = get(token, 0) | bit
             bit <<= 1
-        for token, bits in own.items():
-            masks[token] = masks.get(token, 0) | bits << offset
-        fields.append((bit - 1) << offset)
-        bottoms |= 1 << offset
         offset += len(pattern)
-        tops |= 1 << (offset - 1)
-    return masks, tops, bottoms, fields
+        tops |= bit >> 1
+    return masks, tops, bottoms
 
 
 def _myers(masks: dict, tops: int, bottoms: int, text) -> tuple[int, int]:
@@ -129,10 +125,10 @@ def _levenshtein(a, b) -> int:
     if not b:
         return len(a)
     try:
-        masks, tops, bottoms, _ = _pack([a])
+        masks, tops, bottoms = _pack([a])
         vp, vn = _myers(masks, tops, bottoms, b)
     except TypeError:  # unhashable tokens
-        masks, tops, bottoms, _ = _pack([[_frozen(t) for t in a]])
+        masks, tops, bottoms = _pack([[_frozen(t) for t in a]])
         vp, vn = _myers(masks, tops, bottoms, [_frozen(t) for t in b])
     return len(b) + vp.bit_count() - vn.bit_count()
 
@@ -177,92 +173,70 @@ def grid_to_tree(grid: TableGrid) -> DocTree:
     return DocTree("table", children=rows)
 
 
-def _content_costs(texts, patterns: list[str]) -> dict[str, list[float]]:
-    """``costs[text][k]`` is the normalized edit distance of ``text`` and
-    ``patterns[k]``, for distinct texts and distinct patterns.
-
-    The non-empty patterns are packed into blocks of at most
-    :data:`BLOCK_BITS` bits, and each non-empty text is scanned once per
-    block (:func:`_myers`), unless the block holds only the text itself. The
-    costs are ``dist / max(len)``, and equal costs share one float.
-    """
-    slot = {pattern: k for k, pattern in enumerate(patterns)}
-    costs = {}
-    for text in texts:
-        costs[text] = row = [1.0] * len(patterns)  # 1.0 against an empty side
-        if text in slot:
-            row[slot[text]] = 0.0
-    lengths = {len(s) for s in (*costs, *patterns) if s}
-    fractions = {m: [d / m for d in range(m + 1)] for m in lengths}
-    blocks: list[list[int]] = []  # slots of the non-empty patterns, block by block
-    width = 0
-    for k, pattern in enumerate(patterns):
-        if pattern:
-            if not blocks or width + len(pattern) > BLOCK_BITS:
-                blocks.append([])
-                width = 0
-            blocks[-1].append(k)
-            width += len(pattern)
-    for slots in blocks:
-        block = [patterns[k] for k in slots]
-        masks, tops, bottoms, fields = _pack(block)
-        lanes = list(zip(slots, fields, map(len, block)))
-        for text, row in costs.items():
-            if not text or block == [text]:
-                continue
-            vp, vn = _myers(masks, tops, bottoms, text)
-            n = len(text)
-            for k, f, m in lanes:
-                row[k] = fractions[m if m > n else n][
-                    n + (vp & f).bit_count() - (vn & f).bit_count()
-                ]
-    return costs
-
-
 def _rename_costs(
     a_nodes: list[DocTree], b_nodes: list[DocTree], band: int | None = None
 ) -> list[list[float]]:
-    """``costs[i][j]`` is the rename cost of ``a_nodes[i]`` into ``b_nodes[j]``.
+    """Row ``i`` holds the rename costs of ``a_nodes[i]`` into ``b_nodes[j]``
+    for ``j`` from ``max(0, i - band)`` up to ``min(m, i + band + 1)``, the
+    columns :func:`_zhang_shasha` reads; without ``band``, for every ``j``.
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
-    of the contents. Each distinct (tag, content) key on either side is
-    costed once, and each distinct content of A is scanned at once against
-    B's contents under the same tag (:func:`_content_costs`).
-
-    With ``band``, only the pairs with ``|i - j| <= band`` are costed: B is
-    cut into chunks of ``2 * band + 1`` nodes, each costed as above against
-    the nodes of A whose band meets it. The other entries hold 1.0, and
-    :func:`_zhang_shasha` does not read them.
+    of the contents, 0 when they are equal and 1 against an empty one, all
+    without a scan. For the rest, B's distinct non-empty contents are packed
+    in postorder into blocks of at most :data:`BLOCK_BITS` bits (narrower
+    for a narrow band), and each distinct content of A is scanned
+    (:func:`_myers`) at most once per block that its rows need; a cost reads
+    one field of the scan. Equal costs share one float.
     """
-    if band is not None:
-        banded = [[1.0] * len(b_nodes) for _ in a_nodes]
-        width = 2 * band + 1
-        for start in range(0, len(b_nodes), width):
-            first = max(0, start - band)
-            a_part, b_part = a_nodes[first : start + width + band], b_nodes[start : start + width]
-            for row, part in zip(banded[first:], _rename_costs(a_part, b_part)):
-                row[start : start + width] = part
-        return banded
-    b_keys: dict[tuple[str, str], int] = {}
-    b_index = [b_keys.setdefault((n.tag, n.content), len(b_keys)) for n in b_nodes]
-    a_keys = dict.fromkeys((n.tag, n.content) for n in a_nodes)
-    patterns: dict[str, dict[str, int]] = {}  # tag -> B's contents under it, by slot
-    b_slots = []
-    for tag, text in b_keys:
-        slots = patterns.setdefault(tag, {})
-        b_slots.append((tag, slots.setdefault(text, len(slots))))
-    texts: dict[str, dict[str, None]] = {}  # tag -> A's contents under it
-    for tag, text in a_keys:
-        texts.setdefault(tag, {})[text] = None
-    content_costs = {
-        tag: _content_costs(texts[tag], list(patterns[tag])) for tag in texts if tag in patterns
-    }
-    rows = {}
-    for tag, text in a_keys:
-        costs = content_costs[tag][text] if tag in content_costs else None
-        by_key = [1.0 if other_tag != tag else costs[k] for other_tag, k in b_slots]
-        rows[tag, text] = [by_key[k] for k in b_index]
-    return [rows[n.tag, n.content] for n in a_nodes]
+    m = len(b_nodes)
+    if band is None:
+        band = max(len(a_nodes), m)
+    # a scan costs more the wider its block, and a narrow band reads few of
+    # its fields: about 24 bits per band column, at least 256, ran fastest
+    cap = min(BLOCK_BITS, max(256, 24 * (2 * band + 1)))
+    blocks: list[list[str]] = []  # B's contents, block by block
+    fields = {}  # content -> its block, field mask and length
+    width = cap
+    for node in b_nodes:
+        text = node.content
+        if text and text not in fields:
+            if width + len(text) > cap:
+                blocks.append([])
+                width = 0
+            fields[text] = len(blocks) - 1, ((1 << len(text)) - 1) << width, len(text)
+            blocks[-1].append(text)
+            width += len(text)
+    packed: dict[int, tuple] = {}
+    scans: dict[str, dict[int, tuple[int, int]]] = {}  # content of A -> block -> (vp, vn)
+    lengths = {len(s) for s in (*fields, *(node.content for node in a_nodes))}
+    fractions = {n: [d / n for d in range(n + 1)] for n in lengths if n}
+    b_keys = [(node.tag, node.content) for node in b_nodes]
+    rows = []
+    for i, node in enumerate(a_nodes):
+        tag, text = node.tag, node.content
+        n = len(text)
+        done = scans.setdefault(text, {})
+        row = []
+        for other_tag, other in b_keys[max(0, i - band) : i + band + 1]:
+            if other_tag != tag:
+                cost = 1.0
+            elif other == text:
+                cost = 0.0
+            elif not text or not other:
+                cost = 1.0
+            else:
+                block, field, length = fields[other]
+                if block not in done:
+                    if block not in packed:
+                        packed[block] = _pack(blocks[block])
+                    done[block] = _myers(*packed[block], text)
+                vp, vn = done[block]
+                cost = fractions[length if length > n else n][
+                    n + (vp & field).bit_count() - (vn & field).bit_count()
+                ]
+            row.append(cost)
+        rows.append(row)
+    return rows
 
 
 class _Annotated:
@@ -334,6 +308,12 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
     other cell, and ``treedist`` until set, is ``inf``. With ``k`` at least
     both node counts, every cell is filled.
 
+    Only the band is stored: row ``ai`` of ``treedist`` and of the rename
+    costs holds the columns from ``max(0, ai - k)`` to ``ai + k``, and each
+    row of an ``fd`` table its band and one ``inf`` above it. Row 0 and
+    column 0 of an ``fd`` table stay readable everywhere, as in the full
+    table; any other cell outside the band reads ``inf``.
+
     Each pair of keyroot forests runs the recurrence its shape allows. A
     leaf against a leaf is the rename cost. A leaf against an inner forest is
     one row of the forest table, and an inner forest against B's leaves is
@@ -343,11 +323,11 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
     does, with no closed form, so a derivation that lies in the band costs
     the same float in both.
     """
-    m = len(B.nodes)
-    rename = _rename_costs(A.nodes, B.nodes, None if k >= max(len(A.nodes), m) else k)
+    n1, m = len(A.nodes), len(B.nodes)
+    rename = _rename_costs(A.nodes, B.nodes, k)
     lmds_a = A.lmds
     inf = math.inf
-    treedist = [[inf] * m for _ in A.nodes]
+    treedist = [[inf] * len(row) for row in rename]
     # B's leaf keyroots, and per inner keyroot j: its first node lj, and for
     # each forest column y = bj - lj + 1 the offset q of B.lmds[bj] from lj
     # (0: a whole subtree).
@@ -359,6 +339,9 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
         else:
             qs = [0] + [B.lmds[bj] - lj for bj in range(lj, j + 1)]
             b_inner.append((lj, qs, [float(y) for y in range(len(qs))]))
+    # the inner keyroots' places in b_inner, by lj, to select those in band
+    by_lj = sorted(range(len(b_inner)), key=lambda t: b_inner[t][0])
+    ljs = [b_inner[t][0] for t in by_lj]
 
     # Each loop below computes the textbook recurrence's cells from the same
     # sums in the same order, and takes their min with explicit compares; a
@@ -366,34 +349,37 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
     # min(...) over the fd tables in the band.
     for i in A.keyroots:
         li = lmds_a[i]
-        # B's leaf keyroots whose table with keyroot i is in the band
+        # B's keyroots whose table with keyroot i is in the band; the inner
+        # ones in keyroot order, so that each reads the treedist entries of
+        # its descendants
         leaves = b_leaves[bisect_left(b_leaves, li - k) : bisect_right(b_leaves, li + k)]
+        inner = by_lj[bisect_left(ljs, li - k) : bisect_right(ljs, li + k)]
+        inner = [b_inner[t] for t in sorted(inner)]
         if li == i:
+            o = i - k if i > k else 0  # the first column of row i
             td, ren = treedist[i], rename[i]
             # leaf against leaf: rename costs are at most 1, so the one DP
             # cell min(2.0, 2.0, 0.0 + rename) is the rename cost itself
             for j in leaves:
-                td[j] = ren[j]
+                td[j - o] = ren[j - o]
             # leaf against an inner forest of B: fd has one row below
             # fd[0] = first_row, and the leaf is a whole subtree (p == 0)
-            for lj, qs, first_row in b_inner:
-                if abs(i - lj) > k:
-                    continue
+            for lj, qs, first_row in inner:
                 left = 1.0
+                shift = lj - 1 - o  # node bj = y + lj - 1 is at y + shift
                 for y in range(1, min(len(qs), i - lj + k + 2)):
-                    bj = y + lj - 1
                     v = first_row[y] + 1.0
                     w = left + 1.0
                     if w < v:
                         v = w
                     q = qs[y]
                     if q == 0:
-                        w = first_row[y - 1] + ren[bj]
+                        w = first_row[y - 1] + ren[y + shift]
                         if w < v:
                             v = w
-                        td[bj] = v
+                        td[y + shift] = v
                     else:
-                        w = first_row[q] + td[bj]
+                        w = first_row[q] + td[y + shift]
                         if w < v:
                             v = w
                     left = v
@@ -408,6 +394,7 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
                 first += 1
             p = lmds_a[ai] - li
             td = treedist[ai]
+            o = ai - k if ai > k else 0
             # a subtree against a subtree adds its rename to fd[x-1][0];
             # any other forest adds treedist to fd[p][0]
             base, costs = (float(x - 1), rename[ai]) if p == 0 else (float(p), td)
@@ -416,54 +403,63 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
                 v = col[t] + 1.0
                 if w_left < v:
                     v = w_left
-                w = base + costs[leaves[t]]
+                w = base + costs[leaves[t] - o]
                 if w < v:
                     v = w
                 col[t] = v
             if p == 0:
                 for t in range(first, len(leaves)):
-                    td[leaves[t]] = col[t]
-        # inner forest against inner forest of B: the fd table's row x holds
-        # the columns y with |x + li - lj - y| <= k, the others inf
-        for lj, qs, first_row in b_inner:
+                    td[leaves[t] - o] = col[t]
+        # inner forest against inner forest of B: row x of the fd table holds
+        # the columns y from max(0, x + c - k) to x + c + k, then inf
+        for lj, qs, first_row in inner:
             c = li - lj
-            if abs(c) > k:
-                continue
             n = len(qs)
-            blank = [inf] * n
-            fd = [first_row]  # fd[x][y]: forest li..li+x-1 against lj..lj+y-1
+            blank = [inf] * (min(n, 2 * k + 1) + 1)  # a band, and an inf above it
+            fd = [first_row]  # fd[x][y - o]: forest li..li+x-1 against lj..lj+y-1
             for x, ai in enumerate(range(li, i + 1), 1):
-                lo = x + c - k
-                if lo >= n:  # the band has left the table
+                s = x + c - k  # the band's first column
+                if s >= n:  # the band has left the table
                     break
-                up = fd[-1]
-                td = treedist[ai]
                 row = blank[:]
-                row[0] = up[0] + 1.0
-                if lo < 1:
-                    lo = 1
-                left = row[lo - 1]
+                # row x holds columns from o = max(0, s); column 0 holds x
+                # everywhere, so the cell left of column 1 is x even where
+                # the band starts at column 1
+                if s > 0:
+                    o, d = s, 1  # up[t + d] is the cell above row[t]
+                    lo, left = (s, inf) if s > 1 else (1, float(x))
+                else:
+                    o, d, lo = 0, 0, 1
+                    row[0] = left = float(x)
+                up = fd[-1]
                 p = lmds_a[ai] - li
-                fp, ren = fd[p], rename[ai]
-                for y in range(lo, min(n, x + c + k + 1)):
-                    bj = y + lj - 1
-                    v = up[y] + 1.0
+                fp, fo = fd[p], (p + c - k if p + c > k else 0)
+                fe = fo + len(fp)
+                td, ren = treedist[ai], rename[ai]
+                shift = o + lj - 1 - (ai - k if ai > k else 0)  # node bj at t + shift
+                for t, q in enumerate(qs[lo : x + c + k + 1], lo - o):
+                    v = up[t + d] + 1.0
                     w = left + 1.0
                     if w < v:
                         v = w
-                    q = qs[y]
                     if q == 0 and p == 0:  # subtree against subtree
-                        w = up[y - 1] + ren[bj]
+                        w = up[t + d - 1] + ren[t + shift]
                         if w < v:
                             v = w
-                        td[bj] = v
-                    else:
-                        w = fp[q] + td[bj]
+                        td[t + shift] = v
+                    elif fo <= q < fe:  # fd[p][q] is stored
+                        w = fp[q - fo] + td[t + shift]
                         if w < v:
                             v = w
-                    row[y] = left = v
+                    elif q == 0:  # fd[p][0] = p, also outside the band
+                        w = float(p) + td[t + shift]
+                        if w < v:
+                            v = w
+                    row[t] = left = v
                 fd.append(row)
-    return treedist[-1][-1]
+    if abs(n1 - m) > k:  # the last cell is outside the band
+        return inf
+    return treedist[-1][m - 1 - max(0, n1 - 1 - k)]
 
 
 def _table_trees(pred_html: str, gt_html: str) -> tuple[DocTree | None, DocTree]:

@@ -1,8 +1,10 @@
 import copy
 import gc
+import importlib.util
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -241,6 +243,21 @@ BAND_PAIRS = [
     ),
 ]
 
+# Pairs whose first pass (k = 2, distance 2.0) reads an fd table at its
+# stored edges: column 0 of a row whose band starts right of it (fd[p][0] =
+# p), and the inf kept above each row's band, which the cell at the band's
+# top edge reads (a finite value there gives 1.5)
+FD_EDGE_PAIRS = [
+    (
+        table_tree([[(TH, ""), (TH, "ab")], []]),
+        table_tree([[(TD, ""), (TH, ""), (TH, "ab")]]),
+    ),
+    (
+        table_tree([[], [(TD, "")], []]),
+        table_tree([[], [(TD, "a")], [(TD, "")]]),
+    ),
+]
+
 
 @settings(max_examples=300, deadline=None, derandomize=DERANDOMIZE)
 @given(t1=table_trees, t2=table_trees)
@@ -255,6 +272,8 @@ BAND_PAIRS = [
 @example(t1=BAND_PAIRS[4][0], t2=BAND_PAIRS[4][1])
 @example(t1=BAND_PAIRS[5][0], t2=BAND_PAIRS[5][1])
 @example(t1=BAND_PAIRS[6][0], t2=BAND_PAIRS[6][1])
+@example(t1=FD_EDGE_PAIRS[0][0], t2=FD_EDGE_PAIRS[0][1])
+@example(t1=FD_EDGE_PAIRS[1][0], t2=FD_EDGE_PAIRS[1][1])
 def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
     for model in (STRUCTURE, CONTENT):
         assert distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
@@ -308,10 +327,12 @@ WIDE = "ab" * 2100  # wider than one block
 
 
 def in_band(costs, band):
-    """The entries of a rename matrix that a band of width ``band`` reads."""
+    """Full rename rows cut to the columns that a band of width ``band``
+    reads, the shape ``_rename_costs`` returns: row ``i`` from column
+    ``max(0, i - band)`` up to ``i + band``."""
     if band is None:
         return costs
-    return [[c for j, c in enumerate(row) if abs(i - j) <= band] for i, row in enumerate(costs)]
+    return [row[max(0, i - band) : i + band + 1] for i, row in enumerate(costs)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,90 +357,96 @@ def in_band(costs, band):
     band=None,
 )
 def test_rename_costs_match_per_pair_reference(a, b, width, band):
-    """Without a band every entry is the reference's; with one, every entry
-    within ``band`` of the diagonal."""
-    with mock.patch.object(metrics, "BLOCK_BITS", width):
-        assert in_band(metrics._rename_costs(a, b, band), band) == in_band(
-            rename_costs_reference(a, b, CONTENT), band
-        )
-        assert in_band(metrics._rename_costs(skeletons(a), skeletons(b), band), band) == in_band(
-            rename_costs_reference(a, b, STRUCTURE), band
-        )
+    """Without a band every row is the reference's; with one, every row
+    holds the reference's entries within ``band`` of the diagonal, and only
+    those. No content of A is scanned twice against one block."""
+    want = [in_band(rename_costs_reference(a, b, model), band) for model in (CONTENT, STRUCTURE)]
+    scans, myers = [], metrics._myers
+
+    def recording_myers(masks, tops, bottoms, text):
+        scans.append((id(masks), text))
+        return myers(masks, tops, bottoms, text)
+
+    with mock.patch.object(metrics, "BLOCK_BITS", width), mock.patch.object(
+        metrics, "_myers", recording_myers
+    ):
+        assert metrics._rename_costs(a, b, band) == want[0]
+        assert len(set(scans)) == len(scans)
+        assert metrics._rename_costs(skeletons(a), skeletons(b), band) == want[1]
 
 
 def skeletons(nodes: list[DocTree]) -> list[DocTree]:
     return [metrics._skeleton(node) for node in nodes]
 
 
-TD_CONTENTS = (["", "abc", "abx"], ["", "abc", "abx", "zz"])  # of a and b below
+ABX, ABC, ZZ = ("abx",), ("abc",), ("zz",)  # blocks of one content
 
 
 @pytest.mark.parametrize(
-    "band, width, calls, scans",
+    "band, width, scans",
     [
-        # one block: the td contents of both sides, then the th contents
+        # one block: "abc" is scanned once for its td and its th node
         pytest.param(
-            None, metrics.BLOCK_BITS, [TD_CONTENTS, (["abc"], ["abx"])], ["abc", "abc", "abx"],
+            None,
+            metrics.BLOCK_BITS,
+            [("abc", ("abx", "abc", "zz")), ("abx", ("abx", "abc", "zz"))],
             id="one_block",
         ),
-        # td blocks [abx] and [abc, zz]: "abx" alone in a block needs no scan
+        # blocks [abx] and [abc, zz]: "abx" is not scanned against its own
+        # block, "abc" is, for "zz"
         pytest.param(
-            None, 5, [TD_CONTENTS, (["abc"], ["abx"])], ["abc", "abc", "abc", "abx"],
+            None,
+            5,
+            [("abc", ("abc", "zz")), ("abc", ABX), ("abx", ("abc", "zz"))],
             id="blocks_of_5_bits",
         ),
-        # td blocks [abx], [abc] and [zz]: each content skips its own
+        # blocks [abx], [abc] and [zz]
         pytest.param(
-            None, 1, [TD_CONTENTS, (["abc"], ["abx"])], ["abc", "abc", "abc", "abx", "abx"],
-            id="blocks_of_1_bit",
+            None, 1, [("abc", ABX), ("abc", ZZ), ("abx", ABC), ("abx", ZZ)], id="blocks_of_1_bit"
         ),
-        # chunks b[0:3] (against a[0:4]) and b[3:5] (against a[2:4])
-        pytest.param(
-            1,
-            metrics.BLOCK_BITS,
-            [(["", "abc", "abx"], ["abc", "abx"]), (["abc"], ["abx"]), (["", "abx"], ["", "zz"])],
-            ["abc", "abc", "abx", "abx"],
-            id="band_1",
-        ),
+        # band 1: no row of "abc" reaches "zz"
+        pytest.param(1, 1, [("abc", ABX), ("abx", ABC), ("abx", ZZ)], id="band_1"),
+        # band 0: each row meets one node, and the two "abc" rows share a scan
+        pytest.param(0, 1, [("abc", ABX), ("abx", ABC)], id="band_0"),
     ],
 )
-def test_rename_costs_compare_contents_under_one_tag(monkeypatch, band, width, calls, scans):
-    """Contents are scanned, and costs extracted, only between nodes of one
-    tag: a tag mismatch costs 1.0 without either. Each distinct content of A
-    is scanned once per chunk of B that holds another content under its
-    tag, and empty contents are never scanned."""
+def test_rename_costs_scan_each_content_once_per_block(monkeypatch, band, width, scans):
+    """B's distinct non-empty contents are packed in postorder into blocks,
+    and each distinct content of A is scanned at most once per block that
+    its band reaches, only for a pair of one tag, two non-empty contents
+    and no equal ones: a tag mismatch, an empty side or equal contents cost
+    1.0, 1.0 and 0.0 without a scan."""
     # "abc" and "abx" under two tags, and an empty content on both sides
     a = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "abx"), leaf(TD, "")]
     b = [leaf(TD, "abx"), leaf(TH, "abx"), leaf(TD, "abc"), leaf(TD, "zz"), leaf(TD, "")]
-    expected = rename_costs_reference(a, b, CONTENT)
-    seen_calls, seen_scans = [], []
-    content_costs, myers = metrics._content_costs, metrics._myers
-
-    def recording_costs(texts, patterns):
-        seen_calls.append((sorted(texts), sorted(patterns)))
-        return content_costs(texts, patterns)
-
-    def counting_myers(masks, tops, bottoms, text):
-        seen_scans.append(text)
-        return myers(masks, tops, bottoms, text)
-
-    monkeypatch.setattr(metrics, "_content_costs", recording_costs)
-    monkeypatch.setattr(metrics, "_myers", counting_myers)
-    monkeypatch.setattr(metrics, "BLOCK_BITS", width)
-    costs = metrics._rename_costs(a, b, band)
-    assert in_band(costs, band) == in_band(expected, band)
-    assert seen_calls == calls
-    assert sorted(seen_scans) == scans
-    # no scan for equal contents in a block of their own, nor for empty ones
     same = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "")]
     expected = [
-        rename_costs_reference(same, same, CONTENT), rename_costs_reference(a, b, STRUCTURE)
+        in_band(rename_costs_reference(a, b, CONTENT), band),
+        in_band(rename_costs_reference(same, same, CONTENT), band),
+        in_band(rename_costs_reference(a, b, STRUCTURE), band),
     ]
-    seen_scans.clear()
-    assert metrics._rename_costs(same, same, band) == expected[0]
-    assert in_band(metrics._rename_costs(skeletons(a), skeletons(b), band), band) == in_band(
-        expected[1], band
-    )
-    assert seen_scans == []
+    blocks, seen = {}, []  # the contents of each packed block, by its masks
+    pack, myers = metrics._pack, metrics._myers
+
+    def recording_pack(patterns):
+        packed = pack(patterns)
+        blocks[id(packed[0])] = tuple(patterns)
+        return packed
+
+    def recording_myers(masks, tops, bottoms, text):
+        seen.append((text, blocks[id(masks)]))
+        return myers(masks, tops, bottoms, text)
+
+    monkeypatch.setattr(metrics, "_pack", recording_pack)
+    monkeypatch.setattr(metrics, "_myers", recording_myers)
+    monkeypatch.setattr(metrics, "BLOCK_BITS", width)
+    assert metrics._rename_costs(a, b, band) == expected[0]
+    assert sorted(seen) == scans
+    # no scan for equal contents, nor for empty ones
+    seen.clear()
+    assert metrics._rename_costs(same, same, band) == expected[1]
+    assert metrics._rename_costs(skeletons(a), skeletons(b), band) == expected[2]
+    assert seen == []
 
 
 # -- TEDS ----------------------------------------------------------------------------
@@ -659,6 +686,8 @@ EDGE_PAIRS = [
 
 @settings(max_examples=150, deadline=None, derandomize=DERANDOMIZE)
 @given(t1=any_trees, t2=any_trees)
+@example(t1=FD_EDGE_PAIRS[0][0], t2=FD_EDGE_PAIRS[0][1])
+@example(t1=FD_EDGE_PAIRS[1][0], t2=FD_EDGE_PAIRS[1][1])
 @example(t1=BAND_PAIRS[3][0], t2=BAND_PAIRS[3][1])
 @example(t1=BAND_PAIRS[5][0], t2=BAND_PAIRS[5][1])
 @example(t1=EDGE_PAIRS[0][0], t2=EDGE_PAIRS[0][1])
@@ -733,6 +762,30 @@ def test_evaluate_batch_matches_recorded_rows():
                 pred, gt = parse_grid(entry["pred"]), parse_grid(entry["gt"])
                 shapes.add((pred.n_rows, pred.n_cols, gt.n_rows, gt.n_cols))
     assert (3, 1, 1, 4) in shapes
+
+
+PROBE = Path(__file__).resolve().parent.parent / "tools" / "teds_probe.py"
+
+
+def test_teds_memory_follows_the_band():
+    """One content ``teds()`` call on a 20x20 table with four cell texts
+    edited (421 nodes a side, passes at k = 1 and k = 4) peaks under 1.5 MB,
+    less than one 421 x 421 list of floats: subtree distances, rename costs
+    and forest tables are kept in the band only. Rows of every column
+    peaked at 4.6 MB on this call, band rows at 0.6 MB."""
+    spec = importlib.util.spec_from_file_location("teds_probe", PROBE)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    pred, gt = probe.probe_pair(20, 4, rotate=False)
+    teds(GT, GT)  # the parser's first call sets up its caches
+    tracemalloc.start()
+    try:
+        score = teds(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.99 < score < 1.0
+    assert peak < 1.5 * 2**20
 
 
 def test_teds_leaves_no_cyclic_trees():
