@@ -162,12 +162,24 @@ def _finite_float(token: str) -> float:
 MAX_JSON_DEPTH = 500
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object repeats key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def loads_finite(text: str):
     """``json.loads`` that refuses ``NaN``, ``Infinity``, float literals
-    that overflow to infinity and nesting deeper than
-    :data:`MAX_JSON_DEPTH` with a ``ValueError``."""
+    that overflow to infinity, an object that repeats a key and nesting
+    deeper than :data:`MAX_JSON_DEPTH` with a ``ValueError``."""
     try:
-        value = json.loads(text, parse_float=_finite_float, parse_constant=_refuse_non_finite)
+        value = json.loads(text, parse_float=_finite_float, parse_constant=_refuse_non_finite,
+                           object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     # one level of containers at a time, without recursion
@@ -461,14 +473,16 @@ def run_pipeline(
             contents[(page_no, el.index)] = content
 
     # placeholder restoration for table elements with detections
-    for (page_no, index), dets in sorted(detections.items()):
-        key = (page_no, index)
+    for key, dets in sorted(detections.items()):
+        page_no, index = key
         if key not in contents:
-            warnings.append(f"detections for unknown element {key}")
+            warnings.append(f"page {page_no} element {index}: detections for unknown element")
             continue
         el = pages[page_no].element_by_index(index)
         if el.label not in TABLE_LABELS:
-            warnings.append(f"detections for non-table element {key} ignored")
+            warnings.append(
+                f"page {page_no} element {index}: detections for non-table element ignored"
+            )
             continue
         _, pmap = plan_masks(el.bbox, dets, cfg)
         pmap = pmap.with_refs(

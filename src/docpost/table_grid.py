@@ -3,7 +3,9 @@
 The grid is the universal table representation for the rest of the package:
 every position of an ``n_rows x n_cols`` matrix is owned by exactly one cell
 (span rectangles partition the grid). Parsing is tag-soup tolerant because
-recognizer output is near-HTML, not validated HTML.
+recognizer output is near-HTML, not validated HTML. One token regex reads
+any markup in time linear in its length, and markup that the input ends
+inside is cell text to the end of the input.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
+from html import unescape
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -90,212 +92,235 @@ def looks_numeric(s: str) -> bool:
 # verbatim as opaque content.
 _STRUCTURE_TAGS = {"table", "thead", "tbody", "tfoot", "tr", "td", "th"}
 
-
-class _TableSoupParser(HTMLParser):
-    """Collects the first <table> element from near-HTML input.
-
-    Missing </td>, </tr> and </table> are closed implicitly. A nested
-    <table> inside a cell is treated as opaque cell content.
-    """
-
-    def __init__(self):
-        super().__init__(convert_charrefs=False)
-        self.rows: list[list[tuple[str, int, int, bool]]] = []
-        self.done = False
-        self._in_table = False
-        self._in_thead = False
-        self._nested_table = 0
-        self._row: list[tuple[str, int, int, bool]] | None = None
-        self._cell_parts: list[str] | None = None
-        self._cell_attrs: tuple[int, int, bool] | None = None  # rowspan, colspan, header
-
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _span_attr(attrs, name) -> int:
-        for key, value in attrs:
-            if key == name:
-                try:
-                    span = int(str(value).strip())
-                except (TypeError, ValueError):
-                    return 1
-                return max(span, 1)
-        return 1
-
-    def _open_cell(self, attrs, header: bool):
-        self._close_cell()
-        if self._row is None:
-            self._row = []
-        self._cell_parts = []
-        self._cell_attrs = (
-            self._span_attr(attrs, "rowspan"),
-            self._span_attr(attrs, "colspan"),
-            header or self._in_thead,
-        )
-
-    def _close_cell(self):
-        if self._cell_parts is None:
-            return
-        rowspan, colspan, header = self._cell_attrs
-        assert self._row is not None
-        self._row.append(("".join(self._cell_parts), rowspan, colspan, header))
-        self._cell_parts = None
-        self._cell_attrs = None
-
-    def _close_row(self):
-        self._close_cell()
-        if self._row is not None:
-            self.rows.append(self._row)
-            self._row = None
-
-    def _append_raw(self, text: str):
-        if self._cell_parts is not None:
-            self._cell_parts.append(text)
-
-    # -- HTMLParser hooks ---------------------------------------------------
-
-    def handle_starttag(self, tag, attrs):
-        if self.done:
-            return
-        if not self._in_table:
-            if tag == "table":
-                self._in_table = True
-            return
-        if self._nested_table or (tag == "table" and self._cell_parts is not None):
-            if tag == "table":
-                self._nested_table += 1
-            self._append_raw(self.get_starttag_text())
-            return
-        if tag == "thead":
-            self._in_thead = True
-        elif tag in ("tbody", "tfoot"):
-            self._in_thead = False
-        elif tag == "tr":
-            self._close_row()
-            self._row = []
-        elif tag in ("td", "th"):
-            self._open_cell(attrs, tag == "th")
-        elif tag == "table":
-            # <table> directly between rows: near-HTML garbage, skip over it.
-            self._nested_table += 1
-        else:
-            self._append_raw(self.get_starttag_text())
-
-    def handle_startendtag(self, tag, attrs):
-        if self.done or not self._in_table:
-            return
-        if self._nested_table:
-            self._append_raw(self.get_starttag_text())
-            return
-        if tag in ("td", "th"):
-            self._open_cell(attrs, tag == "th")
-            self._close_cell()
-        elif tag not in _STRUCTURE_TAGS:
-            self._append_raw(self.get_starttag_text())
-
-    def handle_endtag(self, tag):
-        if self.done or not self._in_table:
-            return
-        if self._nested_table:
-            if tag == "table":
-                self._nested_table -= 1
-            self._append_raw(f"</{tag}>")
-            return
-        if tag == "table":
-            self._close_row()
-            self._in_table = False
-            self.done = True
-        elif tag == "tr":
-            self._close_row()
-        elif tag in ("td", "th"):
-            self._close_cell()
-        elif tag == "thead":
-            self._in_thead = False
-        elif tag not in _STRUCTURE_TAGS:
-            self._append_raw(f"</{tag}>")
-
-    def handle_data(self, data):
-        self._append_raw(data)
-
-    def handle_entityref(self, name):
-        self._append_raw(f"&{name};")
-
-    def handle_charref(self, name):
-        self._append_raw(f"&#{name};")
-
-    def handle_comment(self, data):
-        self._append_raw(f"<!--{data}-->")
-
-    def finish(self):
-        self.close()
-        if self._in_table:
-            # Unclosed </table> at EOF: recover by closing the open row.
-            self._close_row()
-            self._in_table = False
-            self.done = True
-
-
-# The shape serialize_grid writes: lowercase <table>/<tr>/<td>/<th> tags with
-# nothing between them, rowspan then colspan (double-quoted, 1-6 digits:
-# int() refuses very long ones), and cell content made of text free of "<"
-# and "&", <img> tags with lowercase attribute names and plain double-quoted
-# values, and complete &name; or &#digits; references. _TableSoupParser
-# passes such content through verbatim. Content is matched as
-# text (token text)* so that a failed match cannot backtrack through the
-# ways of splitting a text run.
+# The shape serialize_grid writes for a cell: a lowercase <td> or <th> tag
+# with rowspan then colspan (double-quoted, 1-6 digits: int() refuses very
+# long ones), and content made of text free of "<" and "&", <img> tags with
+# lowercase attribute names and plain double-quoted values, and complete
+# &name; or &#digits; references, which the other tokens would keep
+# verbatim too. Content is matched as text (token text)* so that a failed
+# match cannot backtrack through the ways of splitting a text run. It is the
+# first token kind, so its groups are numbers 1 to 4.
 _CANONICAL_CELL = (
-    r'<(?P<tag>t[dh])(?: rowspan="(\d{1,6})")?(?: colspan="(\d{1,6})")?>'
-    r'([^<&]*(?:(?:<img(?: [a-z][a-z0-9-]*="[^"<>&]*")*(?: ?/)?>'
+    r'<(?P<tag>t[dh])(?: rowspan="(?P<rowspan>\d{1,6})")?(?: colspan="(?P<colspan>\d{1,6})")?>'
+    r'(?P<content>[^<&]*(?:(?:<img(?: [a-z][a-z0-9-]*="[^"<>&]*")*(?: ?/)?>'
     r"|&(?:[a-zA-Z][a-zA-Z0-9]*|#[0-9]+);)[^<&]*)*)</(?P=tag)>"
+)
+# whitespace and slashes after a start tag's name or attribute, except a
+# slash right before ">"
+_SKIP = r"(?:\s|/(?!>))*"
+# the keywords of the marked sections <![keyword ...]>, which are dropped
+_SECTION = r"(?ai:cdata|ignore|include|rcdata|temp)(?![-_.a-zA-Z0-9])"
+_CONDITION = r"(?ai:else|endif|if)(?![-_.a-zA-Z0-9])"
+
+# The token kinds, tried in order. Each pattern starts with a literal
+# character where it can, so the regex engine skips the alternatives that
+# cannot start at a position, and ends in an empty group that Match.lastgroup
+# names. A failing alternative reads only as far as its markup could reach;
+# when that is the end of the input, the markup is text to the end.
+_TOKENS = (
+    ("cell", _CANONICAL_CELL),
+    ("row", r"<(?:/tr><tr|tr|/tr)>"),  # the row tags serialize_grid writes
+    # a start tag's name; attributes follow unless it is closed here
+    ("start", rf"<(?P<name>[a-zA-Z][^\t\n\r\f />\x00]*){_SKIP}(?P<close>/?>)?"),
+    ("end", r"</(?:\s*(?P<endname>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*"
+            r"|(?P<loosename>[a-zA-Z][^\t\n\r\f />\x00]*)[^>]*)>"),
+    # end tags without a name, processing instructions, declarations and
+    # marked sections, which are dropped
+    ("drop", r"<(?:/>|\?[^>]*>|!(?ai:doctype)[^>]*>"
+             rf"|!\[{_SECTION}(?s:.*?)\]\s*\]\s*>|!\[{_CONDITION}(?s:.*?)\]\s*>)"),
+    # comments, and other "</" or "<!" markup, read as comments
+    ("comment", r"<(?:!--(?P<note>(?s:.*?))--\s*>|/(?P<bogus>[^>]+)>"
+                rf"|!(?!--|\[{_SECTION}|\[{_CONDITION})(?P<decl>[^>]*)>)"),
+    # references, ended by ";" or by any character that cannot continue them
+    ("ref", r"&(?P<refname>#(?:[0-9]+|[xX][0-9a-fA-F]+)(?=[^0-9a-fA-F])"
+            r"|[a-zA-Z][-.a-zA-Z0-9]*(?=[^a-zA-Z0-9]));?"),
+    # text, with the "<" and "&" that start no markup
+    ("text", r"(?:[^<&]+|<+(?![a-zA-Z/!?])[^<&]*|&+(?![a-zA-Z#])[^<&]*)"),
+    ("stray", r"[<&]"),  # a "<" or "&" that may start markup the input ends inside
 )
 
 
 @functools.cache
-def _canonical_patterns() -> tuple[re.Pattern, re.Pattern]:
-    # Compiled on first use: commands that parse no table skip the cost. The
-    # token pattern matches a row boundary, with every group empty, or a cell.
-    table = rf"<table>(?:<tr>(?:{_CANONICAL_CELL})*</tr>)+</table>"
-    return re.compile("</tr><tr>|" + _CANONICAL_CELL), re.compile(table)
+def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    # Compiled on first use: commands that parse no table skip the cost.
+    return (
+        re.compile("|".join(f"{pattern}(?P<{kind}>)" for kind, pattern in _TOKENS)),
+        # one attribute of a start tag: a name, then "=" and a quoted, bare
+        # or empty value
+        re.compile(
+            r"(?<=['\"\s/])(?P<key>[^\s/>][^\s/=>]*)"
+            rf"(?:\s*=+\s*(?P<value>'[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*)\s*)?{_SKIP}"
+        ),
+        re.compile(r"</\s*(script|style)\s*>", re.IGNORECASE),
+    )
 
 
-def _parse_canonical(html: str) -> list[list[tuple[str, int, int, bool]]] | None:
-    """The ``(content, rowspan, colspan, is_header)`` rows _TableSoupParser
-    reads from canonical markup, else None."""
-    token_re, table_re = _canonical_patterns()
-    body = html.strip()
-    if table_re.fullmatch(body) is None:
-        return None
-    rows = [row := []]
-    # the fullmatch passed, so the tokens tile the body from the first <tr>
-    # to the last </tr>
-    for tag, rowspan, colspan, content in token_re.findall(
-        body, len("<table><tr>"), len(body) - len("</tr></table>")
-    ):
-        if tag:
-            rowspan = max(int(rowspan), 1) if rowspan else 1
-            colspan = max(int(colspan), 1) if colspan else 1
-            row.append((content, rowspan, colspan, tag == "th"))
-        else:
-            rows.append(row := [])
-    # A table of empty rows is malformed; the tolerant parser reports it.
-    return rows if any(rows) else None
-
-
-def _parse_tolerant(html: str) -> list[list[tuple[str, int, int, bool]]]:
-    """The rows of the first <table> in ``html``, read by _TableSoupParser."""
-    parser = _TableSoupParser()
+def _span(value: str | None) -> int:
+    """A rowspan or colspan attribute value as an int of at least 1, once
+    references are resolved; 1 when it is missing or not an integer."""
+    if value and value[0] in "'\"":
+        value = value[1:-1]
     try:
-        parser.feed(html)
-        parser.finish()
-    except AssertionError:  # pragma: no cover - parser internal breakage
-        raise MalformedMarkup("unrecoverable markup") from None
-    if not parser.done:
+        return max(int(unescape(value).strip()), 1) if value else 1
+    except ValueError:
+        return 1
+
+
+def _table_rows(html: str) -> list[list[tuple[str, int, int, bool]]]:
+    """The ``(content, rowspan, colspan, is_header)`` rows of the first
+    <table> in ``html``, in one pass of the token regex.
+
+    Missing </td>, </tr> and </table> are closed implicitly; a <table> inside
+    a cell is cell content and one between rows is skipped. Cell content
+    keeps start tags verbatim and writes end tags as ``</tag>`` (lowercase),
+    references as ``&name;`` or ``&#n;`` and comments as ``<!--x-->``;
+    declarations and processing instructions are dropped, and <script> and
+    <style> content is text up to its end tag. Markup that the input ends
+    inside is text to the end, and so is all from a malformed "&#" when no
+    ";" follows or an earlier one was read; otherwise that "&#" is text.
+    """
+    token, attribute, rawtext_end = _patterns()
+    rows: list[list[tuple[str, int, int, bool]]] = []
+    row: list[tuple[str, int, int, bool]] | None = None
+    spans: tuple[int, int, bool] | None = None  # rowspan, colspan, header of the open cell
+    parts: list[str] = []  # its content; text read with no cell open is never joined
+    in_table = in_thead = malformed_charref = False
+    nested = 0  # tables open inside the table
+    pos = 0
+    n = len(html)
+    while pos < n:
+        resume = n  # where the next pass of the token regex starts
+        for m in token.finditer(html, pos):
+            kind = m.lastgroup
+            if kind == "cell":
+                if nested:
+                    parts.append(m[0])
+                elif in_table:
+                    if spans:
+                        row.append(("".join(parts), *spans))
+                        spans = None
+                    rowspan, colspan = m[2], m[3]  # a subscript costs less than group()
+                    rowspan = max(int(rowspan), 1) if rowspan else 1
+                    colspan = max(int(colspan), 1) if colspan else 1
+                    cell = (m[4], rowspan, colspan, m[1] == "th" or in_thead)
+                    if row is None:
+                        row = [cell]
+                    else:
+                        row.append(cell)
+            elif kind == "text":
+                parts.append(m[0])
+            elif kind == "start":
+                name, close = m.group("name", "close")
+                end = m.end()
+                attrs: dict[str, str | None] = {}
+                if close is None:
+                    # one match per attribute: one match over all of them
+                    # would keep the regex engine's state for each
+                    while a := attribute.match(html, end):
+                        end = a.end()
+                        attrs.setdefault(a["key"].lower(), a["value"])
+                    close = ">" if html.startswith(">", end) else "/>" if html.startswith("/>", end) else ""
+                    if not close:
+                        after = html[end : end + 1]
+                        if not after or after in "=/" or after.isascii() and after.isalpha():
+                            parts.append(html[m.start() :])  # unterminated
+                            break
+                        # followed by a character that neither starts an
+                        # attribute nor ends the tag: text
+                        parts.append(html[m.start() : end])
+                        if end == m.end():
+                            continue
+                        resume = end
+                        break
+                    end += len(close)
+                tag = name.lower()
+                empty = close == "/>"
+                if not in_table:
+                    in_table = tag == "table" and not empty
+                elif nested or tag not in _STRUCTURE_TAGS or tag == "table" and not empty and spans:
+                    nested += tag == "table" and not empty
+                    parts.append(html[m.start() : end])
+                elif tag in ("td", "th") or tag == "tr" and not empty:
+                    if spans:
+                        row.append(("".join(parts), *spans))
+                        spans = None
+                    if tag == "tr":
+                        if row is not None:
+                            rows.append(row)
+                        row = []
+                    else:
+                        if row is None:
+                            row = []
+                        header = tag == "th" or in_thead
+                        spans = (_span(attrs.get("rowspan")), _span(attrs.get("colspan")), header)
+                        parts = []
+                        if empty:
+                            row.append(("", *spans))
+                            spans = None
+                elif not empty and tag in ("thead", "tbody", "tfoot"):
+                    in_thead = tag == "thead"
+                elif not empty and tag == "table":  # between rows: near-HTML garbage, skipped
+                    nested += 1
+                if tag in ("script", "style") and not empty:
+                    # text up to the matching end tag, which the next pass reads
+                    closes = (c.start() for c in rawtext_end.finditer(html, end) if c[1].lower() == tag)
+                    resume = next(closes, n)
+                    parts.append(html[end:resume])
+                    break
+                if end != m.end():
+                    resume = end
+                    break
+            elif kind == "row" or kind == "end":
+                # a row token ends a row, or starts one, or both
+                tag = "tr" if kind == "row" else (m["endname"] or m["loosename"]).lower()
+                if not in_table:
+                    pass
+                elif nested or tag not in _STRUCTURE_TAGS:
+                    nested -= tag == "table"
+                    parts.append(m[0] if kind == "row" else f"</{tag}>")
+                elif tag in ("td", "th", "tr", "table"):
+                    if spans:
+                        row.append(("".join(parts), *spans))
+                        spans = None
+                    if tag != "td" and tag != "th" and row is not None:
+                        rows.append(row)
+                        row = None
+                    if kind == "row" and m[0] != "</tr>":
+                        row = []
+                    elif tag == "table":
+                        break
+                elif tag == "thead":
+                    in_thead = False
+            elif kind == "stray":
+                after = html[m.end() : m.end() + 1]
+                if m[0] == "<":
+                    unterminated = after in ("/", "!", "?")
+                elif after == "#":
+                    unterminated = malformed_charref or ";" not in html[m.end() :]
+                    malformed_charref = True
+                else:
+                    unterminated = after.isascii() and after.isalpha()
+                if unterminated:
+                    parts.append(html[m.start() :])
+                    break
+                parts.append(m[0])
+            elif kind == "ref":
+                parts.append(f"&{m['refname']};")
+            elif kind == "comment":
+                note = next(g for g in m.group("note", "bogus", "decl") if g is not None)
+                parts.append(f"<!--{note}-->")
+        pos = resume
+    if not in_table:
         raise NoTableFound("no <table> element in input")
-    if not parser.rows or all(not row for row in parser.rows):
+    if spans:
+        row.append(("".join(parts), *spans))
+    if row is not None:
+        rows.append(row)
+    if not any(rows):
         raise MalformedMarkup("table has no cells")
     # Empty <tr></tr> rows are kept: they carry positions owned by rowspans
     # from rows above (canonical serialization emits them).
-    return parser.rows
+    return rows
 
 
 # The HTML table model's span limits: larger values are clamped to them.
@@ -482,14 +507,12 @@ def parse_grid(html: str) -> TableGrid:
     """Parse the first <table> in ``html`` and lay it out with :func:`_layout`.
 
     <th> cells and cells inside <thead> are headers, and markup inside a cell
-    (including <img> tags) is kept verbatim. Raises :class:`NoTableFound`
-    when there is no table element and :class:`MalformedMarkup` when the
-    table yields no cells. Markup in the shape :func:`serialize_grid` writes
-    is read by one regex scan instead of by ``html.parser``, with the same
-    result.
+    (including <img> tags) is kept verbatim; :func:`_table_rows` gives the
+    rules, including that markup the input ends inside is text to the end.
+    Raises :class:`NoTableFound` when there is no table element and
+    :class:`MalformedMarkup` when the table yields no cells.
     """
-    rows = _parse_canonical(html)
-    return _layout(_parse_tolerant(html) if rows is None else rows)
+    return _layout(_table_rows(html))
 
 
 def detect_header_rows(grid: TableGrid) -> int:

@@ -14,6 +14,9 @@ one position at a time instead of placing each spanned row as a slice.
 The ``mask`` reference reads the whole page, cuts each crop out of it in
 page coordinates with a bytes slice per row, and writes each PPM as one
 concatenated string, where the CLI reads only the table's rows.
+The table reader's reference is html.parser's tokenizer driving the tree
+rules the reader applies (:func:`table_rows_reference`), where the library
+runs one token regex over the markup.
 Two grid helpers that only tests use live here too: :func:`slice_rows` and
 :func:`grid_to_rows`.
 """
@@ -21,6 +24,7 @@ Two grid helpers that only tests use live here too: :func:`slice_rows` and
 from __future__ import annotations
 
 import random
+from html.parser import HTMLParser
 
 from docpost.errors import FormatError
 from docpost.idtp import (
@@ -45,6 +49,7 @@ from docpost.table_grid import (
     MAX_ROWSPAN,
     GridCell,
     MalformedMarkup,
+    NoTableFound,
     SpanConflict,
     TableGrid,
     normalize_text,
@@ -490,6 +495,172 @@ def normalize_grid_reference(rows) -> TableGrid:
         tuple(tuple(remap[i] for i in row) for row in occ),  # type: ignore[misc]
         tuple(warnings),
     )
+
+
+# Tags with table-structural meaning; everything else inside a cell is kept
+# verbatim as opaque content.
+_STRUCTURE_TAGS = {"table", "thead", "tbody", "tfoot", "tr", "td", "th"}
+
+
+class TableSoupParser(HTMLParser):
+    """Collects the first <table> element from near-HTML input.
+
+    Missing </td>, </tr> and </table> are closed implicitly. A nested
+    <table> inside a cell is treated as opaque cell content.
+    """
+
+    def __init__(self):
+        super().__init__(convert_charrefs=False)
+        self.rows: list[list[tuple[str, int, int, bool]]] = []
+        self.done = False
+        self._in_table = False
+        self._in_thead = False
+        self._nested_table = 0
+        self._row: list[tuple[str, int, int, bool]] | None = None
+        self._cell_parts: list[str] | None = None
+        self._cell_attrs: tuple[int, int, bool] | None = None  # rowspan, colspan, header
+
+    # -- helpers -----------------------------------------------------------
+
+    @staticmethod
+    def _span_attr(attrs, name) -> int:
+        for key, value in attrs:
+            if key == name:
+                try:
+                    span = int(str(value).strip())
+                except (TypeError, ValueError):
+                    return 1
+                return max(span, 1)
+        return 1
+
+    def _open_cell(self, attrs, header: bool):
+        self._close_cell()
+        if self._row is None:
+            self._row = []
+        self._cell_parts = []
+        self._cell_attrs = (
+            self._span_attr(attrs, "rowspan"),
+            self._span_attr(attrs, "colspan"),
+            header or self._in_thead,
+        )
+
+    def _close_cell(self):
+        if self._cell_parts is None:
+            return
+        rowspan, colspan, header = self._cell_attrs
+        assert self._row is not None
+        self._row.append(("".join(self._cell_parts), rowspan, colspan, header))
+        self._cell_parts = None
+        self._cell_attrs = None
+
+    def _close_row(self):
+        self._close_cell()
+        if self._row is not None:
+            self.rows.append(self._row)
+            self._row = None
+
+    def _append_raw(self, text: str):
+        if self._cell_parts is not None:
+            self._cell_parts.append(text)
+
+    # -- HTMLParser hooks ---------------------------------------------------
+
+    def handle_starttag(self, tag, attrs):
+        if self.done:
+            return
+        if not self._in_table:
+            if tag == "table":
+                self._in_table = True
+            return
+        if self._nested_table or (tag == "table" and self._cell_parts is not None):
+            if tag == "table":
+                self._nested_table += 1
+            self._append_raw(self.get_starttag_text())
+            return
+        if tag == "thead":
+            self._in_thead = True
+        elif tag in ("tbody", "tfoot"):
+            self._in_thead = False
+        elif tag == "tr":
+            self._close_row()
+            self._row = []
+        elif tag in ("td", "th"):
+            self._open_cell(attrs, tag == "th")
+        elif tag == "table":
+            # <table> directly between rows: near-HTML garbage, skip over it.
+            self._nested_table += 1
+        else:
+            self._append_raw(self.get_starttag_text())
+
+    def handle_startendtag(self, tag, attrs):
+        if self.done or not self._in_table:
+            return
+        if self._nested_table:
+            self._append_raw(self.get_starttag_text())
+            return
+        if tag in ("td", "th"):
+            self._open_cell(attrs, tag == "th")
+            self._close_cell()
+        elif tag not in _STRUCTURE_TAGS:
+            self._append_raw(self.get_starttag_text())
+
+    def handle_endtag(self, tag):
+        if self.done or not self._in_table:
+            return
+        if self._nested_table:
+            if tag == "table":
+                self._nested_table -= 1
+            self._append_raw(f"</{tag}>")
+            return
+        if tag == "table":
+            self._close_row()
+            self._in_table = False
+            self.done = True
+        elif tag == "tr":
+            self._close_row()
+        elif tag in ("td", "th"):
+            self._close_cell()
+        elif tag == "thead":
+            self._in_thead = False
+        elif tag not in _STRUCTURE_TAGS:
+            self._append_raw(f"</{tag}>")
+
+    def handle_data(self, data):
+        self._append_raw(data)
+
+    def handle_entityref(self, name):
+        self._append_raw(f"&{name};")
+
+    def handle_charref(self, name):
+        self._append_raw(f"&#{name};")
+
+    def handle_comment(self, data):
+        self._append_raw(f"<!--{data}-->")
+
+    def finish(self):
+        self.close()
+        if self._in_table:
+            # Unclosed </table> at EOF: recover by closing the open row.
+            self._close_row()
+            self._in_table = False
+            self.done = True
+
+
+def table_rows_reference(html: str) -> list[list[tuple[str, int, int, bool]]]:
+    """The rows of the first <table> in ``html``, read by :class:`TableSoupParser`
+    on the running interpreter's ``html.parser``. Patch releases of CPython
+    read some unterminated or malformed markup differently."""
+    parser = TableSoupParser()
+    try:
+        parser.feed(html)
+        parser.finish()
+    except AssertionError:  # html.parser's own error for an unknown <![ section
+        raise MalformedMarkup("unrecoverable markup") from None
+    if not parser.done:
+        raise NoTableFound("no <table> element in input")
+    if not parser.rows or all(not row for row in parser.rows):
+        raise MalformedMarkup("table has no cells")
+    return parser.rows
 
 
 def grid_from_cells_reference(n_rows: int, n_cols: int, cells) -> TableGrid:

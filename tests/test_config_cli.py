@@ -1062,10 +1062,13 @@ def test_cli_assemble_single_page(tmp_path, capsys):
             '[{"bbox": [0, 0, 5, 5], "index": 0, "label": "text", "rotation": false}]',
             "LayoutGeometryError",
         ),
+        # json.loads would keep the last of the two labels
+        ('[{"bbox": [0, 0, 5, 5], "index": 0, "label": "table", "label": "text"}]',
+         "LayoutSyntaxError"),
     ],
     ids=[
         "missing_label", "infinity", "overflow", "nan", "infinite_page_width",
-        "string_page_width", "boolean_page_height", "boolean_rotation",
+        "string_page_width", "boolean_page_height", "boolean_rotation", "repeated_label",
     ],
 )
 def test_cli_assemble_invalid_layout_exit1(tmp_path, capsys, layout_text, error):
@@ -1123,6 +1126,37 @@ def test_cli_assemble_two_fixture_keys_for_one_element_exit1(tmp_path, capsys):
     assert json.loads(captured.err) == {
         "error": "LayoutSchemaError",
         "message": "page 0 fixture keys '0' and '00' both name element 0",
+    }
+
+
+def test_cli_assemble_fixture_repeating_a_key_exit1(tmp_path, capsys):
+    # json.loads would keep the second "1" and pass the fixture-key rule
+    layout_path = tmp_path / "layout.json"
+    layout_path.write_text(
+        '[{"bbox": [0, 0, 50, 10], "index": 0, "label": "text"},'
+        ' {"bbox": [0, 20, 50, 30], "index": 1, "label": "text"}]'
+    )
+    fixture_path = tmp_path / "rec.json"
+    fixture_path.write_text('{"0": {"content": "a"}, "1": {"content": "b"}, "1": {"content": "c"}}')
+    out = tmp_path / "doc.md"
+    assert main(["assemble", str(layout_path), str(fixture_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "LayoutSyntaxError",
+        "message": "JSON object repeats key '1'",
+    }
+
+
+def test_cli_eval_entry_repeating_a_key_exit2(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    batch.write_text('[{"kind": "text", "pred": "a", "gt": "a", "pred": "b"}]')
+    assert main(["eval", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "FormatError",
+        "message": "JSON object repeats key 'pred'",
     }
 
 

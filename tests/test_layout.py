@@ -522,9 +522,9 @@ def test_pipeline_warnings_in_order():
     assert result.warnings == [
         "page 0: element 1: unknown label 'sidebar' mapped to 'other'",
         "page 0 element 1: no recognition fixture entry",
-        "detections for non-table element (0, 1) ignored",
+        "page 0 element 1: detections for non-table element ignored",
         "page 0 element 2: restore skipped (no <table> element in input)",
-        "detections for unknown element (0, 9)",
+        "page 0 element 9: detections for unknown element",
         "page 0 element 2: table not parseable (no <table> element in input)",
     ]
     assert result.document == "Intro.\n\n<p>no table here</p>\n"

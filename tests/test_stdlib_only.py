@@ -39,3 +39,19 @@ def test_core_imports_only_the_standard_library():
         if module not in sys.stdlib_module_names
     ]
     assert foreign == [("cli.py", "_load_image", "PIL")]
+
+
+def test_core_reads_html_without_html_parser():
+    """The table reader tokenizes markup itself: html.parser is quadratic on
+    some malformed markup, and CPython patch releases read unterminated
+    markup differently."""
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "html" in imported  # layout's "import html", so the walk sees imports
+    assert "html.parser" not in imported
