@@ -214,7 +214,7 @@ def parse_layout(json_text: str, page_width: int, page_height: int) -> LayoutPag
 def _validate_layout(raw, page_width: int, page_height: int) -> LayoutPage:
     if not isinstance(raw, list):
         raise LayoutSchemaError("layout must be a JSON array of elements")
-    warnings: list[str] = []
+    notes: list[tuple[int, str]] = []  # (index as given, warning), in input order
     elements: list[LayoutElement] = []
     for pos, obj in enumerate(raw):
         if not isinstance(obj, dict):
@@ -236,7 +236,7 @@ def _validate_layout(raw, page_width: int, page_height: int) -> LayoutPage:
         if not isinstance(label, str):
             raise LayoutSchemaError(f"element {pos} label must be a string")
         if label not in LABELS:
-            warnings.append(f"element {pos}: unknown label {label!r} mapped to 'other'")
+            notes.append((index, f"unknown label {label!r} mapped to 'other'"))
             label = "other"
         rotation = obj.get("rotation", 0)
         if isinstance(rotation, float) and rotation.is_integer():
@@ -251,7 +251,7 @@ def _validate_layout(raw, page_width: int, page_height: int) -> LayoutPage:
             raise LayoutGeometryError(f"element {pos} bbox {bbox} is degenerate")
         clamped = _clamp_bbox((x1, y1, x2, y2), page_width, page_height)
         if clamped != (x1, y1, x2, y2):
-            warnings.append(f"element {pos}: bbox clamped to page bounds")
+            notes.append((index, "bbox clamped to page bounds"))
         if clamped[0] >= clamped[2] or clamped[1] >= clamped[3]:
             raise LayoutGeometryError(f"element {pos} bbox {bbox} lies outside the page")
         elements.append(LayoutElement(clamped, index, label, rotation))
@@ -260,13 +260,16 @@ def _validate_layout(raw, page_width: int, page_height: int) -> LayoutPage:
     n = len(elements)
     if len(set(indices)) != n:
         raise LayoutIndexError("duplicate reading-order index")
-    if indices == list(range(1, n + 1)) and n > 0:
+    shift = 1 if indices == list(range(1, n + 1)) and n > 0 else 0
+    if not shift and indices != list(range(n)):
+        raise LayoutIndexError(f"indices {indices} are not a permutation of 0..{n - 1}")
+    # a warning names its element by the index it keeps, as the pipeline's do
+    warnings = [f"element {index - shift}: {note}" for index, note in notes]
+    if shift:
         warnings.append("1-based indices normalized to 0-based")
         elements = [
             LayoutElement(el.bbox, el.index - 1, el.label, el.rotation) for el in elements
         ]
-    elif indices != list(range(n)):
-        raise LayoutIndexError(f"indices {indices} are not a permutation of 0..{n - 1}")
     elements.sort(key=lambda el: el.index)
     return LayoutPage(page_width, page_height, tuple(elements), tuple(warnings))
 
@@ -453,7 +456,11 @@ def run_pipeline(
 
     contents: dict[tuple[int, int], str] = {}
     for page_no, (page, fixture) in enumerate(zip(pages, fixtures)):
-        warnings.extend(f"page {page_no}: {w}" for w in page.warnings)
+        # "page P element I: ..." for an element, "page P: ..." for the page
+        warnings.extend(
+            f"page {page_no} {w}" if w.startswith("element ") else f"page {page_no}: {w}"
+            for w in page.warnings
+        )
         for el in page.elements:
             kind = route_region(el.label)
             entry = fixture.get(el.index)

@@ -174,11 +174,15 @@ def grid_to_tree(grid: TableGrid) -> DocTree:
 
 
 def _rename_costs(
-    a_nodes: list[DocTree], b_nodes: list[DocTree], band: int | None = None
+    a_nodes: list[DocTree],
+    b_nodes: list[DocTree],
+    below: int | None = None,
+    above: int | None = None,
 ) -> list[list[float]]:
     """Row ``i`` holds the rename costs of ``a_nodes[i]`` into ``b_nodes[j]``
-    for ``j`` from ``max(0, i - band)`` up to ``min(m, i + band + 1)``, the
-    columns :func:`_zhang_shasha` reads; without ``band``, for every ``j``.
+    for ``j`` from ``max(0, i - below)`` up to ``min(m, i + above + 1)``, the
+    columns :func:`_zhang_shasha` reads; ``above`` defaults to ``below``, and
+    without ``below``, every ``j``.
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
     of the contents, 0 when they are equal and 1 against an empty one, all
@@ -189,11 +193,13 @@ def _rename_costs(
     one field of the scan. Equal costs share one float.
     """
     m = len(b_nodes)
-    if band is None:
-        band = max(len(a_nodes), m)
+    if below is None:
+        below = above = max(len(a_nodes), m)
+    elif above is None:
+        above = below
     # a scan costs more the wider its block, and a narrow band reads few of
     # its fields: about 24 bits per band column, at least 256, ran fastest
-    cap = min(BLOCK_BITS, max(256, 24 * (2 * band + 1)))
+    cap = min(BLOCK_BITS, max(256, 24 * (below + above + 1)))
     blocks: list[list[str]] = []  # B's contents, block by block
     fields = {}  # content -> its block, field mask and length
     width = cap
@@ -217,7 +223,7 @@ def _rename_costs(
         n = len(text)
         done = scans.setdefault(text, {})
         row = []
-        for other_tag, other in b_keys[max(0, i - band) : i + band + 1]:
+        for other_tag, other in b_keys[max(0, i - below) : i + above + 1]:
             if other_tag != tag:
                 cost = 1.0
             elif other == text:
@@ -261,8 +267,8 @@ class _Annotated:
         self.keyroots: list[int] = sorted(highest.values())
 
 
-# The band is used while its width 2k + 1 is at most this share of the
-# smaller tree's node count; a wider band fills the whole table. On
+# The band is used while its width below + above + 1 is at most this share
+# of the smaller tree's node count; a wider band fills the whole table. On
 # table_eval pairs and on tables with rotated rows, shares from 0.75 up ran
 # alike and 0.5 ran 5-30% slower: even a wide band skips keyroot tables.
 BAND_SHARE = 1.0
@@ -274,14 +280,22 @@ def tree_edit_distance(
     """Zhang-Shasha ordered tree edit distance with unit insert/delete.
 
     ``None`` stands for the empty tree (pure deletions/insertions).
-    ``bound`` is :func:`_structure_bound` of the two trees' tags, computed
-    here when not given.
+    ``bound`` is a lower bound on the distance, :func:`_structure_bound` of
+    the two trees' tags when not given; it only picks the first band, so any
+    lower bound gives the same result.
 
-    The dynamic program runs in a band of width ``k`` (:func:`_zhang_shasha`),
-    first with ``k = bound + 1``. A result ``d <= k`` is exact; otherwise
-    ``d`` is an upper bound and one more pass with ``k = ceil(d)`` is exact.
-    A band wider than :data:`BAND_SHARE` of the smaller tree becomes the
-    whole table.
+    The dynamic program runs in a one-sided band (:func:`_zhang_shasha`).
+    With ``delta = n1 - n2``, a mapping's deletions ``del`` and insertions
+    ``ins`` satisfy ``del - ins = delta``, and a pass at ``h`` holds every
+    mapping with ``min(del, ins) <= h``: ``below = h + max(delta, 0)`` and
+    ``above = h + max(-delta, 0)``. A mapping whose summed cost is ``c`` has
+    ``del + ins <= floor(c)`` (renames cost at least 0), of the parity of
+    ``|delta|``, so ``min(del, ins) <= need(c) = (floor(c) - |delta|) // 2``.
+    A pass's result ``d`` is never below the distance, so it is exact when
+    ``need(d) <= h``. The passes climb from ``h = (bound - |delta|) // 2``
+    (at least 0) to ``h + 1``, then to ``need(d)``; a pass whose band holds
+    no derivation (``inf``) widens ``h`` by one. A band wider than
+    :data:`BAND_SHARE` of the smaller tree becomes the whole table.
     """
     if t1 is None or t2 is None:
         return float((t1.size() if t1 else 0) + (t2.size() if t2 else 0))
@@ -291,27 +305,37 @@ def tree_edit_distance(
     n1, n2 = len(A.nodes), len(B.nodes)
     if bound is None:
         bound = _structure_bound([n.tag for n in A.nodes], [n.tag for n in B.nodes])
-    k = bound + 1
+    delta = n1 - n2
+    first = h = max(0, (bound - abs(delta)) // 2)
     while True:
-        if 2 * k + 1 > BAND_SHARE * min(n1, n2):
-            k = n1 + n2  # every cell: the distance is at most n1 + n2
-        dist = _zhang_shasha(A, B, k)
-        if dist <= k:
+        below, above = h + max(delta, 0), h + max(-delta, 0)
+        if below + above + 1 > BAND_SHARE * min(n1, n2):
+            return _zhang_shasha(A, B, n1 + n2)  # every cell
+        dist = _zhang_shasha(A, B, below, above)
+        if dist == math.inf:
+            h += 1
+            continue
+        need = (math.floor(dist) - abs(delta)) // 2
+        if need <= h:
             return dist
-        k = math.ceil(dist)
+        # the first pass's d can be far above the distance (on a table with
+        # rotated rows the diagonal renames every cell), so one step wider
+        # before trusting need(d)
+        h = h + 1 if h == first else need
 
 
-def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
+def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int | None = None) -> float:
     """The Zhang-Shasha dynamic program in a band: a cell is filled only
-    where the postorder positions that end its two forests differ by at most
-    ``k``, and a keyroot table only where its two leftmost leaves do. Every
-    other cell, and ``treedist`` until set, is ``inf``. With ``k`` at least
-    both node counts, every cell is filled.
+    where the postorder positions ``ai`` and ``bj`` that end its two forests
+    satisfy ``-above <= ai - bj <= below``, and a keyroot table only where
+    its two leftmost leaves do; ``above`` defaults to ``below``. Every other
+    cell, and ``treedist`` until set, is ``inf``. With ``below`` and
+    ``above`` at least both node counts, every cell is filled.
 
     Only the band is stored: row ``ai`` of ``treedist`` and of the rename
-    costs holds the columns from ``max(0, ai - k)`` to ``ai + k``, and each
-    row of an ``fd`` table its band and one ``inf`` above it. Row 0 and
-    column 0 of an ``fd`` table stay readable everywhere, as in the full
+    costs holds the columns from ``max(0, ai - below)`` to ``ai + above``,
+    and each row of an ``fd`` table its band and one ``inf`` above it. Row 0
+    and column 0 of an ``fd`` table stay readable everywhere, as in the full
     table; any other cell outside the band reads ``inf``.
 
     Each pair of keyroot forests runs the recurrence its shape allows. A
@@ -323,8 +347,10 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
     does, with no closed form, so a derivation that lies in the band costs
     the same float in both.
     """
+    if above is None:
+        above = below
     n1, m = len(A.nodes), len(B.nodes)
-    rename = _rename_costs(A.nodes, B.nodes, k)
+    rename = _rename_costs(A.nodes, B.nodes, below, above)
     lmds_a = A.lmds
     inf = math.inf
     treedist = [[inf] * len(row) for row in rename]
@@ -352,11 +378,11 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
         # B's keyroots whose table with keyroot i is in the band; the inner
         # ones in keyroot order, so that each reads the treedist entries of
         # its descendants
-        leaves = b_leaves[bisect_left(b_leaves, li - k) : bisect_right(b_leaves, li + k)]
-        inner = by_lj[bisect_left(ljs, li - k) : bisect_right(ljs, li + k)]
+        leaves = b_leaves[bisect_left(b_leaves, li - below) : bisect_right(b_leaves, li + above)]
+        inner = by_lj[bisect_left(ljs, li - below) : bisect_right(ljs, li + above)]
         inner = [b_inner[t] for t in sorted(inner)]
         if li == i:
-            o = i - k if i > k else 0  # the first column of row i
+            o = i - below if i > below else 0  # the first column of row i
             td, ren = treedist[i], rename[i]
             # leaf against leaf: rename costs are at most 1, so the one DP
             # cell min(2.0, 2.0, 0.0 + rename) is the rename cost itself
@@ -367,7 +393,7 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
             for lj, qs, first_row in inner:
                 left = 1.0
                 shift = lj - 1 - o  # node bj = y + lj - 1 is at y + shift
-                for y in range(1, min(len(qs), i - lj + k + 2)):
+                for y in range(1, min(len(qs), i - lj + above + 2)):
                     v = first_row[y] + 1.0
                     w = left + 1.0
                     if w < v:
@@ -386,15 +412,15 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
             continue
         # inner forest against each leaf of B: fd has one column next to
         # fd[x][0] = x, so a cell needs only the one above it, col[t]; a leaf
-        # leaves the band for good once ai - k passes it
+        # leaves the band for good once ai - below passes it
         col = [1.0] * len(leaves)
         first = 0
         for x, ai in enumerate(range(li, i + 1), 1):
-            while first < len(leaves) and leaves[first] < ai - k:
+            while first < len(leaves) and leaves[first] < ai - below:
                 first += 1
             p = lmds_a[ai] - li
             td = treedist[ai]
-            o = ai - k if ai > k else 0
+            o = ai - below if ai > below else 0
             # a subtree against a subtree adds its rename to fd[x-1][0];
             # any other forest adds treedist to fd[p][0]
             base, costs = (float(x - 1), rename[ai]) if p == 0 else (float(p), td)
@@ -411,14 +437,14 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
                 for t in range(first, len(leaves)):
                     td[leaves[t] - o] = col[t]
         # inner forest against inner forest of B: row x of the fd table holds
-        # the columns y from max(0, x + c - k) to x + c + k, then inf
+        # the columns y from max(0, x + c - below) to x + c + above, then inf
         for lj, qs, first_row in inner:
             c = li - lj
             n = len(qs)
-            blank = [inf] * (min(n, 2 * k + 1) + 1)  # a band, and an inf above it
+            blank = [inf] * (min(n, below + above + 1) + 1)  # a band, and an inf above it
             fd = [first_row]  # fd[x][y - o]: forest li..li+x-1 against lj..lj+y-1
             for x, ai in enumerate(range(li, i + 1), 1):
-                s = x + c - k  # the band's first column
+                s = x + c - below  # the band's first column
                 if s >= n:  # the band has left the table
                     break
                 row = blank[:]
@@ -433,11 +459,11 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
                     row[0] = left = float(x)
                 up = fd[-1]
                 p = lmds_a[ai] - li
-                fp, fo = fd[p], (p + c - k if p + c > k else 0)
+                fp, fo = fd[p], (p + c - below if p + c > below else 0)
                 fe = fo + len(fp)
                 td, ren = treedist[ai], rename[ai]
-                shift = o + lj - 1 - (ai - k if ai > k else 0)  # node bj at t + shift
-                for t, q in enumerate(qs[lo : x + c + k + 1], lo - o):
+                shift = o + lj - 1 - (ai - below if ai > below else 0)  # node bj at t + shift
+                for t, q in enumerate(qs[lo : x + c + above + 1], lo - o):
                     v = up[t + d] + 1.0
                     w = left + 1.0
                     if w < v:
@@ -457,9 +483,9 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, k: int) -> float:
                             v = w
                     row[t] = left = v
                 fd.append(row)
-    if abs(n1 - m) > k:  # the last cell is outside the band
+    if not -above <= n1 - m <= below:  # the last cell is outside the band
         return inf
-    return treedist[-1][m - 1 - max(0, n1 - 1 - k)]
+    return treedist[-1][m - 1 - max(0, n1 - 1 - below)]
 
 
 def _table_trees(pred_html: str, gt_html: str) -> tuple[DocTree | None, DocTree]:

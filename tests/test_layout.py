@@ -235,8 +235,8 @@ def test_parse_warnings_keep_input_order():
     )
     assert [e.index for e in page.elements] == [0, 1]
     assert page.warnings == (
-        "element 0: unknown label 'sidebar' mapped to 'other'",
-        "element 1: unknown label 'margin' mapped to 'other'",
+        "element 1: unknown label 'sidebar' mapped to 'other'",
+        "element 0: unknown label 'margin' mapped to 'other'",
         "1-based indices normalized to 0-based",
     )
 
@@ -520,7 +520,7 @@ def test_pipeline_warnings_in_order():
     dets = [ImageDetection((10, 70, 30, 90), 0.9)]
     result = run_pipeline(pages, fixtures, detections={(0, 9): dets, (0, 2): dets, (0, 1): dets})
     assert result.warnings == [
-        "page 0: element 1: unknown label 'sidebar' mapped to 'other'",
+        "page 0 element 1: unknown label 'sidebar' mapped to 'other'",
         "page 0 element 1: no recognition fixture entry",
         "page 0 element 1: detections for non-table element ignored",
         "page 0 element 2: restore skipped (no <table> element in input)",
@@ -531,6 +531,23 @@ def test_pipeline_warnings_in_order():
     # the map is planned before the restore fails; no report follows
     assert [(m["page"], m["index"]) for m in result.placeholder_maps] == [(0, 2)]
     assert result.restore_reports == [] and result.merge_plans == []
+
+
+def test_pipeline_layout_warnings_name_the_normalized_index():
+    """Layout warnings name an element by the index it keeps after a 1-based
+    run is shifted, in the pipeline's own ``page P element I: …`` form; the
+    page's own warning reads ``page P: …``."""
+    elements = {
+        "page_width": 100,
+        "page_height": 100,
+        "elements": [el((0, 50, 100, 150), 2), el((0, 0, 100, 20), 1, "sidebar")],
+    }
+    pages, fixtures = single_page_doc(elements, {"0": {"content": "A."}, "1": {"content": "B."}})
+    assert run_pipeline(pages, fixtures).warnings == [
+        "page 0 element 1: bbox clamped to page bounds",
+        "page 0 element 0: unknown label 'sidebar' mapped to 'other'",
+        "page 0: 1-based indices normalized to 0-based",
+    ]
 
 
 def test_pipeline_no_merge_inside_a_chain_starts_a_group():

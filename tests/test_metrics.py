@@ -2,6 +2,7 @@ import copy
 import gc
 import importlib.util
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -200,52 +201,88 @@ EMPTY_ROWS = table_tree([[], [("td[1,1]", "a"), ("td[1,1]", "b")], []])
 TD, TH = "td[1,1]", "th[1,1]"
 
 # Pairs that pin the recurrences and the band's passes. Each entry: the two
-# trees, and per model the band widths k of the passes tree_edit_distance
-# runs, from k = bound + 1 (n1 + n2 is the whole table; no pass for equal
-# skeletons).
+# trees, and per model the (below, above) of each pass tree_edit_distance
+# runs (n1 + n2 on both sides is the whole table; no pass for equal
+# skeletons). With delta = n1 - n2, a pass at h runs at below = h +
+# max(delta, 0), above = h + max(-delta, 0) and is exact once need(d) =
+# (floor(d) - |delta|) // 2 is at most h.
 BAND_PAIRS = [
     # an empty table against one cell: the one-row recurrence's subtree
-    # rename reads first_row[y - 1]
-    (table_tree([]), table_tree([[(TH, "ab")]]), {CONTENT: [4], STRUCTURE: [4]}),
+    # rename reads first_row[y - 1]; a band of 3 is wider than the 1-node tree
+    (table_tree([]), table_tree([[(TH, "ab")]]), {CONTENT: [(4, 4)], STRUCTURE: [(4, 4)]}),
     # two rows against an empty table: the one-column recurrence adds
     # treedist to fd[p][0] = p
     (
         table_tree([[("td[1,2]", "total")], [(TH, "12"), ("td[1,2]", "a")]]),
         table_tree([]),
-        {CONTENT: [7], STRUCTURE: [7]},
+        {CONTENT: [(7, 7)], STRUCTURE: [(7, 7)]},
     ),
-    # a distance of exactly k: 1.0 for the trees
-    (table_tree([[(TH, "a")]]), table_tree([[(TH, "x y")]]), {CONTENT: [1], STRUCTURE: []}),
-    # 2.0 = k for the skeletons; 3.0 for the trees, whose second pass fills
-    # the whole table
+    # a same-shape pair finished on the diagonal: one rename, 1.0
+    (
+        table_tree([[(TH, "a")]]),
+        table_tree([[(TH, "x y")]]),
+        {CONTENT: [(0, 0)], STRUCTURE: []},
+    ),
+    # two shapes of 5 nodes each: the diagonal holds no derivation (inf), and
+    # h = 1 is exact, 3.0 for the trees and 2.0 for the skeletons
     (
         table_tree([[], [(TH, "12"), (TH, "x y")]]),
         table_tree([[], [(TH, "")], []]),
-        {CONTENT: [2, 10], STRUCTURE: [2]},
+        {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
     ),
-    # just above k = 1: 1.5, and a second pass in the band
+    # 1.5 on the diagonal, where need(1.5) = 0
     (
         table_tree([[(TD, "ab"), (TD, "12"), (TH, "ab")]]),
         table_tree([[(TD, "ab"), (TD, "total"), (TH, "a")]]),
-        {CONTENT: [1, 2], STRUCTURE: []},
+        {CONTENT: [(0, 0)], STRUCTURE: []},
     ),
-    # 2.0 on both, a second pass in the band
+    # 2.0 on both: the diagonal renames three cells (3.0 on the trees, 2.0 on
+    # the skeletons, need 1), h = 1 deletes one and inserts one
     (
         table_tree([[(TD, "x y"), (TH, "ab"), (TH, "x y")]]),
         table_tree([[(TH, "ab"), (TH, "x y"), (TD, "ba")]]),
-        {CONTENT: [1, 2], STRUCTURE: [1, 2]},
+        {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
     ),
-    # two cells that swap: 2.0 on both, a second pass over the whole table
+    # two cells that swap: the diagonal already returns 2.0 on both, but
+    # need(2.0) = 1, so h = 1 certifies it
     (
         table_tree([[(TH, "x y"), (TD, "12")]]),
         table_tree([[(TD, "12"), (TH, "x y")]]),
-        {CONTENT: [1, 8], STRUCTURE: [1, 8]},
+        {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
+    ),
+    # a dropped row: 3.0, three deletions, in a band cols + 2 wide with
+    # above == 0
+    (
+        table_tree([[(TD, "a"), (TD, "b")], [(TD, "c"), (TD, "d")], [(TD, "e"), (TD, "f")]]),
+        table_tree([[(TD, "a"), (TD, "b")], [(TD, "e"), (TD, "f")]]),
+        {CONTENT: [(3, 0)], STRUCTURE: [(3, 0)]},
+    ),
+    # bound 0, different shapes: the diagonal holds no derivation (inf), so
+    # h widens by one, where need(2.0) = 1 is exactly h
+    (
+        table_tree([[(TD, "a"), (TD, "b")], [(TD, "c")]]),
+        table_tree([[(TD, "a")], [(TD, "b"), (TD, "c")]]),
+        {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
+    ),
+    # every row of a 3x3 table rotated by one column: the diagonal and h = 1
+    # both return 4.5, whose need is 2, so a third pass at h = 2 certifies it
+    (
+        table_tree([[(TD, f"{r}{(c + 1) % 3}") for c in range(3)] for r in range(3)]),
+        table_tree([[(TD, f"{r}{c}") for c in range(3)] for r in range(3)]),
+        {CONTENT: [(0, 0), (1, 1), (2, 2)], STRUCTURE: []},
+    ),
+    # two tags changed: bound 2, so the first pass is at h = 1, and need(2.0)
+    # = 1 is exactly h
+    (
+        table_tree([[(TD, "a"), (TD, "b")], [(TD, "c")]]),
+        table_tree([[(TH, "a"), (TH, "b")], [(TD, "c")]]),
+        {CONTENT: [(1, 1)], STRUCTURE: [(1, 1)]},
     ),
 ]
 
-# Pairs whose first pass (k = 2, distance 2.0) reads an fd table at its
-# stored edges: column 0 of a row whose band starts right of it (fd[p][0] =
-# p), and the inf kept above each row's band, which the cell at the band's
+# Pairs whose band at below = above = 2 (distance 2.0) reads an fd table at
+# its stored edges: column 0 of a row whose band starts right of it (fd[p][0]
+# = p), and the inf kept above each row's band, which the cell at the band's
 # top edge reads (a finite value there gives 1.5)
 FD_EDGE_PAIRS = [
     (
@@ -282,7 +319,10 @@ def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
 @pytest.mark.parametrize(
     "t1, t2, passes",
     BAND_PAIRS,
-    ids=["one_row", "one_column", "at_k", "at_k_then_whole", "above_k", "above_k_both", "swap"],
+    ids=[
+        "one_row", "one_column", "at_k", "at_k_then_whole", "above_k", "above_k_both", "swap",
+        "dropped_row", "diagonal_inf", "rotated", "need_at_first_h",
+    ],
 )
 def test_band_passes_of_pinned_pairs(monkeypatch, t1, t2, passes):
     """Each pinned pair runs the passes it stands for, and its distance is
@@ -290,9 +330,9 @@ def test_band_passes_of_pinned_pairs(monkeypatch, t1, t2, passes):
     widths = []
     zhang_shasha = metrics._zhang_shasha
 
-    def recording(A, B, k):
-        widths.append(k)
-        return zhang_shasha(A, B, k)
+    def recording(A, B, below, above=None):
+        widths.append((below, below if above is None else above))
+        return zhang_shasha(A, B, below, above)
 
     monkeypatch.setattr(metrics, "_zhang_shasha", recording)
     for model in (CONTENT, STRUCTURE):
@@ -326,13 +366,16 @@ node_lists = st.lists(
 WIDE = "ab" * 2100  # wider than one block
 
 
-def in_band(costs, band):
-    """Full rename rows cut to the columns that a band of width ``band``
-    reads, the shape ``_rename_costs`` returns: row ``i`` from column
-    ``max(0, i - band)`` up to ``i + band``."""
+def in_band(costs, band, above=None):
+    """Full rename rows cut to the columns that a band ``band`` below the
+    diagonal and ``above`` (default ``band``) above it reads, the shape
+    ``_rename_costs`` returns: row ``i`` from column ``max(0, i - band)`` up
+    to ``i + above``."""
     if band is None:
         return costs
-    return [row[max(0, i - band) : i + band + 1] for i, row in enumerate(costs)]
+    if above is None:
+        above = band
+    return [row[max(0, i - band) : i + above + 1] for i, row in enumerate(costs)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,12 +384,14 @@ def in_band(costs, band):
     b=node_lists,
     width=st.sampled_from([metrics.BLOCK_BITS, 16, 1]),
     band=st.sampled_from([None, 0, 1, 3]),
+    above=st.sampled_from([None, 0, 2]),
 )
 @example(
     a=[DocTree(TD, "ab"), DocTree(TH, "ab"), DocTree(TD, "ba")],
     b=[DocTree(TD, "ba"), DocTree(TD, "ab"), DocTree(TH, "")],
     width=metrics.BLOCK_BITS,
     band=None,
+    above=None,
 )
 # B holds 4,200 + 3 x 1,500 bits of contents, so several blocks, one of them
 # for a content wider than a block alone
@@ -355,12 +400,16 @@ def in_band(costs, band):
     b=[DocTree(TD, c) for c in ("ab" * 750, WIDE, "ba" * 750, "\u4e00\u4e8c" * 750, "", "ab" * 750)],
     width=metrics.BLOCK_BITS,
     band=None,
+    above=None,
 )
-def test_rename_costs_match_per_pair_reference(a, b, width, band):
+def test_rename_costs_match_per_pair_reference(a, b, width, band, above):
     """Without a band every row is the reference's; with one, every row
-    holds the reference's entries within ``band`` of the diagonal, and only
-    those. No content of A is scanned twice against one block."""
-    want = [in_band(rename_costs_reference(a, b, model), band) for model in (CONTENT, STRUCTURE)]
+    holds the reference's entries from ``band`` below the diagonal to
+    ``above`` above it, and only those. No content of A is scanned twice
+    against one block."""
+    want = [
+        in_band(rename_costs_reference(a, b, model), band, above) for model in (CONTENT, STRUCTURE)
+    ]
     scans, myers = [], metrics._myers
 
     def recording_myers(masks, tops, bottoms, text):
@@ -370,9 +419,9 @@ def test_rename_costs_match_per_pair_reference(a, b, width, band):
     with mock.patch.object(metrics, "BLOCK_BITS", width), mock.patch.object(
         metrics, "_myers", recording_myers
     ):
-        assert metrics._rename_costs(a, b, band) == want[0]
+        assert metrics._rename_costs(a, b, band, above) == want[0]
         assert len(set(scans)) == len(scans)
-        assert metrics._rename_costs(skeletons(a), skeletons(b), band) == want[1]
+        assert metrics._rename_costs(skeletons(a), skeletons(b), band, above) == want[1]
 
 
 def skeletons(nodes: list[DocTree]) -> list[DocTree]:
@@ -713,6 +762,57 @@ def test_band_of_every_width_is_exact_within_it(t1, t2):
                 assert dist.hex() == want.hex()
 
 
+@settings(max_examples=60, deadline=None, derandomize=DERANDOMIZE)
+@given(t1=table_trees, t2=table_trees)
+@example(t1=FD_EDGE_PAIRS[0][0], t2=FD_EDGE_PAIRS[0][1])
+@example(t1=FD_EDGE_PAIRS[1][0], t2=FD_EDGE_PAIRS[1][1])
+@example(t1=BAND_PAIRS[7][0], t2=BAND_PAIRS[7][1])
+@example(t1=BAND_PAIRS[8][0], t2=BAND_PAIRS[8][1])
+@example(t1=BAND_PAIRS[9][0], t2=BAND_PAIRS[9][1])
+@example(t1=EDGE_PAIRS[1][0], t2=EDGE_PAIRS[1][1])
+@example(t1=EDGE_PAIRS[2][1], t2=EDGE_PAIRS[2][0])
+def test_one_sided_band_of_every_shape_is_exact_within_it(t1, t2):
+    """At every (below, above), the banded dynamic program returns no less
+    than the reference, and the reference bit for bit when the band holds
+    every mapping that costs at most ``c = min(dist, want)``. Such a mapping
+    has at most ``floor(c)`` deletions and insertions, ``del - ins = delta``,
+    so at most ``(floor(c) + delta) // 2`` deletions and ``(floor(c) -
+    delta) // 2`` insertions. Past ``n1`` below or ``n2`` above, that side
+    of the band is whole."""
+    for model in (CONTENT, STRUCTURE):
+        a, b = (t1, t2) if model == CONTENT else (metrics._skeleton(t1), metrics._skeleton(t2))
+        A, B = metrics._Annotated(a), metrics._Annotated(b)
+        delta = len(A.nodes) - len(B.nodes)
+        want = zhang_shasha_reference(t1, t2, model)
+        for below in range(len(A.nodes) + 1):
+            for above in range(len(B.nodes) + 1):
+                dist = metrics._zhang_shasha(A, B, below, above)
+                assert dist >= want
+                edits = math.floor(min(dist, want))
+                if (edits + delta) // 2 <= below and (edits - delta) // 2 <= above:
+                    assert dist.hex() == want.hex()
+
+
+FOUR_BY_FOUR = table_tree([[(TD, f"{r}.{c}") for c in range(4)] for r in range(4)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=DERANDOMIZE)
+@given(t1=any_trees, t2=any_trees)
+@example(t1=FOUR_BY_FOUR, t2=table_tree([[(TD, f"{r}.{c}") for c in range(4)] for r in range(2)]))
+@example(t1=BAND_PAIRS[9][0], t2=BAND_PAIRS[9][1])
+def test_any_lower_bound_gives_the_distance(t1, t2):
+    """``bound`` only picks the first band: every lower bound from 0 up to
+    the tag-count bound gives the reference's distance bit for bit. (A 4x4
+    table against its first two rows at bound 0 once raised
+    ``OverflowError``: the band missed the last cell.)"""
+    bound = metrics._structure_bound(metrics._tags(t1), metrics._tags(t2))
+    for model in (CONTENT, STRUCTURE):
+        a, b = (t1, t2) if model == CONTENT else (metrics._skeleton(t1), metrics._skeleton(t2))
+        want = zhang_shasha_reference(t1, t2, model).hex()
+        for lower in range(bound + 1):
+            assert tree_edit_distance(a, b, bound=lower).hex() == want
+
+
 @settings(max_examples=400, deadline=None, derandomize=DERANDOMIZE)
 @given(
     t1=any_trees,
@@ -769,10 +869,10 @@ PROBE = Path(__file__).resolve().parent.parent / "tools" / "teds_probe.py"
 
 def test_teds_memory_follows_the_band():
     """One content ``teds()`` call on a 20x20 table with four cell texts
-    edited (421 nodes a side, passes at k = 1 and k = 4) peaks under 1.5 MB,
-    less than one 421 x 421 list of floats: subtree distances, rename costs
-    and forest tables are kept in the band only. Rows of every column
-    peaked at 4.6 MB on this call, band rows at 0.6 MB."""
+    edited (421 nodes a side, passes on the diagonal and at below = above =
+    1) peaks under 1.5 MB, less than one 421 x 421 list of floats: subtree
+    distances, rename costs and forest tables are kept in the band only.
+    Rows of every column peaked at 4.6 MB on this call, band rows at 0.6 MB."""
     spec = importlib.util.spec_from_file_location("teds_probe", PROBE)
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)

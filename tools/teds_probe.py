@@ -8,7 +8,9 @@ Run from the root of a source checkout:
 Every cell of the ground truth holds a distinct text. The prediction is a
 copy with ``--edits`` cell texts changed, or with every row rotated by one
 column (``--rotate``). Prints one JSON line: the size, the TEDS score, the
-wall time of the call in seconds and the process's peak RSS in MB.
+``[below, above]`` band of each pass of the tree edit distance (the node
+counts' sum on both sides is the whole table), the wall time of the call in
+seconds and the process's peak RSS in MB.
 """
 
 from __future__ import annotations
@@ -39,6 +41,20 @@ def probe_pair(size: int, edits: int, rotate: bool, seed: int = 0) -> tuple[str,
     return table_html(pred), table_html(gt)
 
 
+def record_passes() -> list[list[int]]:
+    """Make ``metrics._zhang_shasha`` append each pass's ``[below, above]``
+    to the returned list."""
+    passes: list[list[int]] = []
+    zhang_shasha = metrics._zhang_shasha
+
+    def recording(A, B, below, above=None):
+        passes.append([below, below if above is None else above])
+        return zhang_shasha(A, B, below, above)
+
+    metrics._zhang_shasha = recording
+    return passes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, required=True)
@@ -46,13 +62,14 @@ def main(argv=None) -> int:
     parser.add_argument("--rotate", action="store_true")
     args = parser.parse_args(argv)
     pred, gt = probe_pair(args.size, args.edits, args.rotate)
+    passes = record_passes()
     t0 = time.perf_counter()
     score = metrics.teds(pred, gt)
     seconds = time.perf_counter() - t0
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(json.dumps({
         "size": args.size, "edits": args.edits, "rotate": args.rotate, "teds": score,
-        "s": round(seconds, 3), "peak_rss_mb": round(peak_kb / 1024, 1),
+        "passes": passes, "s": round(seconds, 3), "peak_rss_mb": round(peak_kb / 1024, 1),
     }))
     return 0
 
