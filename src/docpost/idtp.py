@@ -11,12 +11,12 @@ from __future__ import annotations
 import os
 import re
 import stat
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import BinaryIO
 
 from .config import Config
 from .errors import DomainError
-from .table_grid import TableError, parse_grid, serialize_grid
+from .table_grid import TableError, TableGrid, parse_grid, serialize_grid
 
 
 class DimensionMismatch(DomainError):
@@ -358,6 +358,8 @@ class RestoreResult:
     expected: int
     rewrites: int
     unused_entries: tuple[int, ...]
+    # the grid ``html`` serializes, for callers that go on with the table
+    grid: TableGrid = field(compare=False, repr=False)
 
     @property
     def count_mismatch(self) -> bool:
@@ -413,6 +415,7 @@ def restore_images(html: str, pmap: PlaceholderMap, strict_ids: bool = False) ->
         len(pmap),
         counter["rewrites"],
         unused,
+        restored,
     )
 
 

@@ -21,7 +21,7 @@ from ._external import Scorer
 from .config import Config
 from .errors import DomainError
 from .idtp import ImageDetection, plan_masks, restore_images
-from .table_grid import TableError, parse_grid, serialize_grid
+from .table_grid import TableError, TableGrid, parse_grid, serialize_grid
 from .table_merge import Pattern, merge_fragment_sequence_with_plans
 
 
@@ -455,6 +455,7 @@ def run_pipeline(
     restore_reports: list[dict] = []
 
     contents: dict[tuple[int, int], str] = {}
+    restored: dict[tuple[int, int], TableGrid] = {}  # the grids restored contents serialize
     for page_no, (page, fixture) in enumerate(zip(pages, fixtures)):
         # "page P element I: ..." for an element, "page P: ..." for the page
         warnings.extend(
@@ -523,8 +524,9 @@ def run_pipeline(
                 f" (found {result.found}, expected {result.expected})"
             )
         contents[key] = result.html
+        restored[key] = result.grid
 
-    merge_plans = _merge_tables(pages, contents, cfg, scorer, warnings)
+    merge_plans = _merge_tables(pages, contents, restored, cfg, scorer, warnings)
 
     page_docs = []
     for page_no, page in enumerate(pages):
@@ -540,9 +542,10 @@ def run_pipeline(
     return PipelineResult(document, merge_plans, placeholder_maps, restore_reports, warnings)
 
 
-def _merge_tables(pages, contents, cfg, scorer, warnings):
+def _merge_tables(pages, contents, restored, cfg, scorer, warnings):
     """Fold adjacent table fragments in ``contents``: a merged table replaces
-    its first fragment and empties the rest. Returns the plan reports."""
+    its first fragment and empties the rest. A fragment in ``restored`` is
+    taken as that grid, not parsed again. Returns the plan reports."""
     stream: list[tuple[int, LayoutElement]] = []
     for page_no, page in enumerate(pages):
         for el in page.elements:
@@ -570,7 +573,7 @@ def _merge_tables(pages, contents, cfg, scorer, warnings):
         for page_no, el in chain:
             key = (page_no, el.index)
             try:
-                grids.append(parse_grid(contents[key]))
+                grids.append(restored[key] if key in restored else parse_grid(contents[key]))
                 members.append(key)
             except TableError as exc:
                 warnings.append(

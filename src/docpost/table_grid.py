@@ -480,6 +480,23 @@ def _finish_grid(
     )
 
 
+def _stack(top: TableGrid, bottom: TableGrid) -> TableGrid:
+    """``bottom``'s rows under ``top``'s, in one grid of ``top``'s width.
+
+    No cell is laid out again: both grids come from :func:`_finish_grid`, so
+    each is padded and in anchor order, and every cell of ``top`` comes
+    before every cell of ``bottom``, which moves down ``top.n_rows`` rows and
+    ``len(top.cells)`` places in ``cells``."""
+    shift = top.n_rows
+    base = len(top.cells)
+    moved = [
+        _new_tuple(GridCell, (row + shift, col, rowspan, colspan, content, is_header))
+        for row, col, rowspan, colspan, content, is_header in bottom.cells
+    ]
+    occupancy = top.occupancy + tuple(tuple(i + base for i in row) for row in bottom.occupancy)
+    return TableGrid(shift + bottom.n_rows, top.n_cols, top.cells + tuple(moved), occupancy)
+
+
 def serialize_grid(grid: TableGrid) -> str:
     """Canonical byte-deterministic HTML: cells at anchors, spans only when > 1."""
     if not grid.n_rows:

@@ -9,7 +9,7 @@ with a punctuation/casing heuristic as the bundled baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from ._external import Scorer, ScorerFailure
@@ -18,6 +18,8 @@ from .errors import DomainError
 from .table_grid import (
     GridCell,
     TableGrid,
+    _new_tuple,
+    _stack,
     detect_header_rows,
     grid_from_cells,
     normalize_text,
@@ -270,31 +272,22 @@ def decide_merge(
 # -- grid surgery ---------------------------------------------------------------
 
 
-def _band_cells(
-    grid: TableGrid, start: int, stop: int, row_shift: int, col_shift: int
-) -> list[GridCell]:
-    """Cells of the row band [start, stop), moved to ``(row_shift, col_shift)``.
+def _band_cells(grid: TableGrid, start: int, col_shift: int) -> list[GridCell]:
+    """Cells of the rows from ``start`` on, moved up to row 0 and right by
+    ``col_shift`` columns.
 
-    Cells anchored above the band keep their footprint but lose their
-    content and header flag (those belong to the removed part).
+    Cells anchored above ``start`` keep their footprint below it but lose
+    their content and header flag (those belong to the removed part).
     """
     cells = []
-    for cell in grid.cells:
-        top = max(cell.anchor_row, start)
-        bottom = min(cell.anchor_row + cell.rowspan, stop)
-        if bottom <= top:
+    for row, col, rowspan, colspan, content, is_header in grid.cells:
+        if row >= start:
+            fields = (row - start, col + col_shift, rowspan, colspan, content, is_header)
+        elif row + rowspan > start:
+            fields = (0, col + col_shift, row + rowspan - start, colspan, "", False)
+        else:
             continue
-        kept = cell.anchor_row >= start
-        cells.append(
-            GridCell(
-                top - start + row_shift,
-                cell.anchor_col + col_shift,
-                bottom - top,
-                cell.colspan,
-                cell.content if kept else "",
-                cell.is_header if kept else False,
-            )
-        )
+        cells.append(_new_tuple(GridCell, fields))
     return cells
 
 
@@ -302,7 +295,8 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
     """Apply a merge plan; raises :class:`PlanMismatch` on inconsistency.
 
     B's kept rows go below A at the mapped columns; positions a narrow B
-    leaves uncovered are padded with empty cells.
+    leaves uncovered are padded with empty cells. Only those rows are laid
+    out: A's cells are copied as they are, pattern-3 joins aside.
     """
     if plan.pattern is Pattern.NO_MERGE:
         raise PlanMismatch("cannot merge with a NO_MERGE plan")
@@ -315,7 +309,6 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
     if offset < 0 or offset + b.n_cols > a.n_cols:
         raise PlanMismatch("column map exceeds target width")
 
-    cells = list(a.cells)
     if plan.pattern is Pattern.PATTERN1:
         start = plan.header_rows_to_drop
         if not 1 <= start <= b.n_rows:
@@ -327,6 +320,7 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
         if plan.boundary_join is None or not b.n_rows:
             raise PlanMismatch("pattern 3 requires boundary join instructions and a row of B")
         start = 1
+        cells = list(a.cells)
         consumed: set[int] = set()  # a B cell spanning joined columns joins once
         for join in plan.boundary_join:
             if join.b_col >= b.n_cols or join.a_col >= a.n_cols:
@@ -339,8 +333,9 @@ def merge(a: TableGrid, b: TableGrid, plan: MergePlan) -> TableGrid:
             a_idx = a.occupancy[a.n_rows - 1][join.a_col]
             joined = cells[a_idx].content + join.separator + head
             cells[a_idx] = cells[a_idx]._replace(content=joined)
-    cells += _band_cells(b, start, b.n_rows, a.n_rows, offset)
-    return grid_from_cells(a.n_rows + b.n_rows - start, a.n_cols, cells)
+        a = replace(a, cells=tuple(cells))  # contents only: the layout stands
+    tail = grid_from_cells(b.n_rows - start, a.n_cols, _band_cells(b, start, offset))
+    return _stack(a, tail)
 
 
 def merge_fragment_sequence_with_plans(

@@ -366,6 +366,12 @@ def test_criterion_7_layout_validation():
     [
         ("doc_crosspage", []),
         ("doc_images", ["--detections-dir", str(FIXTURES / "doc_images" / "detections")]),
+        # recognizer-style markup with placeholders and a padded row, restored
+        # and then joined to its continuation on the next page
+        (
+            "doc_restore_merge",
+            ["--detections-dir", str(FIXTURES / "doc_restore_merge" / "detections")],
+        ),
     ],
 )
 def test_criterion_8_golden_pipeline(tmp_path, name, extra):
@@ -383,4 +389,7 @@ def test_criterion_8_golden_pipeline(tmp_path, name, extra):
     assert code == 0
     golden = (FIXTURES / name / "golden.md").read_bytes()
     assert out.read_bytes() == golden
+    reports = FIXTURES / name / "golden.reports.json"
+    if reports.exists():
+        assert Path(f"{out}.reports.json").read_bytes() == reports.read_bytes()
     report(f"criterion 8 (golden pipeline {name})", "byte-identical to committed golden")

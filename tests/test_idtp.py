@@ -34,7 +34,7 @@ from docpost.idtp import (
     verify_restoration,
     write_ppm,
 )
-from docpost.table_grid import parse_grid, serialize_grid
+from docpost.table_grid import TableError, parse_grid, serialize_grid
 from oracles import mask_reference
 
 
@@ -509,6 +509,69 @@ def test_restore_preserves_other_attributes():
     html = '<table><tr><td><img width="12" alt="chart"></td></tr></table>'
     result = restore_images(html, pmap_of("c.png"))
     assert '<img width="12" alt="chart" src="c.png">' in result.html
+
+
+@st.composite
+def recognizer_tables(draw):
+    """Table markup as recognizers write it, with ``<img>`` placeholders:
+    whitespace between tags, an optional <thead>, quoted and unquoted
+    attributes, ragged rows that pad and spans that are clipped. Returns the
+    markup, whether its placeholders carry ids, and the entry count."""
+    strict_ids = draw(st.booleans())
+    n_entries = draw(st.integers(0, 4))
+    gap = st.sampled_from(["", " ", "\n", "\n    "])
+    if strict_ids:
+        # ids past the map's last entry stay unrestored
+        pid = draw(st.integers(0, n_entries))
+        img = st.sampled_from(
+            [f'<img src="placeholder://{pid}">', f"<img src='placeholder://{pid}' />"]
+        )
+    else:
+        img = st.sampled_from(
+            ["<img>", '<img src="">', "<IMG alt=chart>", "<img src=placeholder://0/>"]
+        )
+    content = st.one_of(
+        st.sampled_from(["", "a", " b c ", "x &amp; y", '<img src="done.png">']), img
+    )
+    span = st.sampled_from(["", " rowspan=2", ' rowspan="9"', " colspan=2", " rowspan='70000'"])
+    n_rows = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n_rows):
+        cells = []
+        for _ in range(draw(st.integers(1, 4))):  # rows of unequal length pad
+            tag = draw(st.sampled_from(["td", "th"]))
+            attrs = draw(span) + draw(st.sampled_from(["", " class=num", ' align="left"']))
+            cells.append(f"<{tag}{attrs}>{draw(content)}</{tag}>")
+        rows.append(f"<tr>{draw(gap).join(cells)}</tr>")
+    head = draw(st.integers(0, n_rows))
+    body = draw(gap).join(rows[head:])
+    if head:
+        thead = draw(gap).join(rows[:head])
+        body = f"<thead>{draw(gap)}{thead}</thead>{draw(gap)}<tbody>{body}</tbody>"
+    return f"<table>{draw(gap)}{body}{draw(gap)}</table>", strict_ids, n_entries
+
+
+@settings(max_examples=200, deadline=None, derandomize=DERANDOMIZE)
+@given(case=recognizer_tables())
+def test_restored_grid_is_the_grid_of_its_html(case):
+    """The pipeline merges the grid that restore_images returns instead of
+    parsing its HTML again, so the two must be one grid. Markup that the
+    input ends inside is not drawn: its cell text runs to the end of the
+    input, so a second parse would also take in the closing tags that
+    serialize_grid writes after it (test_pipeline_parses_a_restored_table_once
+    pins what the pipeline does with it)."""
+    html, strict_ids, n_entries = case
+    pmap = pmap_of(*(f"page0_el1_img{i}.png" for i in range(n_entries)))
+    try:
+        parse_grid(html)
+    except TableError:  # spans that overlap: restoration is skipped
+        with pytest.raises(TableError):
+            restore_images(html, pmap, strict_ids=strict_ids)
+        return
+    result = restore_images(html, pmap, strict_ids=strict_ids)
+    again = parse_grid(result.html)
+    assert result.grid == again
+    assert result.grid.cells == again.cells and result.grid.occupancy == again.occupancy
 
 
 # -- verify_restoration ------------------------------------------------------------------

@@ -487,6 +487,29 @@ def test_pipeline_restores_placeholders():
     assert not result.restore_reports[0]["count_mismatch"]
 
 
+def test_pipeline_parses_a_restored_table_once(monkeypatch):
+    """The merge takes the grid the restore built. Markup that the input ends
+    inside stays its cell's text, as in a table without detections; reading
+    the restored HTML again would take the closing tags written after that
+    text into the cell as well."""
+    from docpost import layout
+    from docpost.idtp import ImageDetection
+
+    elements = {
+        "page_width": 200,
+        "page_height": 200,
+        "elements": [el((10, 10, 110, 90), 0, "table")],
+    }
+    fixture = {"0": {"content": "<table><tr><td><img></td><td>x<!-- note", "kind": "table"}}
+    pages, fixtures = single_page_doc(elements, fixture)
+    dets = {(0, 0): [ImageDetection((20, 20, 40, 40), 0.9)]}
+    monkeypatch.setattr(layout, "parse_grid", None)  # the restore parses in idtp
+    result = run_pipeline(pages, fixtures, detections=dets)
+    assert result.document == (
+        '<table><tr><td><img src="page0_el0_img0.png"></td><td>x<!-- note</td></tr></table>\n'
+    )
+
+
 def test_pipeline_fixture_kind_mismatch_warns():
     elements = {
         "page_width": 100,

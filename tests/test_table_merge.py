@@ -375,7 +375,8 @@ def test_merge_lays_out_once(monkeypatch, a_rows, b_rows, header_rows, pattern):
 
     monkeypatch.setattr(table_merge, "grid_from_cells", counting)
     merged = merge(a, b, plan)
-    assert calls == [(merged.n_rows, merged.n_cols)]
+    # only B's kept rows are laid out; A's cells are stacked above them
+    assert calls == [(merged.n_rows - a.n_rows, merged.n_cols)]
     assert merged == merge_reference(a, b, plan)
 
 
@@ -415,15 +416,21 @@ def _narrow_piece(rng, source, n_rows):
     return _stack(header, random_grid(rng, n_rows, width))
 
 
-def random_fragment_sequence(rng):
+def random_fragment_sequence(rng, n_fragments=None):
     """Row bands of one random table, each re-shaped to invite one pattern:
     a repeated header block (1), a plain band (2), a lowercased first row (3),
-    a narrow column block, or an unrelated table."""
+    a narrow column block, or an unrelated table. Up to 6 fragments, or
+    ``n_fragments`` cut from a table of 1 to 4 body rows per fragment."""
     n_cols = rng.randint(2, 5)
     header_rows = rng.randint(0, 2)
-    n_rows = header_rows + rng.randint(2, 12)
+    if n_fragments is None:
+        n_rows = header_rows + rng.randint(2, 12)
+    else:
+        n_rows = header_rows + rng.randint(n_fragments, 4 * n_fragments)
     source = random_grid(rng, n_rows, n_cols, header_rows=header_rows)
-    cuts = sorted(rng.sample(range(header_rows + 1, n_rows), rng.randint(0, min(5, n_rows - header_rows - 1))))
+    if n_fragments is None:
+        n_fragments = 1 + rng.randint(0, min(5, n_rows - header_rows - 1))
+    cuts = sorted(rng.sample(range(header_rows + 1, n_rows), n_fragments - 1))
     bounds = [0, *cuts, n_rows]
     fragments = [slice_rows(source, bounds[0], bounds[1])]
     for start, stop in zip(bounds[1:], bounds[2:]):
@@ -488,6 +495,42 @@ def test_merge_matches_reference_fold(seed):
     assert tables == ref_tables
     for table, ref in zip(tables, ref_tables):
         assert table.cells == ref.cells and table.occupancy == ref.occupancy
+
+
+@pytest.mark.parametrize("n_fragments", [10, 40, 160])
+def test_fold_lays_out_each_row_once(monkeypatch, n_fragments):
+    """Over the fold, the rows laid out are the rows merges append: each
+    output table's rows less those of its group's first fragment, which is
+    taken as it is. A fold that laid out the accumulated table again on each
+    step would lay out a number of rows that grows with the square of the
+    fragment count."""
+    laid = []
+
+    def counting(n_rows, n_cols, cells):
+        laid.append(n_rows)
+        return grid_from_cells(n_rows, n_cols, cells)
+
+    monkeypatch.setattr(table_merge, "grid_from_cells", counting)
+    seen = set()
+    for seed in range(4):
+        fragments = random_fragment_sequence(random.Random(seed), n_fragments)
+        assert len(fragments) == n_fragments
+        laid.clear()
+        tables, plans = merge_fragment_sequence_with_plans(fragments)
+        firsts = [fragments[0]] + [
+            fragment
+            for plan, fragment in zip(plans, fragments[1:])
+            if plan.pattern is Pattern.NO_MERGE
+        ]
+        assert sum(laid) == sum(t.n_rows for t in tables) - sum(f.n_rows for f in firsts)
+        width = fragments[0].n_cols  # of the table the next fragment meets
+        for plan, fragment in zip(plans, fragments[1:]):
+            seen.add(plan.pattern)
+            if plan.pattern is Pattern.NO_MERGE:
+                width = fragment.n_cols
+            elif len(plan.column_map) < width:
+                seen.add("narrow")
+    assert seen == {*Pattern, "narrow"}
 
 
 @settings(max_examples=200, deadline=None)
