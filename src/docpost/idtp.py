@@ -314,7 +314,7 @@ def write_ppm(buffer: PixelBuffer) -> bytes:
 
 
 _IMG_TAG_RE = re.compile(r"<img\b[^>]*/?>", re.IGNORECASE)
-_SRC_ATTR_RE = re.compile(r"""(\bsrc\s*=\s*)("([^"]*)"|'([^']*)'|([^\s>/]+))""", re.IGNORECASE)
+_SRC_ATTR_RE = re.compile(r"""(\bsrc\s*=\s*)("([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE)
 
 
 def _tag_src(tag: str) -> str | None:

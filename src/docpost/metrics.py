@@ -5,16 +5,17 @@ The string distance is the bit-parallel Levenshtein algorithm of Myers
 (1999) as formulated by Hyyrö (2003). The tree distance is the Zhang-Shasha
 ordered tree edit distance with unit insert/delete costs and one rename
 cost: a tag mismatch costs 1, a tag match the normalized edit distance
-between cell contents. TEDS-S is TEDS of the content-free trees, where
-every tag match costs 0. Span values are folded into the tag signature, so
-span mistakes count as structural errors.
+between cell contents. It reads each tree as postorder lists, a table's
+filled from its grid with no object per cell. TEDS-S is TEDS of the
+content-free trees, where every tag match costs 0. Span values are folded
+into the tag signature, so span mistakes count as structural errors.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 from .errors import DomainError, FormatError
@@ -162,27 +163,13 @@ class DocTree:
         return 1 + sum(child.size() for child in self.children)
 
 
-def grid_to_tree(grid: TableGrid) -> DocTree:
-    """table -> tr* -> (td|th)* with spans folded into the tag signature."""
-    rows = [DocTree("tr") for _ in range(grid.n_rows)]
-    for cell in grid.cells:  # in anchor order
-        tag = "th" if cell.is_header else "td"
-        rows[cell.anchor_row].children.append(
-            DocTree(f"{tag}[{cell.rowspan},{cell.colspan}]", normalize_text(cell.content))
-        )
-    return DocTree("table", children=rows)
-
-
 def _rename_costs(
-    a_nodes: list[DocTree],
-    b_nodes: list[DocTree],
-    below: int | None = None,
-    above: int | None = None,
+    A: _Annotated, B: _Annotated, below: int | None = None, above: int | None = None
 ) -> list[list[float]]:
-    """Row ``i`` holds the rename costs of ``a_nodes[i]`` into ``b_nodes[j]``
-    for ``j`` from ``max(0, i - below)`` up to ``min(m, i + above + 1)``, the
-    columns :func:`_zhang_shasha` reads; ``above`` defaults to ``below``, and
-    without ``below``, every ``j``.
+    """Row ``i`` holds the rename costs of node ``i`` of ``A`` into each
+    node ``j`` of ``B`` from ``max(0, i - below)`` to ``i + above``, the
+    columns :func:`_zhang_shasha` reads; ``above`` defaults to ``below``,
+    and without ``below``, every ``j``.
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
     of the contents, 0 when they are equal and 1 against an empty one, all
@@ -192,9 +179,8 @@ def _rename_costs(
     (:func:`_myers`) at most once per block that its rows need; a cost reads
     one field of the scan. Equal costs share one float.
     """
-    m = len(b_nodes)
     if below is None:
-        below = above = max(len(a_nodes), m)
+        below = above = max(len(A.tags), len(B.tags))
     elif above is None:
         above = below
     # a scan costs more the wider its block, and a narrow band reads few of
@@ -203,8 +189,7 @@ def _rename_costs(
     blocks: list[list[str]] = []  # B's contents, block by block
     fields = {}  # content -> its block, field mask and length
     width = cap
-    for node in b_nodes:
-        text = node.content
+    for text in B.contents:
         if text and text not in fields:
             if width + len(text) > cap:
                 blocks.append([])
@@ -214,12 +199,11 @@ def _rename_costs(
             width += len(text)
     packed: dict[int, tuple] = {}
     scans: dict[str, dict[int, tuple[int, int]]] = {}  # content of A -> block -> (vp, vn)
-    lengths = {len(s) for s in (*fields, *(node.content for node in a_nodes))}
+    lengths = {len(s) for s in (*fields, *A.contents)}
     fractions = {n: [d / n for d in range(n + 1)] for n in lengths if n}
-    b_keys = [(node.tag, node.content) for node in b_nodes]
+    b_keys = list(zip(B.tags, B.contents))
     rows = []
-    for i, node in enumerate(a_nodes):
-        tag, text = node.tag, node.content
+    for i, (tag, text) in enumerate(zip(A.tags, A.contents)):
         n = len(text)
         done = scans.setdefault(text, {})
         row = []
@@ -245,26 +229,55 @@ def _rename_costs(
     return rows
 
 
-class _Annotated:
-    """Postorder node list, leftmost-leaf-descendant table, and keyroots."""
+class _Annotated(namedtuple("_Annotated", "tags contents lmds keyroots")):
+    """A tree as the dynamic program reads it: lists of each node's tag,
+    content and leftmost leaf (lmd) in postorder, and the keyroots, the
+    highest node of each lmd. Equal trees have equal lists."""
 
-    def __init__(self, root: DocTree):
-        self.nodes: list[DocTree] = []
-        self.lmds: list[int] = []
-        # The leftmost leaf of a subtree is the first of its nodes in
-        # postorder, so a node's lmd is the node count when its visit starts.
-        stack: list[tuple[DocTree, int]] = [(root, -1)]
-        while stack:
-            node, start = stack.pop()
-            if start >= 0:
-                self.nodes.append(node)
-                self.lmds.append(start)
-            else:
-                stack.append((node, len(self.nodes)))
-                stack.extend((child, -1) for child in reversed(node.children))
-        # a keyroot is the highest node with its lmd
-        highest = {lmd: i for i, lmd in enumerate(self.lmds)}
-        self.keyroots: list[int] = sorted(highest.values())
+    def skeleton(self) -> _Annotated:
+        """The same tree with every content empty, for TEDS-S."""
+        return self._replace(contents=[""] * len(self.tags))
+
+
+def _annotate(root: DocTree) -> _Annotated:
+    tags, contents, lmds = [], [], []
+    # The leftmost leaf of a subtree is the first of its nodes in postorder,
+    # so a node's lmd is the node count when its visit starts.
+    stack: list[tuple[DocTree, int]] = [(root, -1)]
+    while stack:
+        node, start = stack.pop()
+        if start >= 0:
+            tags.append(node.tag)
+            contents.append(node.content)
+            lmds.append(start)
+        else:
+            stack.append((node, len(tags)))
+            stack.extend((child, -1) for child in reversed(node.children))
+    highest = {lmd: i for i, lmd in enumerate(lmds)}
+    return _Annotated(tags, contents, lmds, sorted(highest.values()))
+
+
+def _annotate_grid(grid: TableGrid) -> _Annotated:
+    """The tree table -> tr* -> (td|th)* with spans in the tag (``td[2,1]``), in
+    one pass over the cells in anchor order: each row's cells, its tr, then the table."""
+    tags, contents, lmds = [], [], []
+    cells, k = grid.cells, 0
+    for r in range(grid.n_rows):
+        first = len(tags)
+        while k < len(cells) and cells[k][0] == r:  # cells[k].anchor_row
+            _, _, rowspan, colspan, content, is_header = cells[k]
+            lmds.append(len(tags))
+            tags.append(f"{'th' if is_header else 'td'}[{rowspan},{colspan}]")
+            contents.append(normalize_text(content))
+            k += 1
+        tags.append("tr")
+        contents.append("")
+        lmds.append(first)
+    tags.append("table")
+    contents.append("")
+    lmds.append(0)
+    highest = {lmd: i for i, lmd in enumerate(lmds)}
+    return _Annotated(tags, contents, lmds, sorted(highest.values()))
 
 
 # The band is used while its width below + above + 1 is at most this share
@@ -299,12 +312,16 @@ def tree_edit_distance(
     """
     if t1 is None or t2 is None:
         return float((t1.size() if t1 else 0) + (t2.size() if t2 else 0))
-    if t1 == t2:
+    return _distance(_annotate(t1), _annotate(t2), bound)
+
+
+def _distance(A: _Annotated, B: _Annotated, bound: int | None = None) -> float:
+    """:func:`tree_edit_distance` of two annotated trees."""
+    if A == B:
         return 0.0
-    A, B = _Annotated(t1), _Annotated(t2)
-    n1, n2 = len(A.nodes), len(B.nodes)
+    n1, n2 = len(A.tags), len(B.tags)
     if bound is None:
-        bound = _structure_bound([n.tag for n in A.nodes], [n.tag for n in B.nodes])
+        bound = _structure_bound(A.tags, B.tags)
     delta = n1 - n2
     first = h = max(0, (bound - abs(delta)) // 2)
     while True:
@@ -349,8 +366,8 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int | None = 
     """
     if above is None:
         above = below
-    n1, m = len(A.nodes), len(B.nodes)
-    rename = _rename_costs(A.nodes, B.nodes, below, above)
+    n1, m = len(A.tags), len(B.tags)
+    rename = _rename_costs(A, B, below, above)
     lmds_a = A.lmds
     inf = math.inf
     treedist = [[inf] * len(row) for row in rename]
@@ -488,36 +505,22 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int | None = 
     return treedist[-1][m - 1 - max(0, n1 - 1 - below)]
 
 
-def _table_trees(pred_html: str, gt_html: str) -> tuple[DocTree | None, DocTree]:
-    """Trees of both tables; ``None`` for an unparseable prediction."""
+def _table_annotations(pred_html: str, gt_html: str) -> tuple[_Annotated | None, _Annotated]:
+    """Both tables annotated, equal strings parsed once; ``None`` for a bad prediction."""
     try:
-        gt_tree = grid_to_tree(parse_grid(gt_html))
+        gt = _annotate_grid(parse_grid(gt_html))
     except TableError as exc:
         raise GtParseError(str(exc)) from exc
+    if pred_html == gt_html:
+        return gt, gt
     try:
-        return grid_to_tree(parse_grid(pred_html)), gt_tree
+        return _annotate_grid(parse_grid(pred_html)), gt
     except TableError:
-        return None, gt_tree
-
-
-def _skeleton(tree: DocTree) -> DocTree:
-    """A copy of ``tree`` with every content empty, for TEDS-S: a tag
-    mismatch still renames for 1, a tag match for ``dist("", "") = 0``."""
-    return DocTree(tree.tag, "", [_skeleton(child) for child in tree.children])
-
-
-def _tags(tree: DocTree) -> list[str]:
-    """The tag of every node of ``tree``, one per node, in no fixed order."""
-    tags, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        tags.append(node.tag)
-        stack.extend(node.children)
-    return tags
+        return None, gt
 
 
 def _structure_bound(tags1: list[str], tags2: list[str]) -> int:
-    """A lower bound on the distance of two skeletons with these
+    """A lower bound on the distance of two skeletons with these lists of
     node tags (Kailing et al., 2004): a mapping with ``s`` equal-tag pairs
     and ``u`` other pairs costs ``n1 + n2 - 2s - u``, and ``s`` is at most
     the size of the tags' multiset intersection, ``s + u`` at most
@@ -535,24 +538,22 @@ def _similarity(dist: float, n_nodes: int) -> float:
 
 def teds(pred_html: str, gt_html: str, structure_only: bool = False) -> float:
     """Tree-edit-distance similarity between two table HTML strings, in [0,1];
-    with ``structure_only``, that of their :func:`_skeleton` trees (TEDS-S).
+    with ``structure_only``, that of their content-free skeletons (TEDS-S).
 
     An unparseable prediction scores 0; an unparseable ground truth raises
     :class:`GtParseError`.
     """
-    pred_tree, gt_tree = _table_trees(pred_html, gt_html)
-    if pred_tree is None:
+    pred, gt = _table_annotations(pred_html, gt_html)
+    if pred is None:
         return 0.0
-    pred_tags, gt_tags = _tags(pred_tree), _tags(gt_tree)
-    bound = _structure_bound(pred_tags, gt_tags)
+    bound = _structure_bound(pred.tags, gt.tags)
     if structure_only:
-        pred_tree, gt_tree = _skeleton(pred_tree), _skeleton(gt_tree)
-    dist = tree_edit_distance(pred_tree, gt_tree, bound=bound)
-    return _similarity(dist, max(len(pred_tags), len(gt_tags)))
+        pred, gt = pred.skeleton(), gt.skeleton()
+    return _similarity(_distance(pred, gt, bound), max(len(pred.tags), len(gt.tags)))
 
 
-def _table_scores(pred_tree: DocTree | None, gt_tree: DocTree) -> tuple[float, float]:
-    """TEDS and TEDS-S of two table trees, as :func:`teds` scores them.
+def _table_scores(pred: _Annotated | None, gt: _Annotated) -> tuple[float, float]:
+    """TEDS and TEDS-S of two annotated tables, as :func:`teds` scores them.
 
     The distance of the skeletons is an integer no less than
     :func:`_structure_bound` and no greater than the distance of the trees:
@@ -562,16 +563,15 @@ def _table_scores(pred_tree: DocTree | None, gt_tree: DocTree) -> tuple[float, f
     integer. When the trees' distance is below ``bound + 1``, that integer
     is ``bound`` and the skeletons are not compared.
     """
-    if pred_tree is None:
+    if pred is None:
         return 0.0, 0.0
-    pred_tags, gt_tags = _tags(pred_tree), _tags(gt_tree)
-    n_nodes = max(len(pred_tags), len(gt_tags))
-    bound = _structure_bound(pred_tags, gt_tags)
-    content = tree_edit_distance(pred_tree, gt_tree, bound=bound)
+    n_nodes = max(len(pred.tags), len(gt.tags))
+    bound = _structure_bound(pred.tags, gt.tags)
+    content = _distance(pred, gt, bound)
     if content < bound + 1:
         structure = float(bound)
     else:
-        structure = tree_edit_distance(_skeleton(pred_tree), _skeleton(gt_tree), bound=bound)
+        structure = _distance(pred.skeleton(), gt.skeleton(), bound)
     return _similarity(content, n_nodes), _similarity(structure, n_nodes)
 
 
@@ -594,7 +594,7 @@ def evaluate_pair(pred, gt, kind: str) -> dict[str, float]:
             "normalized_edit_distance": dist / max(len(pred), len(gt), 1),
         }
     if kind == "table":
-        content, structure = _table_scores(*_table_trees(pred, gt))
+        content, structure = _table_scores(*_table_annotations(pred, gt))
         return {"teds": content, "teds_structure": structure}
     if kind == "order":
         return {

@@ -17,6 +17,11 @@ concatenated string, where the CLI reads only the table's rows.
 The table reader's reference is html.parser's tokenizer driving the tree
 rules the reader applies (:func:`table_rows_reference`), where the library
 runs one token regex over the markup.
+The annotated tables that TEDS reads are checked against
+:func:`grid_to_tree`, a tree of ``DocTree`` objects, annotated by a
+recursive walk that collects each node's descendants
+(:func:`annotation_reference`), where the library fills the postorder lists
+in one pass over the grid's cells.
 Two grid helpers that only tests use live here too: :func:`slice_rows` and
 :func:`grid_to_rows`.
 """
@@ -160,6 +165,22 @@ def levenshtein_full_matrix(a, b) -> int:
     return d[m][n]
 
 
+def grid_to_tree(grid: TableGrid) -> DocTree:
+    """table -> tr* -> (td|th)* with spans folded into the tag signature."""
+    rows = [DocTree("tr") for _ in range(grid.n_rows)]
+    for cell in grid.cells:  # in anchor order
+        tag = "th" if cell.is_header else "td"
+        rows[cell.anchor_row].children.append(
+            DocTree(f"{tag}[{cell.rowspan},{cell.colspan}]", normalize_text(cell.content))
+        )
+    return DocTree("table", children=rows)
+
+
+def skeleton(tree: DocTree) -> DocTree:
+    """A copy of ``tree`` with every content empty."""
+    return DocTree(tree.tag, "", [skeleton(child) for child in tree.children])
+
+
 def _postorder(root: DocTree):
     nodes: list[DocTree] = []
     desc: list[set[int]] = []
@@ -179,6 +200,22 @@ def _postorder(root: DocTree):
     return nodes, desc
 
 
+def annotation_reference(root: DocTree) -> _Annotated:
+    """Postorder tags and contents; each node's lmd, the least postorder
+    index among the node and its descendants; and the keyroots, the nodes
+    with no ancestor of the same lmd."""
+    nodes, desc = _postorder(root)
+    lmds = [min(below | {i}) for i, below in enumerate(desc)]
+    # a node's parent is its nearest ancestor: the least index whose
+    # descendants hold it
+    parent = [min((i for i, below in enumerate(desc) if d in below), default=None)
+              for d in range(len(nodes))]
+    keyroots = [i for i in range(len(nodes)) if parent[i] is None or lmds[parent[i]] != lmds[i]]
+    return _Annotated(
+        [node.tag for node in nodes], [node.content for node in nodes], lmds, keyroots
+    )
+
+
 # The references' two rename cost models. The library has one, the content
 # model; its structure-only distance is the content model's distance between
 # trees with empty contents, which these references check without emptying
@@ -195,11 +232,12 @@ def _rename(a: DocTree, b: DocTree, cost_model: str) -> float:
     return 0.0
 
 
-def rename_costs_reference(
-    a_nodes: list[DocTree], b_nodes: list[DocTree], cost_model: str
-) -> list[list[float]]:
-    """The full rename-cost matrix, one ``normalized_edit_distance`` (or tag
-    mismatch) per node pair, with no sharing between pairs."""
+def rename_costs_reference(A: _Annotated, B: _Annotated, cost_model: str) -> list[list[float]]:
+    """The full rename-cost matrix of two annotations' nodes, one
+    ``normalized_edit_distance`` (or tag mismatch) per node pair, with no
+    sharing between pairs."""
+    a_nodes = [DocTree(tag, content) for tag, content in zip(A.tags, A.contents)]
+    b_nodes = [DocTree(tag, content) for tag, content in zip(B.tags, B.contents)]
     return [[_rename(a, b, cost_model) for b in b_nodes] for a in a_nodes]
 
 
@@ -245,16 +283,17 @@ def exhaustive_tree_distance(t1: DocTree | None, t2: DocTree | None, cost_model:
 
 def zhang_shasha_reference(t1: DocTree, t2: DocTree, cost_model: str) -> float:
     """The Zhang-Shasha loop with one ``fd`` table for every forest pair,
-    leaf keyroots included, and no shortcut for equal trees. The content
-    model takes the library's rename costs, the structure model those of
+    leaf keyroots included, and no shortcut for equal trees, over the trees'
+    :func:`annotation_reference`. The content model takes the library's
+    rename costs, the structure model those of
     :func:`rename_costs_reference`."""
-    A, B = _Annotated(t1), _Annotated(t2)
+    A, B = annotation_reference(t1), annotation_reference(t2)
     if cost_model == CONTENT:
-        rename = _rename_costs(A.nodes, B.nodes)
+        rename = _rename_costs(A, B)
     else:
-        rename = rename_costs_reference(A.nodes, B.nodes, cost_model)
+        rename = rename_costs_reference(A, B, cost_model)
     lmds_a = A.lmds
-    treedist = [[0.0] * len(B.nodes) for _ in A.nodes]
+    treedist = [[0.0] * len(B.tags) for _ in A.tags]
     # Per keyroot j of B: its first node lj, and for each forest column
     # y = bj - lj + 1 the offset q of B.lmds[bj] from lj (0: a whole subtree).
     b_forests, b_leaves = [], []

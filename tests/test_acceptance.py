@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 from conftest import random_grid, split_row_mid_word, split_with_header_copy
-from oracles import CONTENT, STRUCTURE, exhaustive_tree_distance, random_tree, slice_rows
+from oracles import (
+    CONTENT,
+    STRUCTURE,
+    exhaustive_tree_distance,
+    random_tree,
+    skeleton,
+    slice_rows,
+)
 from docpost.cli import main as cli_main
 from docpost.idtp import (
     ImageDetection,
@@ -33,7 +40,7 @@ from docpost.layout import (
     parse_recognition_fixture,
     run_pipeline,
 )
-from docpost.metrics import _skeleton, edit_distance, teds, tree_edit_distance
+from docpost.metrics import edit_distance, teds, tree_edit_distance
 from docpost.rewards import group_advantages
 from docpost.table_grid import parse_grid, serialize_grid
 from docpost.table_merge import Pattern, decide_merge, merge
@@ -57,7 +64,7 @@ def test_criterion_1_tree_distance_oracle_equivalence():
         model = STRUCTURE if i % 2 == 0 else CONTENT
         brute = exhaustive_tree_distance(t1, t2, model)
         if model == STRUCTURE:  # structure-only: the distance of the skeletons
-            t1, t2 = _skeleton(t1), _skeleton(t2)
+            t1, t2 = skeleton(t1), skeleton(t2)
         fast = tree_edit_distance(t1, t2)
         worst = max(worst, abs(fast - brute))
         assert abs(fast - brute) <= 1e-12

@@ -487,6 +487,27 @@ def test_restore_strict_ids():
     assert 'src="zero.png"' in grid.content_at(0, 1)
 
 
+@pytest.mark.parametrize("strict_ids", [False, True])
+def test_restore_unquoted_placeholder_src(strict_ids):
+    """An unquoted src runs to whitespace or ">", slashes included, so
+    ``src=placeholder://1`` is a placeholder, not the concrete
+    ``placeholder:``."""
+    html = (
+        "<table><tr><td><img src=placeholder://1></td>"
+        "<td><img alt=x SRC=placeholder://0 width=3></td></tr></table>"
+    )
+    pmap = pmap_of("zero.png", "one.png")
+    before = verify_restoration(html, pmap)
+    assert before.residual_tags == (0, 1) and before.unused_entries == (0, 1)
+    result = restore_images(html, pmap, strict_ids=strict_ids)
+    assert (result.found, result.rewrites, result.unused_entries) == (2, 2, ())
+    grid = parse_grid(result.html)
+    first, second = ("one.png", "zero.png") if strict_ids else ("zero.png", "one.png")
+    assert grid.content_at(0, 0) == f'<img src="{first}">'
+    assert grid.content_at(0, 1) == f'<img alt=x SRC="{second}" width=3>'
+    assert verify_restoration(result.html, pmap).is_empty
+
+
 def test_restore_skips_concrete_srcs_and_reports_unused():
     html = '<table><tr><td><img src="done.png"></td></tr></table>'
     result = restore_images(html, pmap_of("other.png"))
@@ -588,6 +609,19 @@ def test_verify_unused_entry():
     report = verify_restoration(html, pmap_of("a.png", "b.png"))
     assert report.unused_entries == (1,)
     assert not report.is_empty
+
+
+def test_verify_unquoted_srcs():
+    """Unquoted srcs are read to whitespace or ">": a placeholder with its
+    slashes is residual, and a concrete path with slashes counts whole."""
+    html = (
+        "<table><tr><td><img src=placeholder://0></td>"
+        "<td><img src=imgs/b.png><img src=imgs/b.png alt=b></td></tr></table>"
+    )
+    report = verify_restoration(html, pmap_of("imgs/a.png", "imgs/b.png"))
+    assert report.residual_tags == (0,)
+    assert report.unused_entries == (0,)
+    assert report.duplicate_srcs == ("imgs/b.png",)
 
 
 def test_verify_residual_and_duplicates():

@@ -13,14 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DERANDOMIZE
+from conftest import DERANDOMIZE, random_grid
 from oracles import (
     CONTENT,
     STRUCTURE,
+    annotation_reference,
     exhaustive_tree_distance,
+    grid_to_tree,
     levenshtein_full_matrix,
     random_tree,
     rename_costs_reference,
+    skeleton,
     zhang_shasha_reference,
 )
 from docpost.metrics import (
@@ -29,14 +32,13 @@ from docpost.metrics import (
     edit_distance,
     evaluate_batch,
     evaluate_pair,
-    grid_to_tree,
     normalized_edit_distance,
     reading_order_edit,
     teds,
     tree_edit_distance,
 )
 from docpost import metrics
-from docpost.table_grid import parse_grid
+from docpost.table_grid import parse_grid, serialize_grid
 
 short_text = st.text(max_size=20)
 # small alphabets (one letter outside the BMP) so that long strings share
@@ -122,7 +124,7 @@ def distance(t1, t2, model):
     """``tree_edit_distance`` under one of the references' cost models: the
     structure model's distance is that of the trees' skeletons."""
     if model == STRUCTURE:
-        t1, t2 = metrics._skeleton(t1), metrics._skeleton(t2)
+        t1, t2 = skeleton(t1), skeleton(t2)
     return tree_edit_distance(t1, t2)
 
 
@@ -366,6 +368,13 @@ node_lists = st.lists(
 WIDE = "ab" * 2100  # wider than one block
 
 
+def flat(nodes: list[DocTree]) -> metrics._Annotated:
+    """An annotation whose nodes are ``nodes`` in this order, all of them
+    leaves; the rename costs read only its tags and contents."""
+    order = list(range(len(nodes)))
+    return metrics._Annotated([n.tag for n in nodes], [n.content for n in nodes], order, order)
+
+
 def in_band(costs, band, above=None):
     """Full rename rows cut to the columns that a band ``band`` below the
     diagonal and ``above`` (default ``band``) above it reads, the shape
@@ -407,6 +416,7 @@ def test_rename_costs_match_per_pair_reference(a, b, width, band, above):
     holds the reference's entries from ``band`` below the diagonal to
     ``above`` above it, and only those. No content of A is scanned twice
     against one block."""
+    a, b = flat(a), flat(b)
     want = [
         in_band(rename_costs_reference(a, b, model), band, above) for model in (CONTENT, STRUCTURE)
     ]
@@ -421,11 +431,7 @@ def test_rename_costs_match_per_pair_reference(a, b, width, band, above):
     ):
         assert metrics._rename_costs(a, b, band, above) == want[0]
         assert len(set(scans)) == len(scans)
-        assert metrics._rename_costs(skeletons(a), skeletons(b), band, above) == want[1]
-
-
-def skeletons(nodes: list[DocTree]) -> list[DocTree]:
-    return [metrics._skeleton(node) for node in nodes]
+        assert metrics._rename_costs(a.skeleton(), b.skeleton(), band, above) == want[1]
 
 
 ABX, ABC, ZZ = ("abx",), ("abc",), ("zz",)  # blocks of one content
@@ -466,9 +472,9 @@ def test_rename_costs_scan_each_content_once_per_block(monkeypatch, band, width,
     and no equal ones: a tag mismatch, an empty side or equal contents cost
     1.0, 1.0 and 0.0 without a scan."""
     # "abc" and "abx" under two tags, and an empty content on both sides
-    a = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "abx"), leaf(TD, "")]
-    b = [leaf(TD, "abx"), leaf(TH, "abx"), leaf(TD, "abc"), leaf(TD, "zz"), leaf(TD, "")]
-    same = [leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "")]
+    a = flat([leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "abx"), leaf(TD, "")])
+    b = flat([leaf(TD, "abx"), leaf(TH, "abx"), leaf(TD, "abc"), leaf(TD, "zz"), leaf(TD, "")])
+    same = flat([leaf(TD, "abc"), leaf(TH, "abc"), leaf(TD, "")])
     expected = [
         in_band(rename_costs_reference(a, b, CONTENT), band),
         in_band(rename_costs_reference(same, same, CONTENT), band),
@@ -494,7 +500,7 @@ def test_rename_costs_scan_each_content_once_per_block(monkeypatch, band, width,
     # no scan for equal contents, nor for empty ones
     seen.clear()
     assert metrics._rename_costs(same, same, band) == expected[1]
-    assert metrics._rename_costs(skeletons(a), skeletons(b), band) == expected[2]
+    assert metrics._rename_costs(a.skeleton(), b.skeleton(), band) == expected[2]
     assert seen == []
 
 
@@ -531,11 +537,100 @@ def test_teds_span_error_is_structural():
 
 
 def test_grid_to_tree_shape():
+    """The reference tree of GT, and the annotation TEDS reads straight from
+    its grid: each row's cells, then its tr, then the table."""
     tree = grid_to_tree(parse_grid(GT))
     assert tree.tag == "table"
     assert [c.tag for c in tree.children] == ["tr", "tr"]
     assert [c.tag for c in tree.children[0].children] == ["th[1,1]", "th[1,1]"]
     assert tree.size() == 7
+    annotated = metrics._annotate_grid(parse_grid(GT))
+    assert annotated == (
+        ["th[1,1]", "th[1,1]", "tr", "td[1,1]", "td[1,1]", "tr", "table"],
+        ["a", "b", "", "1", "2", "", ""],
+        [0, 1, 0, 3, 4, 3, 0],
+        [1, 4, 5, 6],
+    )
+    assert annotated == annotation_reference(tree)
+
+
+# Grids with every shape the table reader lays out: spans of both kinds,
+# header cells, rows that a rowspan covers whole (a tr with no cells), and
+# contents that normalize alike (case, inner and outer whitespace)
+GRID_TEXTS = ["", "a", "A", " a", "a  b", "A B", "Total", "total ", "12"]
+
+
+def grid_of(rng: random.Random):
+    """A random grid, serialized with empty ``<tr></tr>`` rows put in at
+    row boundaries that no rowspan crosses, and read back: the reader pads
+    such a row with empty cells. A row that rowspans cover whole has a tr
+    without cells."""
+    n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 4)
+    empty = sorted(rng.sample(range(1, n_rows + 1), rng.randint(0, min(2, n_rows))))
+    grid = random_grid(
+        rng,
+        n_rows,
+        n_cols,
+        span_prob=rng.choice([0.0, 0.3, 0.8]),
+        header_rows=rng.randint(0, n_rows),
+        blocked_boundaries=set(empty),
+        content=lambda rng, r, c: rng.choice(GRID_TEXTS),
+    )
+    rows = serialize_grid(grid).split("</tr>")
+    for boundary in reversed(empty):  # after row boundary - 1
+        rows.insert(boundary, "<tr>")
+    return parse_grid("</tr>".join(rows))
+
+
+# a rowspan over three rows leaves rows 1 and 2 without a cell; an empty
+# first row, padded; a lone cell
+ROWSPAN_ONLY = "<table><tr><td rowspan=3>a</td></tr><tr></tr><tr></tr></table>"
+EMPTY_FIRST = "<table><tr></tr><tr><th>x</th><td rowspan=2>Y </td></tr><tr></tr></table>"
+LONE_CELL = "<table><tr><td>a</td></tr></table>"
+
+
+@settings(max_examples=150, deadline=None, derandomize=DERANDOMIZE)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+def test_grid_annotation_equals_the_reference_tree(seed):
+    """On random grids, the one-pass grid annotation equals the annotation of
+    the reference tree field by field, and the TEDS and TEDS-S that ``eval``
+    and :func:`teds` take from it are the reference dynamic program's, bit
+    for bit."""
+    rng = random.Random(seed)
+    pairs = [(grid_of(rng), grid_of(rng))] + [
+        (parse_grid(h1), parse_grid(h2))
+        for h1, h2 in [(ROWSPAN_ONLY, EMPTY_FIRST), (EMPTY_FIRST, LONE_CELL)]
+    ]
+    for grid in (grid for pair in pairs for grid in pair):
+        for field, got, want in zip(
+            metrics._Annotated._fields,
+            metrics._annotate_grid(grid),
+            annotation_reference(grid_to_tree(grid)),
+        ):
+            assert got == want, field
+    for g1, g2 in pairs:
+        t1, t2 = grid_to_tree(g1), grid_to_tree(g2)
+        n_nodes = max(t1.size(), t2.size())
+        expected = [
+            metrics._similarity(zhang_shasha_reference(t1, t2, model), n_nodes).hex()
+            for model in (CONTENT, STRUCTURE)
+        ]
+        h1, h2 = serialize_grid(g1), serialize_grid(g2)
+        scores = evaluate_pair(h1, h2, "table")
+        assert [scores["teds"].hex(), scores["teds_structure"].hex()] == expected
+        assert [teds(h1, h2).hex(), teds(h1, h2, structure_only=True).hex()] == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=DERANDOMIZE)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tree_annotation_equals_the_reference(seed):
+    """The annotation ``tree_edit_distance`` takes of a general tree equals
+    the reference's, and its skeleton keeps every field but the contents."""
+    tree = random_tree(random.Random(seed), 14)
+    annotated = metrics._annotate(tree)
+    assert annotated == annotation_reference(tree)
+    assert annotated.skeleton() == annotation_reference(skeleton(tree))
 
 
 @settings(max_examples=40, deadline=None)
@@ -570,6 +665,7 @@ def test_evaluate_pair_table_matches_teds(seed):
 
 
 def test_evaluate_pair_table_parses_each_side_once(monkeypatch):
+    """Each side is parsed once, and two equal strings once between them."""
     calls = []
 
     def counting_parse_grid(html):
@@ -583,35 +679,49 @@ def test_evaluate_pair_table_parses_each_side_once(monkeypatch):
     calls.clear()
     evaluate_pair("not a table", GT, "table")
     assert len(calls) == 2
+    calls.clear()
+    assert evaluate_pair(GT, GT, "table") == {"teds": 1.0, "teds_structure": 1.0}
+    assert teds(GT, GT, structure_only=True) == 1.0
+    assert calls == [GT, GT]
+    calls.clear()
+    with pytest.raises(GtParseError):
+        evaluate_pair("not a table", "not a table", "table")
+    assert calls == ["not a table"]
 
 
 GT3 = GT.replace("</table>", "<tr><td>3</td><td>4</td></tr></table>")
 ROW2 = "<tr><td>1</td><td>2</td></tr>"
 
 
-def count_annotations(monkeypatch) -> list:
-    built = []
+def record_passes(monkeypatch) -> list:
+    """Make ``metrics._zhang_shasha`` append each pass's ``(below, above,
+    skeletons)`` to the returned list, ``skeletons`` true when both trees
+    have only empty contents."""
+    passes = []
+    zhang_shasha = metrics._zhang_shasha
 
-    class Counting(metrics._Annotated):
-        def __init__(self, root):
-            built.append(root)
-            super().__init__(root)
+    def recording(A, B, below, above=None):
+        passes.append((below, above, not any(A.contents) and not any(B.contents)))
+        return zhang_shasha(A, B, below, above)
 
-    monkeypatch.setattr(metrics, "_Annotated", Counting)
-    return built
+    monkeypatch.setattr(metrics, "_zhang_shasha", recording)
+    return passes
 
 
 def test_teds_structure_of_text_corruption_skips_the_dp(monkeypatch):
     pred = GT3.replace(">1<", ">17<").replace(">B<", ">b <")
     t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
     assert zhang_shasha_reference(t1, t2, STRUCTURE) == 0.0
-    assert metrics._skeleton(t1) == metrics._skeleton(t2)
-    built = count_annotations(monkeypatch)
+    assert skeleton(t1) == skeleton(t2)
+    a1, a2 = (metrics._annotate_grid(parse_grid(h)) for h in (pred, GT3))
+    assert a1 != a2
+    assert a1.skeleton() == a2.skeleton()
+    passes = record_passes(monkeypatch)
     assert teds(pred, GT3, structure_only=True) == 1.0
     assert distance(t1, t2, STRUCTURE) == 0.0
-    assert built == []
+    assert passes == []
     assert teds(pred, GT3) < 1.0  # the content-aware distance still runs the DP
-    assert len(built) == 2
+    assert passes == [(0, 0, False)]
 
 
 SHAPE_CORRUPTIONS = [
@@ -624,9 +734,14 @@ SHAPE_CORRUPTIONS = [
 @pytest.mark.parametrize("pred, skeleton_distance", SHAPE_CORRUPTIONS)
 def test_teds_structure_of_shape_corruption_runs_the_dp(monkeypatch, pred, skeleton_distance):
     t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
-    built = count_annotations(monkeypatch)
+    passes = record_passes(monkeypatch)
     assert distance(t1, t2, STRUCTURE) == skeleton_distance
-    assert len(built) == 2
+    assert len(passes) == 1 and passes[0][2]
+    passes.clear()
+    assert teds(pred, GT3, structure_only=True) == 1.0 - skeleton_distance / max(
+        t1.size(), t2.size()
+    )
+    assert len(passes) == 1 and passes[0][2]
     assert zhang_shasha_reference(t1, t2, STRUCTURE) == skeleton_distance
     assert teds(pred, GT3, structure_only=True) == 1.0 - skeleton_distance / max(
         t1.size(), t2.size()
@@ -644,11 +759,16 @@ def test_same_skeleton_edge_cases():
     header = DocTree("table", children=[row("td[1,1]", "th[1,1]"), row("td[1,1]")])
     recontent = DocTree("table", children=[row("td[1,1]", "td[1,1]"), row("td[1,1]")])
     recontent.children[1].children[0].content = "x"
-    skeleton = metrics._skeleton
     assert skeleton(base) == skeleton(recontent)
     assert skeleton(base) != skeleton(moved)
     assert skeleton(base) != skeleton(header)
     assert recontent.children[1].children[0].content == "x"  # the copy leaves its tree alone
+    # the annotations' skeletons compare alike, and leave theirs alone
+    base_a, moved_a, header_a, recontent_a = map(metrics._annotate, (base, moved, header, recontent))
+    assert base_a.skeleton() == recontent_a.skeleton()
+    assert base_a.skeleton() != moved_a.skeleton()
+    assert base_a.skeleton() != header_a.skeleton()
+    assert recontent_a.contents[3] == "x"
     assert distance(base, moved, STRUCTURE) == 2.0
     assert distance(base, header, STRUCTURE) == 1.0
     assert distance(base, recontent, STRUCTURE) == 0.0
@@ -674,17 +794,23 @@ def test_structure_distance_matches_the_dp(seed):
 
 def test_evaluate_pair_pins_teds_structure_without_the_dp(monkeypatch):
     """The tag-count bound settles GT3's shape corruptions, so only the
-    content-aware distance builds the two annotated trees; it leaves the
-    3x1 table against the 1x4 one open, so that pair also runs the
-    structure-only dynamic program."""
+    content-aware distance runs the dynamic program; it leaves the 3x1 table
+    against the 1x4 one open, so that pair also runs the structure-only
+    dynamic program, on the skeletons."""
     three_rows = "<table><tr><td>1</td></tr><tr><td>2</td></tr><tr><td>3</td></tr></table>"
     one_row = "<table><tr><td>1</td><td>2</td><td>3</td><td>4</td></tr></table>"
-    pairs = [(pred, GT3, 2) for pred, _ in SHAPE_CORRUPTIONS] + [(three_rows, one_row, 4)]
-    built = count_annotations(monkeypatch)
-    for pred, gt, builds in pairs:
-        built.clear()
+    ladder = [(1, 0), (2, 1), (3, 2)]
+    pairs = [
+        (SHAPE_CORRUPTIONS[0][0], GT3, [(0, 1, False)]),
+        (SHAPE_CORRUPTIONS[1][0], GT3, [(0, 3, False)]),
+        (SHAPE_CORRUPTIONS[2][0], GT3, [(3, 0, False)]),
+        (three_rows, one_row, [(*band, False) for band in ladder] + [(*band, True) for band in ladder]),
+    ]
+    passes = record_passes(monkeypatch)
+    for pred, gt, want in pairs:
+        passes.clear()
         values = evaluate_pair(pred, gt, "table")
-        assert len(built) == builds
+        assert passes == want
         assert values == {
             "teds": teds(pred, gt),
             "teds_structure": teds(pred, gt, structure_only=True),
@@ -752,10 +878,11 @@ def test_band_of_every_width_is_exact_within_it(t1, t2):
     second pass of tree_edit_distance would hide a band that is too narrow;
     this reads each width alone."""
     for model in (CONTENT, STRUCTURE):
-        a, b = (t1, t2) if model == CONTENT else (metrics._skeleton(t1), metrics._skeleton(t2))
-        A, B = metrics._Annotated(a), metrics._Annotated(b)
+        A, B = metrics._annotate(t1), metrics._annotate(t2)
+        if model == STRUCTURE:
+            A, B = A.skeleton(), B.skeleton()
         want = zhang_shasha_reference(t1, t2, model)
-        for k in range(1, len(A.nodes) + len(B.nodes) + 1):
+        for k in range(1, len(A.tags) + len(B.tags) + 1):
             dist = metrics._zhang_shasha(A, B, k)
             assert dist >= want
             if min(dist, want) <= k:
@@ -780,12 +907,13 @@ def test_one_sided_band_of_every_shape_is_exact_within_it(t1, t2):
     delta) // 2`` insertions. Past ``n1`` below or ``n2`` above, that side
     of the band is whole."""
     for model in (CONTENT, STRUCTURE):
-        a, b = (t1, t2) if model == CONTENT else (metrics._skeleton(t1), metrics._skeleton(t2))
-        A, B = metrics._Annotated(a), metrics._Annotated(b)
-        delta = len(A.nodes) - len(B.nodes)
+        A, B = metrics._annotate(t1), metrics._annotate(t2)
+        if model == STRUCTURE:
+            A, B = A.skeleton(), B.skeleton()
+        delta = len(A.tags) - len(B.tags)
         want = zhang_shasha_reference(t1, t2, model)
-        for below in range(len(A.nodes) + 1):
-            for above in range(len(B.nodes) + 1):
+        for below in range(len(A.tags) + 1):
+            for above in range(len(B.tags) + 1):
                 dist = metrics._zhang_shasha(A, B, below, above)
                 assert dist >= want
                 edits = math.floor(min(dist, want))
@@ -805,9 +933,9 @@ def test_any_lower_bound_gives_the_distance(t1, t2):
     the tag-count bound gives the reference's distance bit for bit. (A 4x4
     table against its first two rows at bound 0 once raised
     ``OverflowError``: the band missed the last cell.)"""
-    bound = metrics._structure_bound(metrics._tags(t1), metrics._tags(t2))
+    bound = metrics._structure_bound(metrics._annotate(t1).tags, metrics._annotate(t2).tags)
     for model in (CONTENT, STRUCTURE):
-        a, b = (t1, t2) if model == CONTENT else (metrics._skeleton(t1), metrics._skeleton(t2))
+        a, b = (t1, t2) if model == CONTENT else (skeleton(t1), skeleton(t2))
         want = zhang_shasha_reference(t1, t2, model).hex()
         for lower in range(bound + 1):
             assert tree_edit_distance(a, b, bound=lower).hex() == want
@@ -829,7 +957,8 @@ def test_structure_bound_pins_the_structure_distance(t1, t2, kind, seed):
     ``eval`` takes from the bound equal those of both dynamic programs."""
     if kind is not None:
         t2 = corrupted(t1, kind, random.Random(seed))
-    tags1, tags2 = metrics._tags(t1), metrics._tags(t2)
+    A, B = metrics._annotate(t1), metrics._annotate(t2)
+    tags1, tags2 = A.tags, B.tags
     bound = metrics._structure_bound(tags1, tags2)
     structure = zhang_shasha_reference(t1, t2, STRUCTURE)
     assert bound <= structure
@@ -842,7 +971,7 @@ def test_structure_bound_pins_the_structure_distance(t1, t2, kind, seed):
         metrics._similarity(zhang_shasha_reference(t1, t2, model), n_nodes).hex()
         for model in (CONTENT, STRUCTURE)
     ]
-    assert [score.hex() for score in metrics._table_scores(t1, t2)] == expected
+    assert [score.hex() for score in metrics._table_scores(A, B)] == expected
 
 
 EVAL_SHARDS = Path(__file__).parent / "fixtures" / "eval" / "shards.json"
@@ -894,8 +1023,9 @@ def test_teds_leaves_no_cyclic_trees():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         teds(pred, GT)
+        tree_edit_distance(grid_to_tree(parse_grid(pred)), grid_to_tree(parse_grid(GT)))
         gc.collect()
-        trees = [obj for obj in gc.garbage if isinstance(obj, DocTree)]
+        trees = [obj for obj in gc.garbage if isinstance(obj, (DocTree, metrics._Annotated))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
