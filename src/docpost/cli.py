@@ -358,10 +358,8 @@ def cmd_reward(args) -> int:
         report = rewards.rule_checks(html, expected, cfg)
         row = {"rule": report.to_dict(), "model_score": None, "reward": report.score}
         if scorer is not None:
-            try:
-                rendered = rewards.render_candidate(html)
-            except table_grid.TableError:
-                rendered = ""
+            # the canonical re-serialization of the grid rule_checks parsed
+            rendered = "" if report.grid is None else table_grid.serialize_grid(report.grid)
             model_score = scorer(
                 {
                     "original_descriptor": gt_html,

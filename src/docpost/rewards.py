@@ -14,7 +14,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import Config
@@ -48,6 +48,8 @@ class RuleReport:
     placeholder_ok: bool
     non_empty: bool
     score: float
+    # the parsed candidate, None when it does not parse
+    grid: TableGrid | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -72,17 +74,18 @@ def rule_checks(
     non_empty: at least one cell has non-whitespace content.
 
     The score sums ``cfg.rule_weights`` over the passing checks, in the
-    order above, capped at 1.0: the weights may sum to 1 + 1e-9.
+    order above, capped at 1.0: the weights may sum to 1 + 1e-9. The
+    report keeps the parsed grid, so a caller that also renders the
+    candidate parses it once.
     """
     w_formed, w_rectangular, w_placeholder, w_non_empty = (cfg or Config()).rule_weights
-    well_formed = rectangular = non_empty = False
     try:
         grid = parse_grid(candidate_html)
-        well_formed = True
-        rectangular = not grid.warnings
-        non_empty = any(normalize_text(c.content) for c in grid.cells)
     except TableError:
-        pass
+        grid = None
+    well_formed = grid is not None
+    rectangular = well_formed and not grid.warnings
+    non_empty = well_formed and any(normalize_text(c.content) for c in grid.cells)
     placeholder_ok = len(_IMG_RE.findall(candidate_html)) == expected_placeholders
     score = min(
         w_formed * well_formed
@@ -91,7 +94,7 @@ def rule_checks(
         + w_non_empty * non_empty,
         1.0,
     )
-    return RuleReport(well_formed, rectangular, placeholder_ok, non_empty, score)
+    return RuleReport(well_formed, rectangular, placeholder_ok, non_empty, score, grid)
 
 
 # -- composite reward ------------------------------------------------------------
@@ -181,7 +184,8 @@ def _swap_cells(grid: TableGrid, rng: random.Random) -> TableGrid:
     ci, cj = cells[i], cells[j]
     cells[i] = ci._replace(content=cj.content)
     cells[j] = cj._replace(content=ci.content)
-    return grid_from_cells(grid.n_rows, grid.n_cols, cells)
+    # no cell moves: the grid's layout holds as it is
+    return TableGrid(grid.n_rows, grid.n_cols, tuple(cells), grid.occupancy)
 
 
 def _drop_row(grid: TableGrid, rng: random.Random) -> TableGrid:
@@ -284,7 +288,7 @@ def _corrupt_text(grid: TableGrid, rng: random.Random) -> TableGrid:
     mutated = cell.content[:pos] + "~" + cell.content[pos:]
     cells = list(grid.cells)
     cells[i] = cell._replace(content=mutated)
-    return grid_from_cells(grid.n_rows, grid.n_cols, cells)
+    return TableGrid(grid.n_rows, grid.n_cols, tuple(cells), grid.occupancy)
 
 
 _PERTURBATIONS = {

@@ -70,13 +70,17 @@ class TableGrid:
         """Per-position contents of one grid row (spanned cells repeat)."""
         return [self.cell_at(row, c).content for c in range(self.n_cols)]
 
-
-_WHITESPACE_RE = re.compile(r"\s+")
+    # Not a field, so equality, hash and repr ignore it. The grid is frozen,
+    # so its serialization cannot go stale.
+    @functools.cached_property
+    def _html(self) -> str:
+        return _serialize(self)
 
 
 def normalize_text(s: str) -> str:
-    """Comparison normalization: trim, collapse whitespace, case-fold."""
-    return _WHITESPACE_RE.sub(" ", s.strip()).casefold()
+    """Comparison normalization: trim, collapse whitespace (the characters
+    for which ``str.isspace`` is true), case-fold."""
+    return " ".join(s.split()).casefold()
 
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?%?")
@@ -498,7 +502,13 @@ def _stack(top: TableGrid, bottom: TableGrid) -> TableGrid:
 
 
 def serialize_grid(grid: TableGrid) -> str:
-    """Canonical byte-deterministic HTML: cells at anchors, spans only when > 1."""
+    """Canonical byte-deterministic HTML: cells at anchors, spans only when > 1.
+
+    Computed once per grid object and kept on it."""
+    return grid._html
+
+
+def _serialize(grid: TableGrid) -> str:
     if not grid.n_rows:
         return "<table></table>"
     parts = ["<table><tr>"]

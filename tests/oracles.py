@@ -22,6 +22,9 @@ The annotated tables that TEDS reads are checked against
 recursive walk that collects each node's descendants
 (:func:`annotation_reference`), where the library fills the postorder lists
 in one pass over the grid's cells.
+Text normalization is checked against a regex that collapses ``\\s`` runs
+(:func:`normalize_text_reference`), where the library splits on
+``str.isspace`` and joins.
 Two grid helpers that only tests use live here too: :func:`slice_rows` and
 :func:`grid_to_rows`.
 """
@@ -29,6 +32,7 @@ Two grid helpers that only tests use live here too: :func:`slice_rows` and
 from __future__ import annotations
 
 import random
+import re
 from html.parser import HTMLParser
 
 from docpost.errors import FormatError
@@ -57,10 +61,17 @@ from docpost.table_grid import (
     NoTableFound,
     SpanConflict,
     TableGrid,
-    normalize_text,
     serialize_grid,
 )
 from docpost.table_merge import MergePlan, Pattern, PlanMismatch
+
+
+_WHITESPACE_RE = re.compile(r"\s+")
+
+
+def normalize_text_reference(s: str) -> str:
+    """Trim, collapse each run of whitespace (regex ``\\s``) to one space, case-fold."""
+    return _WHITESPACE_RE.sub(" ", s.strip()).casefold()
 
 
 def swap_candidates_reference(grid: TableGrid) -> list[tuple[int, int]]:
@@ -70,7 +81,8 @@ def swap_candidates_reference(grid: TableGrid) -> list[tuple[int, int]]:
         (i, j)
         for i in range(len(grid.cells))
         for j in range(i + 1, len(grid.cells))
-        if normalize_text(grid.cells[i].content) != normalize_text(grid.cells[j].content)
+        if normalize_text_reference(grid.cells[i].content)
+        != normalize_text_reference(grid.cells[j].content)
     ]
 
 
@@ -171,7 +183,7 @@ def grid_to_tree(grid: TableGrid) -> DocTree:
     for cell in grid.cells:  # in anchor order
         tag = "th" if cell.is_header else "td"
         rows[cell.anchor_row].children.append(
-            DocTree(f"{tag}[{cell.rowspan},{cell.colspan}]", normalize_text(cell.content))
+            DocTree(f"{tag}[{cell.rowspan},{cell.colspan}]", normalize_text_reference(cell.content))
         )
     return DocTree("table", children=rows)
 

@@ -967,6 +967,59 @@ def test_cli_pairs_parses_each_table_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == sorted(tables)
 
 
+def test_cli_pairs_serializes_each_ground_truth_once(tmp_path, capsys, monkeypatch):
+    ground_truths, serialized = [], []
+
+    def recording_parse_grid(html):
+        ground_truths.append(parse_grid(html))
+        return ground_truths[-1]
+
+    def counting_serialize(grid):
+        serialized.append(grid)
+        return serialize(grid)
+
+    serialize = table_grid._serialize
+    monkeypatch.setattr(table_grid, "parse_grid", recording_parse_grid)
+    monkeypatch.setattr(table_grid, "_serialize", counting_serialize)
+    out_path = tmp_path / "pairs.jsonl"
+    assert main(["pairs", str(PAIRS_FIXTURE), "--seeds", "3", "--out", str(out_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    attempts = summary["written"] + summary["skipped"]
+    assert len(ground_truths) == 2 and attempts == 2 * 3 * len(rewards.PerturbationKind)
+    # each positive once, and one negative per attempt
+    assert [sum(g is gt for g in serialized) for gt in ground_truths] == [1, 1]
+    assert len(serialized) == 2 + attempts
+    assert _records_by_table(out_path) == _records_by_table(PAIRS_FIXTURE / "expected.jsonl")
+
+
+def test_cli_reward_parses_each_candidate_once_with_a_scorer(tmp_path, capsys, monkeypatch):
+    parsed, payloads = [], []
+
+    def counting_parse_grid(html):
+        parsed.append(html)
+        return parse_grid(html)
+
+    def stub_scorer(payload):
+        payloads.append(payload)
+        return 0.5
+
+    monkeypatch.setattr(table_grid, "parse_grid", counting_parse_grid)
+    monkeypatch.setattr(rewards, "parse_grid", counting_parse_grid)
+    monkeypatch.setattr(Config, "reward_scorer", lambda self: stub_scorer)
+    messy = "<TABLE><tr><td>a<td rowspan=2>b<tr><td>c</table>"
+    candidates = [FRAG_A, messy, "no table here", WIDE_ROW_TABLE]
+    assert main(["reward", *_reward_files(tmp_path, candidates)]) == 0
+    rows = json.loads(capsys.readouterr().out)["candidates"]
+    assert parsed == candidates
+    assert [row["model_score"] for row in rows] == [0.5] * 4
+    assert [p["rendered_canonical"] for p in payloads] == [
+        table_grid.serialize_grid(parse_grid(FRAG_A)),
+        table_grid.serialize_grid(parse_grid(messy)),
+        "",
+        "",
+    ]
+
+
 def test_cli_pairs_seeds_zero_skips_unparseable(tmp_path, capsys):
     gt_path = tmp_path / "gt.html"
     gt_path.write_text("no table here")

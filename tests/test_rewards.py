@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import statistics
 import tracemalloc
@@ -28,7 +29,7 @@ from docpost.rewards import (
     _PERTURBATIONS,
     _swap_cells,
 )
-from docpost.table_grid import TableError, parse_grid, serialize_grid
+from docpost.table_grid import TableError, TableGrid, grid_from_cells, parse_grid, serialize_grid
 
 
 VALID = "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>"
@@ -343,6 +344,35 @@ def test_swap_cells_picks_reference_pair(seed, n_rows, n_cols):
     expected[i], expected[j] = expected[j], expected[i]
     assert [c.content for c in swapped.cells] == expected
     assert swapped.occupancy == grid.occupancy
+    _assert_laid_out(swapped)
+
+
+def _assert_laid_out(negative: TableGrid):
+    """A negative built without a layout is, field for field, the grid a
+    layout of its cells gives, warnings included."""
+    laid_out = grid_from_cells(negative.n_rows, negative.n_cols, negative.cells)
+    for f in dataclasses.fields(TableGrid):
+        assert getattr(negative, f.name) == getattr(laid_out, f.name), f.name
+    assert negative.warnings == ()
+
+
+_CONTENT_ONLY = (PerturbationKind.SWAP_CELLS, PerturbationKind.CORRUPT_TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(html=_ragged_spanned_table(), seed=st.integers(0, 2**31))
+def test_content_only_negatives_match_their_layout(html, seed):
+    rng = random.Random(seed)
+    grids = [random_grid(rng, rng.randint(1, 8), rng.randint(1, 6), content=_dup_content)]
+    try:
+        grids.append(parse_grid(html))  # with its padding and clipping warnings
+    except TableError:
+        pass
+    for grid in grids:
+        for kind in _CONTENT_ONLY:
+            negative = _outcome(_PERTURBATIONS[kind], grid, random.Random(seed))
+            if not isinstance(negative, str):  # an applicable perturbation
+                _assert_laid_out(negative)
 
 
 def test_swap_cells_memory_is_linear_in_cells():

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     grid_from_cells_reference,
     grid_to_rows,
     normalize_grid_reference,
+    normalize_text_reference,
     table_rows_reference,
 )
 from docpost import table_grid
@@ -24,6 +26,7 @@ from docpost.table_grid import (
     NoTableFound,
     SpanConflict,
     TableError,
+    TableGrid,
     detect_header_rows,
     grid_from_cells,
     looks_numeric,
@@ -244,6 +247,20 @@ def test_round_trip_random_grids(seed, n_rows, n_cols, header_rows):
         random.Random(seed), n_rows, n_cols, header_rows=min(header_rows, n_rows)
     )
     assert parse_grid(serialize_grid(grid)) == grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 6), n_cols=st.integers(1, 6))
+def test_serialization_memo_changes_no_value(seed, n_rows, n_cols):
+    grid = random_grid(random.Random(seed), n_rows, n_cols, header_rows=min(1, n_rows))
+    twin = TableGrid(grid.n_rows, grid.n_cols, grid.cells, grid.occupancy, grid.warnings)
+    before = (repr(grid), hash(grid))
+    html = serialize_grid(grid)
+    assert html == table_grid._serialize(twin)
+    assert serialize_grid(grid) is html  # kept on the grid object
+    # the memo is no field: equality, hash and repr still read only the fields
+    assert (repr(grid), hash(grid)) == before == (repr(twin), hash(twin))
+    assert grid == twin and twin == grid
 
 
 @settings(max_examples=60, deadline=None)
@@ -828,6 +845,26 @@ def test_detect_header_bounded_by_rows(seed, n_rows, n_cols):
 def test_normalize_text():
     assert normalize_text("  Name  ") == "name"
     assert normalize_text("A\t B\nC") == "a b c"
+
+
+def _all_code_points() -> str:
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def test_regex_whitespace_is_isspace():
+    # normalize_text splits on str.isspace; its reference collapses \s runs
+    every = _all_code_points()
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+def test_normalize_text_matches_reference_on_every_code_point():
+    every = _all_code_points()
+    for start in range(0, len(every), 4096):
+        block = every[start : start + 4096]
+        assert list(map(normalize_text, block)) == list(map(normalize_text_reference, block))
+        # each code point alone, twice and once more inside runs of letters
+        run = "".join(f"Ab{c}cD{c}{c}x" for c in block)
+        assert normalize_text(run) == normalize_text_reference(run), hex(start)
 
 
 def test_looks_numeric():
