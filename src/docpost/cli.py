@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import os
 import re
 import stat
@@ -62,57 +61,6 @@ def _parse_bbox(text: str) -> tuple[int, int, int, int]:
     except ValueError:
         raise FormatError(f"bbox must be four integers x1,y1,x2,y2, got {text!r}") from None
     return x1, y1, x2, y2
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number that fits a finite float; ``true`` and ``false`` are
-    not numbers."""
-    try:
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _parse_detections(data) -> list[idtp.ImageDetection]:
-    if not isinstance(data, list):
-        raise FormatError("detections file must be a JSON array")
-    detections = []
-    for pos, d in enumerate(data):
-        bbox = d.get("bbox") if isinstance(d, dict) else None
-        if not (
-            isinstance(bbox, list)
-            and len(bbox) == 4
-            and all(map(_is_finite_number, bbox))
-            and _is_finite_number(d.get("confidence"))
-        ):
-            raise FormatError(
-                f'detection {pos} is not a {{"bbox": [x1, y1, x2, y2], "confidence": f}} object'
-            )
-        detections.append(idtp.ImageDetection(tuple(bbox), float(d["confidence"])))
-    return detections
-
-
-def _parse_placeholder_map(data) -> idtp.PlaceholderMap:
-    entries = data.get("entries") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise FormatError('placeholder map must be an object with an "entries" array')
-    for pos, e in enumerate(entries):
-        bbox = e.get("bbox") if isinstance(e, dict) else None
-        if not (
-            isinstance(bbox, list)
-            and len(bbox) == 4
-            and all(type(v) is int for v in (e.get("id"), *bbox))
-            and isinstance(e.get("image_ref", ""), str)
-        ):
-            raise FormatError(
-                f'placeholder entry {pos} is not a {{"id": k, "bbox": [x1, y1, x2, y2], '
-                f'"image_ref": s}} object with integer id and bbox'
-            )
-    return idtp.PlaceholderMap.from_dict(data)
 
 
 def _load_table(path: str, table_bbox: tuple[int, int, int, int]) -> idtp.PixelBuffer:
@@ -216,7 +164,7 @@ def cmd_assemble(args) -> int:
                 )
                 return EXIT_IO
             names[key] = path.name
-            detections[key] = _parse_detections(_read_json(str(path)))
+            detections[key] = idtp.parse_detections(_read_json(str(path)))
     result = layout.pipeline_run(
         args.layout, args.fixture, cfg, detections, layout.OutputFormat(args.format), scorer
     )
@@ -257,7 +205,7 @@ def cmd_mask(args) -> int:
     cfg = _load_cfg(args)
     table_bbox = _parse_bbox(args.table_bbox)
     crop = _load_table(args.image, table_bbox)
-    dets = _parse_detections(_read_json(args.detections))
+    dets = idtp.parse_detections(_read_json(args.detections))
     plan, pmap = idtp.plan_masks(table_bbox, dets, cfg)
     _save_ppm(f"{args.out_prefix}.masked.ppm", idtp.apply_masks(crop, plan))
     refs = []
@@ -279,7 +227,7 @@ def cmd_mask(args) -> int:
 def cmd_restore(args) -> int:
     _load_cfg(args)  # a bad config is refused here as in the other commands
     html = Path(args.html).read_text(encoding="utf-8")
-    pmap = _parse_placeholder_map(_read_json(args.map))
+    pmap = idtp.PlaceholderMap.from_dict(_read_json(args.map))
     result = idtp.restore_images(html, pmap, strict_ids=args.strict_ids)
     _write_text(args.out, result.html)
     report = idtp.verify_restoration(result.html, pmap)

@@ -8,6 +8,7 @@ references from the stored id mapping afterwards.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import stat
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import BinaryIO
 
 from .config import Config
-from .errors import DomainError
+from .errors import DomainError, FormatError
 from .table_grid import TableError, TableGrid, parse_grid, serialize_grid
 
 
@@ -81,12 +82,56 @@ class PlaceholderMap:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PlaceholderMap":
-        entries = tuple(
-            PlaceholderEntry(int(e["id"]), tuple(int(v) for v in e["bbox"]), e.get("image_ref", ""))
-            for e in data["entries"]
-        )
-        return cls(entries)
+    def from_dict(cls, data) -> "PlaceholderMap":
+        """The map a parsed JSON value holds; :class:`FormatError` names the
+        first entry that is not of the documented shape."""
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise FormatError('placeholder map must be an object with an "entries" array')
+        parsed = []
+        for pos, e in enumerate(entries):
+            bbox = e.get("bbox") if isinstance(e, dict) else None
+            if not (
+                isinstance(bbox, list)
+                and len(bbox) == 4
+                and all(type(v) is int for v in (e.get("id"), *bbox))
+                and isinstance(e.get("image_ref", ""), str)
+            ):
+                raise FormatError(
+                    f'placeholder entry {pos} is not a {{"id": k, "bbox": [x1, y1, x2, y2], '
+                    f'"image_ref": s}} object with integer id and bbox'
+                )
+            parsed.append(PlaceholderEntry(e["id"], tuple(bbox), e.get("image_ref", "")))
+        return cls(tuple(parsed))
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number that fits a finite float; ``true`` and ``false`` are not numbers."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def parse_detections(data) -> list[ImageDetection]:
+    """The detections a parsed JSON value holds; :class:`FormatError` names
+    the first one that is not of the documented shape."""
+    if not isinstance(data, list):
+        raise FormatError("detections file must be a JSON array")
+    detections = []
+    for pos, d in enumerate(data):
+        bbox = d.get("bbox") if isinstance(d, dict) else None
+        if not (
+            isinstance(bbox, list)
+            and len(bbox) == 4
+            and all(map(_is_finite_number, bbox))
+            and _is_finite_number(d.get("confidence"))
+        ):
+            raise FormatError(
+                f'detection {pos} is not a {{"bbox": [x1, y1, x2, y2], "confidence": f}} object'
+            )
+        detections.append(ImageDetection(tuple(bbox), float(d["confidence"])))
+    return detections
 
 
 @dataclass(frozen=True)
@@ -314,41 +359,27 @@ def write_ppm(buffer: PixelBuffer) -> bytes:
 
 
 _IMG_TAG_RE = re.compile(r"<img\b[^>]*/?>", re.IGNORECASE)
-_SRC_ATTR_RE = re.compile(r"""(\bsrc\s*=\s*)("([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE)
-
-
-def _tag_src(tag: str) -> str | None:
-    m = _SRC_ATTR_RE.search(tag)
-    if not m:
-        return None
-    return m.group(3) if m.group(3) is not None else (m.group(4) if m.group(4) is not None else m.group(5))
-
-
-def _set_tag_src(tag: str, ref: str) -> str:
-    if _SRC_ATTR_RE.search(tag):
-        return _SRC_ATTR_RE.sub(lambda m: f'{m.group(1)}"{ref}"', tag, count=1)
-    closer = "/>" if tag.rstrip().endswith("/>") else ">"
-    body = tag[: -len(closer)].rstrip("/ ").rstrip()
-    return f'{body} src="{ref}"{closer}'
-
+_SRC_ATTR_RE = re.compile(r"""(\bsrc\s*=\s*)(?:"([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE)
 
 # The src prefix of an <img> tag that still waits for its image reference.
 PLACEHOLDER_SCHEME = "placeholder://"
 
 
-def _needs_restore(tag: str) -> bool:
-    src = _tag_src(tag)
-    return src is None or src == "" or src.startswith(PLACEHOLDER_SCHEME)
+def _img_tags(text: str):
+    """Yield each ``<img>`` tag of ``text`` as its match, the match of its
+    first ``src`` attribute (``None`` without one) and that attribute's value
+    (``None`` when missing or empty). A tag runs to the first ``>`` after its
+    ``<img``, so none starts after the last ``>``: the scan stops there, and
+    a run of ``<img`` with no ``>`` after it costs one pass, not one per
+    ``<img``."""
+    for tag in _IMG_TAG_RE.finditer(text, 0, text.rfind(">") + 1):
+        src = _SRC_ATTR_RE.search(text, tag.start(), tag.end())
+        yield tag, src, src and (src[2] or src[3] or src[4])
 
 
-def _placeholder_id(tag: str) -> int | None:
-    src = _tag_src(tag)
-    if src and src.startswith(PLACEHOLDER_SCHEME):
-        try:
-            return int(src[len(PLACEHOLDER_SCHEME) :])
-        except ValueError:
-            return None
-    return None
+def _waits(src: str | None) -> bool:
+    """Whether a tag with this src still waits for its image reference."""
+    return not src or src.startswith(PLACEHOLDER_SCHEME)
 
 
 @dataclass(frozen=True)
@@ -379,44 +410,41 @@ def restore_images(html: str, pmap: PlaceholderMap, strict_ids: bool = False) ->
     proceeds for the pairs that exist.
     """
     grid = parse_grid(html)
-    by_id = {e.id: e for e in pmap.entries}
     used: set[int] = set()
-    counter = {"found": 0, "rewrites": 0}
-
-    def rewrite(match: re.Match) -> str:
-        tag = match.group(0)
-        if not _needs_restore(tag):
-            return tag
-        counter["found"] += 1
-        if strict_ids:
-            pid = _placeholder_id(tag)
-            if pid is None or pid not in by_id:
-                return tag
-            entry = by_id[pid]
-        else:
-            pid = counter["found"] - 1
-            if pid not in by_id:
-                return tag
-            entry = by_id[pid]
-        used.add(entry.id)
-        counter["rewrites"] += 1
-        return _set_tag_src(tag, entry.image_ref)
-
+    found = rewrites = 0
+    cells = list(grid.cells)
     # the cells are in anchor order, which is document order, so the
-    # positional counter meets the tags as the recognizer wrote them
-    restored = replace(
-        grid,
-        cells=tuple(c._replace(content=_IMG_TAG_RE.sub(rewrite, c.content)) for c in grid.cells),
-    )
+    # positional count meets the tags as the recognizer wrote them
+    for k, cell in enumerate(cells):
+        text, pieces, done = cell.content, [], 0
+        for tag, src, value in _img_tags(text):
+            if not _waits(value):
+                continue
+            found += 1
+            pid = found - 1
+            if strict_ids:
+                try:
+                    pid = int(value[len(PLACEHOLDER_SCHEME) :]) if value else -1
+                except ValueError:
+                    continue
+            if not 0 <= pid < len(pmap):
+                continue
+            ref = pmap.entries[pid].image_ref
+            used.add(pid)
+            rewrites += 1
+            if src:
+                pieces += text[done : src.start()], f'{src[1]}"{ref}"'
+                done = src.end()
+            else:
+                closer = "/>" if text.endswith("/>", 0, tag.end()) else ">"
+                body = text[done : tag.end() - len(closer)].rstrip("/ ").rstrip()
+                pieces += body, f' src="{ref}"{closer}'
+                done = tag.end()
+        if pieces:
+            cells[k] = cell._replace(content="".join(pieces) + text[done:])
+    restored = replace(grid, cells=tuple(cells))
     unused = tuple(e.id for e in pmap.entries if e.id not in used)
-    return RestoreResult(
-        serialize_grid(restored),
-        counter["found"],
-        len(pmap),
-        counter["rewrites"],
-        unused,
-        restored,
-    )
+    return RestoreResult(serialize_grid(restored), found, len(pmap), rewrites, unused, restored)
 
 
 @dataclass(frozen=True)
@@ -440,15 +468,12 @@ class VerificationReport:
 def verify_restoration(html: str, pmap: PlaceholderMap) -> VerificationReport:
     """Empty report iff the tag/entry correspondence is a bijection."""
     try:
-        grid = parse_grid(html)
-        tags = []
-        for cell in grid.cells:
-            tags.extend(_IMG_TAG_RE.findall(cell.content))
+        texts = [cell.content for cell in parse_grid(html).cells]
     except TableError:
-        tags = _IMG_TAG_RE.findall(html)
-    residual = tuple(i for i, tag in enumerate(tags) if _needs_restore(tag))
-    srcs = [_tag_src(t) for t in tags]
-    concrete = [s for s in srcs if s and not s.startswith(PLACEHOLDER_SCHEME)]
+        texts = [html]
+    srcs = [value for text in texts for _, _, value in _img_tags(text)]
+    residual = tuple(i for i, s in enumerate(srcs) if _waits(s))
+    concrete = [s for s in srcs if not _waits(s)]
     unused = tuple(e.id for e in pmap.entries if e.image_ref not in concrete)
     seen: set[str] = set()
     dupes = []

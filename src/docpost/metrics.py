@@ -164,12 +164,11 @@ class DocTree:
 
 
 def _rename_costs(
-    A: _Annotated, B: _Annotated, below: int | None = None, above: int | None = None
+    A: _Annotated, B: _Annotated, below: int, above: int | None = None
 ) -> list[list[float]]:
     """Row ``i`` holds the rename costs of node ``i`` of ``A`` into each
     node ``j`` of ``B`` from ``max(0, i - below)`` to ``i + above``, the
-    columns :func:`_zhang_shasha` reads; ``above`` defaults to ``below``,
-    and without ``below``, every ``j``.
+    columns :func:`_zhang_shasha` reads; ``above`` defaults to ``below``.
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
     of the contents, 0 when they are equal and 1 against an empty one, all
@@ -179,9 +178,7 @@ def _rename_costs(
     (:func:`_myers`) at most once per block that its rows need; a cost reads
     one field of the scan. Equal costs share one float.
     """
-    if below is None:
-        below = above = max(len(A.tags), len(B.tags))
-    elif above is None:
+    if above is None:
         above = below
     # a scan costs more the wider its block, and a narrow band reads few of
     # its fields: about 24 bits per band column, at least 256, ran fastest
@@ -352,8 +349,17 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int | None = 
     Only the band is stored: row ``ai`` of ``treedist`` and of the rename
     costs holds the columns from ``max(0, ai - below)`` to ``ai + above``,
     and each row of an ``fd`` table its band and one ``inf`` above it. Row 0
-    and column 0 of an ``fd`` table stay readable everywhere, as in the full
-    table; any other cell outside the band reads ``inf``.
+    of an ``fd`` table stays readable everywhere, as in the full table, and
+    column 0 next to the band's first column; any other cell outside the
+    band reads ``inf``, ``fd[p][0] = p`` too. No derivation in the band
+    reads that one: with ``c = li - lj``, it lies outside the band only when
+    ``p + c > below``, and it pairs A's prefix ending at postorder position
+    ``li + p - 1`` with B's ending at ``lj - 1``. A mapping derived through
+    it maps those prefixes only to each other, so it deletes at least
+    ``(li + p) - lj = p + c > below`` nodes (README, "Why the result is
+    exact") and lies outside the band. So no mapping the band holds is lost,
+    and a pass that :func:`_distance` accepts is the full table's value bit
+    for bit.
 
     Each pair of keyroot forests runs the recurrence its shape allows. A
     leaf against a leaf is the rename cost. A leaf against an inner forest is
@@ -492,10 +498,6 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int | None = 
                         td[t + shift] = v
                     elif fo <= q < fe:  # fd[p][q] is stored
                         w = fp[q - fo] + td[t + shift]
-                        if w < v:
-                            v = w
-                    elif q == 0:  # fd[p][0] = p, also outside the band
-                        w = float(p) + td[t + shift]
                         if w < v:
                             v = w
                     row[t] = left = v

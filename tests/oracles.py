@@ -25,6 +25,11 @@ in one pass over the grid's cells.
 Text normalization is checked against a regex that collapses ``\\s`` runs
 (:func:`normalize_text_reference`), where the library splits on
 ``str.isspace`` and joins.
+Placeholder restoration and its verification are checked against
+:func:`restore_reference` and :func:`verify_reference`, which search each
+tag's ``src`` again for every question asked of it and rewrite the cells
+with ``re.sub``, where the library reads each tag once through one
+generator and slices a cell only where it rewrites a tag.
 Two grid helpers that only tests use live here too: :func:`slice_rows` and
 :func:`grid_to_rows`.
 """
@@ -33,13 +38,18 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from html.parser import HTMLParser
 
 from docpost.errors import FormatError
 from docpost.idtp import (
+    PLACEHOLDER_SCHEME,
     ImageDetection,
     ImageInputError,
     PixelBuffer,
+    PlaceholderMap,
+    RestoreResult,
+    VerificationReport,
     apply_masks,
     plan_masks,
     read_ppm,
@@ -60,7 +70,9 @@ from docpost.table_grid import (
     MalformedMarkup,
     NoTableFound,
     SpanConflict,
+    TableError,
     TableGrid,
+    parse_grid,
     serialize_grid,
 )
 from docpost.table_merge import MergePlan, Pattern, PlanMismatch
@@ -301,7 +313,7 @@ def zhang_shasha_reference(t1: DocTree, t2: DocTree, cost_model: str) -> float:
     :func:`rename_costs_reference`."""
     A, B = annotation_reference(t1), annotation_reference(t2)
     if cost_model == CONTENT:
-        rename = _rename_costs(A, B)
+        rename = _rename_costs(A, B, max(len(A.tags), len(B.tags)))  # every column
     else:
         rename = rename_costs_reference(A, B, cost_model)
     lmds_a = A.lmds
@@ -790,3 +802,108 @@ def mask_reference(
     for entry in pmap.entries:
         out[f"_img{entry.id}.ppm"] = write_ppm(crop_reference(page, entry.bbox))
     return out
+
+
+_IMG_TAG_REFERENCE_RE = re.compile(r"<img\b[^>]*/?>", re.IGNORECASE)
+_SRC_ATTR_REFERENCE_RE = re.compile(
+    r"""(\bsrc\s*=\s*)("([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE
+)
+
+
+def _tag_src(tag: str) -> str | None:
+    m = _SRC_ATTR_REFERENCE_RE.search(tag)
+    if not m:
+        return None
+    return m.group(3) if m.group(3) is not None else (m.group(4) if m.group(4) is not None else m.group(5))
+
+
+def _set_tag_src(tag: str, ref: str) -> str:
+    if _SRC_ATTR_REFERENCE_RE.search(tag):
+        return _SRC_ATTR_REFERENCE_RE.sub(lambda m: f'{m.group(1)}"{ref}"', tag, count=1)
+    closer = "/>" if tag.rstrip().endswith("/>") else ">"
+    body = tag[: -len(closer)].rstrip("/ ").rstrip()
+    return f'{body} src="{ref}"{closer}'
+
+
+def _needs_restore(tag: str) -> bool:
+    src = _tag_src(tag)
+    return src is None or src == "" or src.startswith(PLACEHOLDER_SCHEME)
+
+
+def _placeholder_id(tag: str) -> int | None:
+    src = _tag_src(tag)
+    if src and src.startswith(PLACEHOLDER_SCHEME):
+        try:
+            return int(src[len(PLACEHOLDER_SCHEME) :])
+        except ValueError:
+            return None
+    return None
+
+
+def restore_reference(html: str, pmap: PlaceholderMap, strict_ids: bool = False) -> RestoreResult:
+    """:func:`docpost.idtp.restore_images` as one ``re.sub`` per cell whose
+    callback asks each tag's ``src`` again for every decision. Quadratic on
+    a run of ``<img`` with no ``>`` after it; keep its inputs small."""
+    grid = parse_grid(html)
+    by_id = {e.id: e for e in pmap.entries}
+    used: set[int] = set()
+    counter = {"found": 0, "rewrites": 0}
+
+    def rewrite(match: re.Match) -> str:
+        tag = match.group(0)
+        if not _needs_restore(tag):
+            return tag
+        counter["found"] += 1
+        if strict_ids:
+            pid = _placeholder_id(tag)
+            if pid is None or pid not in by_id:
+                return tag
+            entry = by_id[pid]
+        else:
+            pid = counter["found"] - 1
+            if pid not in by_id:
+                return tag
+            entry = by_id[pid]
+        used.add(entry.id)
+        counter["rewrites"] += 1
+        return _set_tag_src(tag, entry.image_ref)
+
+    restored = replace(
+        grid,
+        cells=tuple(
+            c._replace(content=_IMG_TAG_REFERENCE_RE.sub(rewrite, c.content)) for c in grid.cells
+        ),
+    )
+    unused = tuple(e.id for e in pmap.entries if e.id not in used)
+    return RestoreResult(
+        serialize_grid(restored),
+        counter["found"],
+        len(pmap),
+        counter["rewrites"],
+        unused,
+        restored,
+    )
+
+
+def verify_reference(html: str, pmap: PlaceholderMap) -> VerificationReport:
+    """:func:`docpost.idtp.verify_restoration` with ``findall`` over each
+    cell, or over the whole input when it holds no table, and a fresh
+    ``src`` search per tag for each question."""
+    try:
+        grid = parse_grid(html)
+        tags = []
+        for cell in grid.cells:
+            tags.extend(_IMG_TAG_REFERENCE_RE.findall(cell.content))
+    except TableError:
+        tags = _IMG_TAG_REFERENCE_RE.findall(html)
+    residual = tuple(i for i, tag in enumerate(tags) if _needs_restore(tag))
+    srcs = [_tag_src(t) for t in tags]
+    concrete = [s for s in srcs if s and not s.startswith(PLACEHOLDER_SCHEME)]
+    unused = tuple(e.id for e in pmap.entries if e.image_ref not in concrete)
+    seen: set[str] = set()
+    dupes = []
+    for s in concrete:
+        if s in seen and s not in dupes:
+            dupes.append(s)
+        seen.add(s)
+    return VerificationReport(residual, unused, tuple(dupes))

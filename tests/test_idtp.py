@@ -8,7 +8,7 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DERANDOMIZE
@@ -27,6 +27,7 @@ from docpost.idtp import (
     PlaceholderMap,
     apply_masks,
     crop_buffer,
+    parse_detections,
     plan_masks,
     read_ppm,
     read_ppm_rows,
@@ -35,7 +36,7 @@ from docpost.idtp import (
     write_ppm,
 )
 from docpost.table_grid import TableError, parse_grid, serialize_grid
-from oracles import mask_reference
+from oracles import mask_reference, restore_reference, verify_reference
 
 
 TABLE = (0, 0, 100, 50)
@@ -677,3 +678,180 @@ def test_verify_unparseable_html_uses_raw_scan():
     assert report.is_empty
     report2 = verify_restoration("nothing here", pmap_of("a.png"))
     assert report2.unused_entries == (0,)
+
+
+# -- restore and verify against the per-tag reference -------------------------------
+
+
+_IMG_PIECES = [
+    "<img>",
+    "<img/>",
+    "<img />",
+    "<IMG alt=chart>",
+    "<imgx>",
+    "<img",  # no ">" of its own: runs to the next ">", or to no tag at all
+    "<img ",
+    "<img\n>",
+    "<img /\t/>",
+    "<img / />",
+    '<img src="">',
+    "<img src=''>",
+    "<img src= >",
+    '<img src="done.png">',
+    "<img src=done.png/>",
+    "<img alt=x SRC = 'b.png' width=3 />",
+    '<img src="a.png',  # an unclosed quote reads as an unquoted value
+    "<img srcset=x.png>",
+    '<img data-src="x.png">',
+]
+_PLACEHOLDER_IDS = ["0", "1", "2", "3", "-1", "01", " 1", "+1", "x", "", "1.0", "9" * 30]
+_TEXT_PIECES = ["", "a", " ", "/", ">", "<", '"', "'", 'src="c.png"', "</td><td>", "<tr>", "&amp;"]
+
+
+@st.composite
+def img_markup(draw):
+    """Markup built from ``<img>`` tags of every src form (quoted, unquoted,
+    empty, missing, ``placeholder://k`` with good, bad and negative ``k``),
+    near misses (``<imgx>``, a bare ``<img`` with no ``>``) and stray text.
+    Returns the markup, wrapped in a table or not, and a map of up to four
+    entries whose refs may repeat."""
+    placeholder = st.builds(
+        lambda k, form: form.format(k),
+        st.sampled_from(_PLACEHOLDER_IDS),
+        st.sampled_from(
+            [
+                '<img src="placeholder://{}">',
+                "<img src='placeholder://{}' />",
+                "<img src=placeholder://{}>",
+                "<IMG alt=x SRC=placeholder://{} width=3>",
+            ]
+        ),
+    )
+    piece = st.one_of(st.sampled_from(_IMG_PIECES), placeholder, st.sampled_from(_TEXT_PIECES))
+    cells = draw(st.lists(st.lists(piece, max_size=6).map("".join), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # a table: cells in one or two rows, with the closing tags optional
+        split = draw(st.integers(0, len(cells)))
+        rows = [cells[:split], cells[split:]]
+        html = "<table>" + "".join(
+            "<tr>" + "".join(f"<td>{c}</td>" for c in row) + "</tr>" for row in rows if row
+        )
+        html += draw(st.sampled_from(["</table>", ""]))
+    else:  # no table: verify reads the raw markup and restore refuses it
+        html = "".join(cells)
+    refs = draw(
+        st.lists(st.sampled_from(["a.png", "b.png", "done.png", "c d.png", ""]), max_size=4)
+    )
+    return html, pmap_of(*refs)
+
+
+@settings(max_examples=400, deadline=None, derandomize=DERANDOMIZE)
+@given(case=img_markup(), strict_ids=st.booleans())
+# a missing src goes in before the closer, with the slashes and whitespace
+# in front of the closer dropped
+@example(
+    case=("<table><tr><td>a<img / /><img\t//>b<img\n>", pmap_of("x.png", "y.png", "z.png")),
+    strict_ids=False,
+)
+def test_restore_and_verify_match_the_per_tag_reference(case, strict_ids):
+    """One reader of each tag's src gives every RestoreResult field, the
+    restored grid (cells, layout and warnings) and each verification report
+    that the per-tag reference gives, with and without ``strict_ids``."""
+    html, pmap = case
+    assert verify_restoration(html, pmap).to_dict() == verify_reference(html, pmap).to_dict()
+    try:
+        want = restore_reference(html, pmap, strict_ids=strict_ids)
+    except TableError as exc:
+        with pytest.raises(type(exc)):
+            restore_images(html, pmap, strict_ids=strict_ids)
+        return
+    got = restore_images(html, pmap, strict_ids=strict_ids)
+    assert got == want  # every field but the grid, which equality skips
+    assert (got.grid, got.grid.warnings) == (want.grid, want.grid.warnings)
+    assert verify_restoration(got.html, pmap).to_dict() == verify_reference(got.html, pmap).to_dict()
+
+
+def test_restore_and_verify_read_an_unterminated_img_run_in_one_pass():
+    """A run of "<img " with no ">" after it holds no tag. Restore and
+    verify stop their scan at the last ">", so 1 MB of it reads in about a
+    second where a scan from each "<img" took minutes. The serializer's
+    "</td>" closes the run's first "<img", so the written HTML holds one
+    residual tag though restore found none."""
+    html = "<table><tr><td>" + "<img " * 200_000
+    result = restore_images(html, pmap_of("a.png"))
+    assert (result.found, result.rewrites, result.unused_entries) == (0, 0, (0,))
+    assert verify_restoration(html, pmap_of("a.png")).residual_tags == ()
+    assert verify_restoration(result.html, pmap_of("a.png")).residual_tags == (0,)
+    raw = verify_restoration("no table " + "<img " * 200_000, pmap_of("a.png"))
+    assert raw.residual_tags == () and raw.unused_entries == (0,)
+
+
+_BAD_ENTRY = (
+    'placeholder entry {} is not a {{"id": k, "bbox": [x1, y1, x2, y2], "image_ref": s}} '
+    "object with integer id and bbox"
+)
+_NOT_A_MAP = 'placeholder map must be an object with an "entries" array'
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({}, _NOT_A_MAP),
+        ([], _NOT_A_MAP),
+        ({"entries": {"id": 0}}, _NOT_A_MAP),
+        ({"entries": [{"id": 0}]}, _BAD_ENTRY.format(0)),
+        ({"entries": [[0, 0, 1, 1]]}, _BAD_ENTRY.format(0)),
+        ({"entries": [{"id": "0", "bbox": [0, 0, 1, 1]}]}, _BAD_ENTRY.format(0)),
+        ({"entries": [{"id": 1.0, "bbox": [0, 0, 1, 1]}]}, _BAD_ENTRY.format(0)),
+        ({"entries": [{"id": True, "bbox": [0, 0, 1, 1]}]}, _BAD_ENTRY.format(0)),
+        (
+            {"entries": [{"id": 0, "bbox": [0, 0, 1, 1]}, {"id": 1, "bbox": [0, 0, 1]}]},
+            _BAD_ENTRY.format(1),
+        ),
+        ({"entries": [{"id": 0, "bbox": [0, 0, 1, 1.0]}]}, _BAD_ENTRY.format(0)),
+        ({"entries": [{"id": 0, "bbox": [0, 0, 1, 1], "image_ref": None}]}, _BAD_ENTRY.format(0)),
+    ],
+)
+def test_placeholder_map_from_dict_refuses_malformed_maps(data, message):
+    with pytest.raises(FormatError) as exc:
+        PlaceholderMap.from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_placeholder_map_from_dict_keeps_the_domain_rule():
+    """A well-formed map whose ids are not 0..n-1 is a domain error."""
+    with pytest.raises(ImageInputError):
+        PlaceholderMap.from_dict({"entries": [{"id": 1, "bbox": [0, 0, 1, 1]}]})
+
+
+_BAD_DETECTION = 'detection {} is not a {{"bbox": [x1, y1, x2, y2], "confidence": f}} object'
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"bbox": [4, 3, 8, 6], "confidence": 0.9}, "detections file must be a JSON array"),
+        ([[4, 3, 8, 6]], _BAD_DETECTION.format(0)),
+        ([{"confidence": 0.9}], _BAD_DETECTION.format(0)),
+        ([{"bbox": [4, 3, 8, 6]}], _BAD_DETECTION.format(0)),
+        ([{"bbox": [4, 3, 8, 6], "confidence": "0.9"}], _BAD_DETECTION.format(0)),
+        ([{"bbox": [4, 3, 8, 6], "confidence": True}], _BAD_DETECTION.format(0)),
+        ([{"bbox": [4, 3, 8, float("inf")], "confidence": 0.9}], _BAD_DETECTION.format(0)),
+        ([{"bbox": [4, 3, 8, 10**400], "confidence": 0.9}], _BAD_DETECTION.format(0)),
+        (
+            [{"bbox": [4, 3, 8, 6], "confidence": 0.9}, {"bbox": [4, 3, 8], "confidence": 0.9}],
+            _BAD_DETECTION.format(1),
+        ),
+    ],
+)
+def test_parse_detections_refuses_malformed_detections(data, message):
+    with pytest.raises(FormatError) as exc:
+        parse_detections(data)
+    assert str(exc.value) == message
+
+
+def test_parse_detections_reads_numbers_as_floats():
+    dets = parse_detections([{"bbox": [4, 3, 8.5, 6], "confidence": 1}])
+    assert dets == [ImageDetection((4, 3, 8.5, 6), 1.0)]
+    with pytest.raises(ImageInputError):  # a degenerate box is a domain error
+        parse_detections([{"bbox": [8, 3, 4, 6], "confidence": 0.9}])

@@ -387,6 +387,13 @@ def in_band(costs, band, above=None):
     return [row[max(0, i - band) : i + above + 1] for i, row in enumerate(costs)]
 
 
+def rename_costs(a, b, band, above=None) -> list[list[float]]:
+    """``_rename_costs`` in a band; ``band=None`` reads every column."""
+    if band is None:
+        band = above = max(len(a.tags), len(b.tags))
+    return metrics._rename_costs(a, b, band, above)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     a=node_lists,
@@ -429,9 +436,9 @@ def test_rename_costs_match_per_pair_reference(a, b, width, band, above):
     with mock.patch.object(metrics, "BLOCK_BITS", width), mock.patch.object(
         metrics, "_myers", recording_myers
     ):
-        assert metrics._rename_costs(a, b, band, above) == want[0]
+        assert rename_costs(a, b, band, above) == want[0]
         assert len(set(scans)) == len(scans)
-        assert metrics._rename_costs(a.skeleton(), b.skeleton(), band, above) == want[1]
+        assert rename_costs(a.skeleton(), b.skeleton(), band, above) == want[1]
 
 
 ABX, ABC, ZZ = ("abx",), ("abc",), ("zz",)  # blocks of one content
@@ -495,12 +502,12 @@ def test_rename_costs_scan_each_content_once_per_block(monkeypatch, band, width,
     monkeypatch.setattr(metrics, "_pack", recording_pack)
     monkeypatch.setattr(metrics, "_myers", recording_myers)
     monkeypatch.setattr(metrics, "BLOCK_BITS", width)
-    assert metrics._rename_costs(a, b, band) == expected[0]
+    assert rename_costs(a, b, band) == expected[0]
     assert sorted(seen) == scans
     # no scan for equal contents, nor for empty ones
     seen.clear()
-    assert metrics._rename_costs(same, same, band) == expected[1]
-    assert metrics._rename_costs(a.skeleton(), b.skeleton(), band) == expected[2]
+    assert rename_costs(same, same, band) == expected[1]
+    assert rename_costs(a.skeleton(), b.skeleton(), band) == expected[2]
     assert seen == []
 
 
