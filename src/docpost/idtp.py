@@ -29,6 +29,8 @@ class ImageInputError(DomainError, ValueError):
 
 
 Rect = tuple[int, int, int, int]
+# the most detections plan_masks takes in a table: its suppression is quadratic
+MAX_DETECTIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,17 @@ def plan_masks(
 ) -> tuple[MaskPlan, PlaceholderMap]:
     """Plan placeholder masks for detections whose center lies in the table.
 
-    Detections below ``min_confidence`` are ignored; overlapping survivors
-    (IoU above ``overlap_tolerance``) are suppressed keeping the more
-    confident one. Ids are assigned in canonical (y1, x1) order, so the
-    result is invariant under permutation of the input. ``image_ref`` fields
-    are left empty for the caller's cropper.
+    Detections below ``min_confidence`` are ignored, and more than
+    :data:`MAX_DETECTIONS` of the rest raise :class:`ImageInputError`;
+    overlapping survivors (IoU above ``overlap_tolerance``) are suppressed
+    keeping the more confident one. Ids are assigned in canonical (y1, x1)
+    order, so the result is invariant under permutation of the input.
+    ``image_ref`` fields are left empty for the caller's cropper.
     """
     cfg = cfg or Config()
     tx1, ty1, tx2, ty2 = table_bbox
     kept: list[tuple[Rect, float]] = []
+    inside = 0
     for det in detections:
         if det.confidence < cfg.min_confidence:
             continue
@@ -186,6 +190,7 @@ def plan_masks(
         cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
         if not (tx1 <= cx < tx2 and ty1 <= cy < ty2):
             continue
+        inside += 1
         clamped = (
             max(int(round(x1)), tx1),
             max(int(round(y1)), ty1),
@@ -195,6 +200,8 @@ def plan_masks(
         if clamped[0] >= clamped[2] or clamped[1] >= clamped[3]:
             continue
         kept.append((clamped, det.confidence))
+    if inside > MAX_DETECTIONS:
+        raise ImageInputError(f"{inside} detections in table {table_bbox}, more than {MAX_DETECTIONS}")
 
     kept.sort(key=lambda kc: (-kc[1], kc[0]))  # confidence ties break on rect
     survivors: list[tuple[Rect, float]] = []
@@ -403,11 +410,11 @@ def restore_images(html: str, pmap: PlaceholderMap, strict_ids: bool = False) ->
     Tags still needing restoration (no src, empty src, or a
     ``placeholder://`` src) are matched positionally in row-major grid order:
     the k-th one gets ``entries[k].image_ref``. With ``strict_ids`` the tags
-    must instead carry ``src="placeholder://<id>"`` and are matched by id.
-    Tags already holding a concrete reference are never touched, so re-running
-    on restored output changes nothing and reports every entry unused. A
-    found/expected count mismatch is reported in the result while restoration
-    proceeds for the pairs that exist.
+    must instead carry ``src="placeholder://<id>"``, ``<id>`` in ASCII digits,
+    and are matched by id. Tags already holding a concrete reference are never
+    touched, so re-running on restored output changes nothing and reports
+    every entry unused. A found/expected count mismatch is reported in the
+    result while restoration proceeds for the pairs that exist.
     """
     grid = parse_grid(html)
     used: set[int] = set()
@@ -423,9 +430,10 @@ def restore_images(html: str, pmap: PlaceholderMap, strict_ids: bool = False) ->
             found += 1
             pid = found - 1
             if strict_ids:
-                try:
-                    pid = int(value[len(PLACEHOLDER_SCHEME) :]) if value else -1
-                except ValueError:
+                digits = value[len(PLACEHOLDER_SCHEME) :] if value else ""
+                try:  # ASCII digits only, as recognition-fixture keys are written
+                    pid = int(digits) if re.fullmatch("[0-9]+", digits) else -1
+                except ValueError:  # past int()'s digit limit
                     continue
             if not 0 <= pid < len(pmap):
                 continue

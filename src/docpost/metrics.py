@@ -163,12 +163,10 @@ class DocTree:
         return 1 + sum(child.size() for child in self.children)
 
 
-def _rename_costs(
-    A: _Annotated, B: _Annotated, below: int, above: int | None = None
-) -> list[list[float]]:
+def _rename_costs(A: _Annotated, B: _Annotated, below: int, above: int) -> list[list[float]]:
     """Row ``i`` holds the rename costs of node ``i`` of ``A`` into each
     node ``j`` of ``B`` from ``max(0, i - below)`` to ``i + above``, the
-    columns :func:`_zhang_shasha` reads; ``above`` defaults to ``below``.
+    columns :func:`_zhang_shasha` reads.
 
     A tag mismatch costs 1; matching tags cost the normalized edit distance
     of the contents, 0 when they are equal and 1 against an empty one, all
@@ -178,8 +176,6 @@ def _rename_costs(
     (:func:`_myers`) at most once per block that its rows need; a cost reads
     one field of the scan. Equal costs share one float.
     """
-    if above is None:
-        above = below
     # a scan costs more the wider its block, and a narrow band reads few of
     # its fields: about 24 bits per band column, at least 256, ran fastest
     cap = min(BLOCK_BITS, max(256, 24 * (below + above + 1)))
@@ -235,6 +231,11 @@ class _Annotated(namedtuple("_Annotated", "tags contents lmds keyroots")):
         """The same tree with every content empty, for TEDS-S."""
         return self._replace(contents=[""] * len(self.tags))
 
+    @classmethod
+    def _of(cls, tags: list[str], contents: list[str], lmds: list[int]) -> _Annotated:
+        highest = {lmd: i for i, lmd in enumerate(lmds)}
+        return cls(tags, contents, lmds, sorted(highest.values()))
+
 
 def _annotate(root: DocTree) -> _Annotated:
     tags, contents, lmds = [], [], []
@@ -250,8 +251,7 @@ def _annotate(root: DocTree) -> _Annotated:
         else:
             stack.append((node, len(tags)))
             stack.extend((child, -1) for child in reversed(node.children))
-    highest = {lmd: i for i, lmd in enumerate(lmds)}
-    return _Annotated(tags, contents, lmds, sorted(highest.values()))
+    return _Annotated._of(tags, contents, lmds)
 
 
 def _annotate_grid(grid: TableGrid) -> _Annotated:
@@ -273,26 +273,24 @@ def _annotate_grid(grid: TableGrid) -> _Annotated:
     tags.append("table")
     contents.append("")
     lmds.append(0)
-    highest = {lmd: i for i, lmd in enumerate(lmds)}
-    return _Annotated(tags, contents, lmds, sorted(highest.values()))
+    return _Annotated._of(tags, contents, lmds)
 
 
-# The band is used while its width below + above + 1 is at most this share
-# of the smaller tree's node count; a wider band fills the whole table. On
-# table_eval pairs and on tables with rotated rows, shares from 0.75 up ran
-# alike and 0.5 ran 5-30% slower: even a wide band skips keyroot tables.
-BAND_SHARE = 1.0
+def tree_edit_distance(t1: DocTree | None, t2: DocTree | None) -> float:
+    """:func:`_distance` of two general trees; ``None`` stands for the empty
+    tree (pure deletions/insertions)."""
+    if t1 is None or t2 is None:
+        return float(sum(len(_annotate(t).tags) for t in (t1, t2) if t is not None))
+    A, B = _annotate(t1), _annotate(t2)
+    return _distance(A, B, _structure_bound(A.tags, B.tags))
 
 
-def tree_edit_distance(
-    t1: DocTree | None, t2: DocTree | None, *, bound: int | None = None
-) -> float:
-    """Zhang-Shasha ordered tree edit distance with unit insert/delete.
+def _distance(A: _Annotated, B: _Annotated, bound: int) -> float:
+    """Zhang-Shasha ordered tree edit distance of two annotated trees, with
+    unit insert/delete.
 
-    ``None`` stands for the empty tree (pure deletions/insertions).
-    ``bound`` is a lower bound on the distance, :func:`_structure_bound` of
-    the two trees' tags when not given; it only picks the first band, so any
-    lower bound gives the same result.
+    ``bound`` is any lower bound on the distance. It only picks the first
+    band, so every lower bound gives the same result.
 
     The dynamic program runs in a one-sided band (:func:`_zhang_shasha`).
     With ``delta = n1 - n2``, a mapping's deletions ``del`` and insertions
@@ -304,27 +302,21 @@ def tree_edit_distance(
     A pass's result ``d`` is never below the distance, so it is exact when
     ``need(d) <= h``. The passes climb from ``h = (bound - |delta|) // 2``
     (at least 0) to ``h + 1``, then to ``need(d)``; a pass whose band holds
-    no derivation (``inf``) widens ``h`` by one. A band wider than
-    :data:`BAND_SHARE` of the smaller tree becomes the whole table.
+    no derivation (``inf``) widens ``h`` by one. A band wider than the
+    smaller tree becomes the whole table.
     """
-    if t1 is None or t2 is None:
-        return float((t1.size() if t1 else 0) + (t2.size() if t2 else 0))
-    return _distance(_annotate(t1), _annotate(t2), bound)
-
-
-def _distance(A: _Annotated, B: _Annotated, bound: int | None = None) -> float:
-    """:func:`tree_edit_distance` of two annotated trees."""
     if A == B:
         return 0.0
     n1, n2 = len(A.tags), len(B.tags)
-    if bound is None:
-        bound = _structure_bound(A.tags, B.tags)
     delta = n1 - n2
     first = h = max(0, (bound - abs(delta)) // 2)
     while True:
         below, above = h + max(delta, 0), h + max(-delta, 0)
-        if below + above + 1 > BAND_SHARE * min(n1, n2):
-            return _zhang_shasha(A, B, n1 + n2)  # every cell
+        # on table_eval pairs and on tables with rotated rows, cut-overs from
+        # 0.75 of this width up ran alike and 0.5 ran 5-30% slower: even a
+        # wide band skips keyroot tables
+        if below + above + 1 > min(n1, n2):
+            return _zhang_shasha(A, B, n1 + n2, n1 + n2)  # every cell
         dist = _zhang_shasha(A, B, below, above)
         if dist == math.inf:
             h += 1
@@ -338,13 +330,13 @@ def _distance(A: _Annotated, B: _Annotated, bound: int | None = None) -> float:
         h = h + 1 if h == first else need
 
 
-def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int | None = None) -> float:
+def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int) -> float:
     """The Zhang-Shasha dynamic program in a band: a cell is filled only
     where the postorder positions ``ai`` and ``bj`` that end its two forests
     satisfy ``-above <= ai - bj <= below``, and a keyroot table only where
-    its two leftmost leaves do; ``above`` defaults to ``below``. Every other
-    cell, and ``treedist`` until set, is ``inf``. With ``below`` and
-    ``above`` at least both node counts, every cell is filled.
+    its two leftmost leaves do. Every other cell, and ``treedist`` until
+    set, is ``inf``. With ``below`` and ``above`` at least both node counts,
+    every cell is filled.
 
     Only the band is stored: row ``ai`` of ``treedist`` and of the rename
     costs holds the columns from ``max(0, ai - below)`` to ``ai + above``,
@@ -370,8 +362,6 @@ def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int | None = 
     does, with no closed form, so a derivation that lies in the band costs
     the same float in both.
     """
-    if above is None:
-        above = below
     n1, m = len(A.tags), len(B.tags)
     rename = _rename_costs(A, B, below, above)
     lmds_a = A.lmds

@@ -313,7 +313,8 @@ def zhang_shasha_reference(t1: DocTree, t2: DocTree, cost_model: str) -> float:
     :func:`rename_costs_reference`."""
     A, B = annotation_reference(t1), annotation_reference(t2)
     if cost_model == CONTENT:
-        rename = _rename_costs(A, B, max(len(A.tags), len(B.tags)))  # every column
+        every = max(len(A.tags), len(B.tags))
+        rename = _rename_costs(A, B, every, every)  # every column
     else:
         rename = rename_costs_reference(A, B, cost_model)
     lmds_a = A.lmds
@@ -833,10 +834,12 @@ def _needs_restore(tag: str) -> bool:
 def _placeholder_id(tag: str) -> int | None:
     src = _tag_src(tag)
     if src and src.startswith(PLACEHOLDER_SCHEME):
-        try:
-            return int(src[len(PLACEHOLDER_SCHEME) :])
-        except ValueError:
-            return None
+        digits = src[len(PLACEHOLDER_SCHEME) :]
+        if re.fullmatch("[0-9]+", digits):  # ASCII digits only
+            try:
+                return int(digits)
+            except ValueError:
+                return None
     return None
 
 

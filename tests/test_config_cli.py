@@ -595,6 +595,28 @@ def test_cli_assemble_malformed_detections_exit2(tmp_path, capsys):
     }
 
 
+def test_cli_assemble_too_many_detections_exit1(tmp_path, capsys):
+    det_dir = tmp_path / "dets"
+    det_dir.mkdir()
+    dets = [{"bbox": [k % 50, 0, k % 50 + 1, 10], "confidence": 0.9} for k in range(1025)]
+    (det_dir / "page0_el0.json").write_text(json.dumps(dets))
+    layout_path = tmp_path / "layout.json"
+    layout_path.write_text(
+        json.dumps([{"bbox": [0, 0, 50, 10], "index": 0, "label": "table", "rotation": 0}])
+    )
+    fixture_path = tmp_path / "rec.json"
+    fixture_path.write_text(json.dumps({"0": {"content": FRAG_A, "kind": "table"}}))
+    out_path = tmp_path / "doc.md"
+    argv = ["assemble", str(layout_path), str(fixture_path), "-o", str(out_path)]
+    assert main([*argv, "--detections-dir", str(det_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_path.exists()
+    assert json.loads(captured.err) == {
+        "error": "ImageInputError",
+        "message": "1025 detections in table (0, 0, 50, 10), more than 1024",
+    }
+
+
 DOC_IMAGES = Path(__file__).parent / "fixtures" / "doc_images"
 
 
@@ -786,8 +808,12 @@ PAGE = write_ppm(PixelBuffer(20, 10, b"\xff" * 600))
             lambda tmp: _restore_argv(tmp, {"entries": [{"id": 1, "bbox": [0, 0, 1, 1]}]}),
             "placeholder ids must be 0..n-1 in order",
         ),
+        (
+            lambda tmp: _mask_argv(tmp, PAGE, [{"bbox": [4, 3, 8, 6], "confidence": 0.9}] * 8000),
+            "8000 detections in table (2, 2, 18, 9), more than 1024",
+        ),
     ],
-    ids=["ppm_header", "degenerate_bbox", "confidence", "sparse_ids"],
+    ids=["ppm_header", "degenerate_bbox", "confidence", "sparse_ids", "detection_cap"],
 )
 def test_cli_image_input_error_exit1(tmp_path, capsys, argv, message):
     assert main(argv(tmp_path)) == 1

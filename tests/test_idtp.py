@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DERANDOMIZE
+from docpost import idtp
 from docpost.cli import main
 from docpost.config import Config
 from docpost.errors import DomainError, FormatError
 from docpost.idtp import (
     _HEADER_MAX,
+    MAX_DETECTIONS,
     DimensionMismatch,
     ImageDetection,
     ImageInputError,
@@ -99,6 +101,27 @@ def test_plan_suppresses_heavy_overlap():
     plan, pmap = plan_masks(TABLE, [a, b], Config(overlap_tolerance=0.5))
     assert len(pmap) == 1
     assert pmap.entries[0].bbox == (10, 10, 30, 30)
+
+
+def test_plan_caps_the_detections_in_the_table(monkeypatch):
+    """MAX_DETECTIONS confident detections centred in the table plan as
+    before, weak ones and those centred outside aside; one more raises
+    before suppression compares any two."""
+    table = (0, 0, 2 * MAX_DETECTIONS, 10)
+    dets = [det(2 * k, 0, 2 * k + 1, 10) for k in range(MAX_DETECTIONS)]
+    dets += [det(0, 0, 1, 10, conf=0.1), det(0, 20, 1, 30)]
+    plan, pmap = plan_masks(table, dets)
+    assert [m.rect for m in plan.masks] == [d.bbox for d in dets[:MAX_DETECTIONS]]
+    assert len(pmap) == MAX_DETECTIONS
+
+    def no_suppression(a, b):
+        raise AssertionError("suppression ran")
+
+    monkeypatch.setattr(idtp, "_iou", no_suppression)
+    with pytest.raises(
+        ImageInputError, match=r"^1025 detections in table \(0, 0, 2048, 10\), more than 1024$"
+    ):
+        plan_masks(table, [*dets, det(0, 0, 1, 10)])
 
 
 # -- apply_masks ----------------------------------------------------------------
@@ -704,7 +727,9 @@ _IMG_PIECES = [
     "<img srcset=x.png>",
     '<img data-src="x.png">',
 ]
-_PLACEHOLDER_IDS = ["0", "1", "2", "3", "-1", "01", " 1", "+1", "x", "", "1.0", "9" * 30]
+_PLACEHOLDER_IDS = [
+    "0", "1", "2", "3", "-1", "01", " 1", "+1", "x", "", "1.0", "9" * 30, " +0_0", "-0", "\u0661"
+]
 _TEXT_PIECES = ["", "a", " ", "/", ">", "<", '"', "'", 'src="c.png"', "</td><td>", "<tr>", "&amp;"]
 
 

@@ -140,6 +140,16 @@ def test_tree_distance_single_vs_empty():
     assert tree_edit_distance(None, None) == 0.0
 
 
+def test_tree_distance_against_empty_counts_a_deep_chain():
+    """An empty side costs the other tree's node count, counted without
+    recursion: a chain 5,000 deep is 5,001 insertions or deletions."""
+    chain = leaf("td[1,1]")
+    for _ in range(5000):
+        chain = DocTree("tr", children=[chain])
+    assert tree_edit_distance(None, chain) == 5001.0
+    assert tree_edit_distance(chain, None) == 5001.0
+
+
 def test_tree_distance_one_rename():
     t1 = DocTree("table", children=[leaf("td[1,1]", "a")])
     t2 = DocTree("table", children=[leaf("td[2,1]", "a")])
@@ -391,7 +401,7 @@ def rename_costs(a, b, band, above=None) -> list[list[float]]:
     """``_rename_costs`` in a band; ``band=None`` reads every column."""
     if band is None:
         band = above = max(len(a.tags), len(b.tags))
-    return metrics._rename_costs(a, b, band, above)
+    return metrics._rename_costs(a, b, band, band if above is None else above)
 
 
 @settings(max_examples=200, deadline=None)
@@ -890,7 +900,7 @@ def test_band_of_every_width_is_exact_within_it(t1, t2):
             A, B = A.skeleton(), B.skeleton()
         want = zhang_shasha_reference(t1, t2, model)
         for k in range(1, len(A.tags) + len(B.tags) + 1):
-            dist = metrics._zhang_shasha(A, B, k)
+            dist = metrics._zhang_shasha(A, B, k, k)
             assert dist >= want
             if min(dist, want) <= k:
                 assert dist.hex() == want.hex()
@@ -936,16 +946,17 @@ FOUR_BY_FOUR = table_tree([[(TD, f"{r}.{c}") for c in range(4)] for r in range(4
 @example(t1=FOUR_BY_FOUR, t2=table_tree([[(TD, f"{r}.{c}") for c in range(4)] for r in range(2)]))
 @example(t1=BAND_PAIRS[9][0], t2=BAND_PAIRS[9][1])
 def test_any_lower_bound_gives_the_distance(t1, t2):
-    """``bound`` only picks the first band: every lower bound from 0 up to
-    the tag-count bound gives the reference's distance bit for bit. (A 4x4
-    table against its first two rows at bound 0 once raised
+    """``_distance``'s ``bound`` only picks the first band: every lower bound
+    from 0 up to the tag-count bound gives the reference's distance bit for
+    bit. (A 4x4 table against its first two rows at bound 0 once raised
     ``OverflowError``: the band missed the last cell.)"""
     bound = metrics._structure_bound(metrics._annotate(t1).tags, metrics._annotate(t2).tags)
     for model in (CONTENT, STRUCTURE):
         a, b = (t1, t2) if model == CONTENT else (skeleton(t1), skeleton(t2))
+        A, B = metrics._annotate(a), metrics._annotate(b)
         want = zhang_shasha_reference(t1, t2, model).hex()
         for lower in range(bound + 1):
-            assert tree_edit_distance(a, b, bound=lower).hex() == want
+            assert metrics._distance(A, B, lower).hex() == want
 
 
 @settings(max_examples=400, deadline=None, derandomize=DERANDOMIZE)
