@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import shlex
-import subprocess
 from collections.abc import Callable
 
 from .errors import FormatError
@@ -35,6 +33,9 @@ def _parse_score(text: str) -> float:
 
 def score_via_subprocess(command: list[str], payload: dict, timeout: float = 30.0) -> float:
     """Run ``command``, write one JSON line to stdin, read one float line."""
+    # imported here, as urllib is below: a run with no scorer set never needs it
+    import subprocess
+
     try:
         proc = subprocess.run(
             command,
@@ -75,6 +76,8 @@ def external_scorer(cmd: str, url: str) -> Scorer | None:
     """The scorer behind a command line or an HTTP URL, or ``None`` when
     neither is set. The command wins when both are."""
     if cmd:
+        import shlex
+
         return functools.partial(score_via_subprocess, shlex.split(cmd))
     if url:
         return functools.partial(score_via_http, url)

@@ -20,8 +20,9 @@ import stat
 import sys
 from pathlib import Path
 
-from . import idtp, layout, metrics, rewards, table_grid, table_merge
-from .config import Config, apply_env_overrides, load_config
+# Modules only: all but errors load on first attribute access (see
+# docpost/__init__.py), so nothing at this level may touch their attributes.
+from . import config, idtp, json_reader, layout, metrics, rewards, table_grid, table_merge
 from .errors import DomainError, FormatError
 
 EXIT_OK = 0
@@ -36,11 +37,11 @@ def _diag(kind: str, message: str) -> None:
     print(_dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
-def _load_cfg(args) -> Config:
-    cfg = Config()
+def _load_cfg(args) -> config.Config:
+    cfg = config.Config()
     if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    cfg = apply_env_overrides(cfg)
+        cfg = config.load_config(args.config, cfg)
+    cfg = config.apply_env_overrides(cfg)
     return cfg
 
 
@@ -48,7 +49,7 @@ def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return layout.loads_finite(text)
+        return json_reader.loads_finite(text)
     except json.JSONDecodeError:
         raise
     except ValueError as exc:

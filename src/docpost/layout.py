@@ -11,8 +11,6 @@ element index to recognized content.
 from __future__ import annotations
 
 import html
-import json
-import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,6 +19,7 @@ from ._external import Scorer
 from .config import Config
 from .errors import DomainError
 from .idtp import ImageDetection, plan_masks, restore_images
+from .json_reader import MAX_JSON_DEPTH, loads_finite  # noqa: F401  (re-exported)
 from .table_grid import TableError, TableGrid, parse_grid, serialize_grid
 from .table_merge import Pattern, merge_fragment_sequence_with_plans
 
@@ -143,53 +142,6 @@ def _clamp_bbox(bbox, width, height):
         min(max(x2, 0), width),
         min(max(y2, 0), height),
     )
-
-
-def _refuse_non_finite(token: str):
-    raise ValueError(f"number {token} is not finite")
-
-
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if math.isinf(value):
-        _refuse_non_finite(token)
-    return value
-
-
-# Deepest nesting of arrays and objects in JSON input: below the under 1,000
-# levels that CPython 3.10 and 3.11 parse, so 3.12 and later, which parse
-# thousands, give the same answer.
-MAX_JSON_DEPTH = 500
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValueError(f"JSON object repeats key {key!r}")
-            seen.add(key)
-    return obj
-
-
-def loads_finite(text: str):
-    """``json.loads`` that refuses ``NaN``, ``Infinity``, float literals
-    that overflow to infinity, an object that repeats a key and nesting
-    deeper than :data:`MAX_JSON_DEPTH` with a ``ValueError``."""
-    try:
-        value = json.loads(text, parse_float=_finite_float, parse_constant=_refuse_non_finite,
-                           object_pairs_hook=_unique_keys)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    # one level of containers at a time, without recursion
-    level, depth = [value], 0
-    while level := [c for c in level if isinstance(c, (list, dict))]:
-        depth += 1
-        if depth > MAX_JSON_DEPTH:
-            raise ValueError("JSON nested too deeply")
-        level = [child for c in level for child in (c.values() if type(c) is dict else c)]
-    return value
 
 
 def _load_layout_json(text: str):

@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import docpost.cli  # noqa: F401  (imports every docpost module the tracer rebinds)
+import docpost.cli  # noqa: F401  (registers every docpost module; the tracer's lookups load them)
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
