@@ -296,10 +296,9 @@ def cmd_reward(args) -> int:
         raise FormatError(f"--expected-placeholders must be >= 0, got {args.expected_placeholders}")
     htmls = _candidate_htmls(_read_json(args.candidates))
     gt_html = Path(args.gt).read_text(encoding="utf-8")
-    if args.expected_placeholders is not None:
-        expected = args.expected_placeholders
-    else:
-        expected = len(rewards._IMG_RE.findall(gt_html))
+    expected = args.expected_placeholders
+    if expected is None:
+        expected = sum(1 for _ in table_grid.img_tags(gt_html))
     scorer = cfg.reward_scorer()
     out_rows = []
     reward_values = []

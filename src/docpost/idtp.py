@@ -17,7 +17,7 @@ from typing import BinaryIO
 
 from .config import Config
 from .errors import DomainError, FormatError
-from .table_grid import TableError, TableGrid, parse_grid, serialize_grid
+from .table_grid import TableError, TableGrid, img_tags, parse_grid, serialize_grid
 
 
 class DimensionMismatch(DomainError):
@@ -365,7 +365,6 @@ def write_ppm(buffer: PixelBuffer) -> bytes:
 # -- placeholder restoration --------------------------------------------------------
 
 
-_IMG_TAG_RE = re.compile(r"<img\b[^>]*/?>", re.IGNORECASE)
 _SRC_ATTR_RE = re.compile(r"""(\bsrc\s*=\s*)(?:"([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE)
 
 # The src prefix of an <img> tag that still waits for its image reference.
@@ -373,13 +372,8 @@ PLACEHOLDER_SCHEME = "placeholder://"
 
 
 def _img_tags(text: str):
-    """Yield each ``<img>`` tag of ``text`` as its match, the match of its
-    first ``src`` attribute (``None`` without one) and that attribute's value
-    (``None`` when missing or empty). A tag runs to the first ``>`` after its
-    ``<img``, so none starts after the last ``>``: the scan stops there, and
-    a run of ``<img`` with no ``>`` after it costs one pass, not one per
-    ``<img``."""
-    for tag in _IMG_TAG_RE.finditer(text, 0, text.rfind(">") + 1):
+    """Each tag of ``text``, its first ``src`` match and value, ``None`` if missing or empty."""
+    for tag in img_tags(text):
         src = _SRC_ATTR_RE.search(text, tag.start(), tag.end())
         yield tag, src, src and (src[2] or src[3] or src[4])
 

@@ -19,7 +19,7 @@ from ._external import Scorer
 from .config import Config
 from .errors import DomainError
 from .idtp import ImageDetection, plan_masks, restore_images
-from .json_reader import MAX_JSON_DEPTH, loads_finite  # noqa: F401  (re-exported)
+from .json_reader import loads_finite
 from .table_grid import TableError, TableGrid, parse_grid, serialize_grid
 from .table_merge import Pattern, merge_fragment_sequence_with_plans
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,6 +23,7 @@ from .table_grid import (
     TableError,
     TableGrid,
     grid_from_cells,
+    img_tags,
     normalize_text,
     parse_grid,
     serialize_grid,
@@ -36,9 +36,6 @@ class EmptyGroup(DomainError):
 
 class InapplicablePerturbation(DomainError):
     """The table is too small or too uniform for the requested perturbation."""
-
-
-_IMG_RE = re.compile(r"<img\b", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def rule_checks(
 
     well_formed: the candidate parses and normalizes into a grid.
     rectangular: normalization needed no padding or span clipping.
-    placeholder_ok: the ``<img>`` tag count equals the expected count.
+    placeholder_ok: the :func:`~docpost.table_grid.img_tags` tag count equals the expected count.
     non_empty: at least one cell has non-whitespace content.
 
     The score sums ``cfg.rule_weights`` over the passing checks, in the
@@ -86,7 +83,7 @@ def rule_checks(
     well_formed = grid is not None
     rectangular = well_formed and not grid.warnings
     non_empty = well_formed and any(normalize_text(c.content) for c in grid.cells)
-    placeholder_ok = len(_IMG_RE.findall(candidate_html)) == expected_placeholders
+    placeholder_ok = sum(1 for _ in img_tags(candidate_html)) == expected_placeholders
     score = min(
         w_formed * well_formed
         + w_rectangular * rectangular

@@ -15,7 +15,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from html import unescape
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError
 
@@ -157,6 +157,16 @@ def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
         ),
         re.compile(r"</\s*(script|style)\s*>", re.IGNORECASE),
     )
+
+
+# compiled on first use, like _patterns(): commands that read no <img> tag skip the cost
+_img_tag_pattern = functools.cache(functools.partial(re.compile, r"<img\b[^>]*>", re.IGNORECASE))
+
+
+def img_tags(text: str) -> Iterator[re.Match]:
+    """The ``<img>`` tags of ``text``, each from ``<img`` to the next ``>``; none starts after
+    the last ``>``, so the scan stops there. Restore, verify and the rule reward count by it."""
+    return _img_tag_pattern().finditer(text, 0, text.rfind(">") + 1)
 
 
 def _span(value: str | None) -> int:

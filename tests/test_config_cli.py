@@ -20,7 +20,7 @@ from docpost.config import (
     parse_config_text,
     save_config,
 )
-from docpost import config, errors, idtp, layout, rewards, table_grid, table_merge
+from docpost import config, errors, idtp, json_reader, layout, rewards, table_grid, table_merge
 from docpost.idtp import read_ppm, write_ppm, PixelBuffer
 from docpost.table_grid import parse_grid
 
@@ -402,6 +402,18 @@ def test_cli_reward_counts_ground_truth_placeholders_like_candidates(tmp_path, c
     gt_path.write_text(gt)
     cand_path = tmp_path / "cands.json"
     cand_path.write_text(json.dumps([gt]))
+    assert main(["reward", str(cand_path), str(gt_path)]) == 0
+    [row] = json.loads(capsys.readouterr().out)["candidates"]
+    assert row["rule"]["placeholder_ok"] and row["reward"] == 1.0
+
+
+def test_cli_reward_counts_no_tag_in_an_unterminated_ground_truth_img(tmp_path, capsys):
+    # no ">" follows the ground truth's "<img": it holds no tag, so a clean
+    # candidate with no tag passes the placeholder check
+    gt_path = tmp_path / "gt.html"
+    gt_path.write_text("<table><tr><td>a <img")
+    cand_path = tmp_path / "cands.json"
+    cand_path.write_text(json.dumps(["<table><tr><td>a</td></tr></table>"]))
     assert main(["reward", str(cand_path), str(gt_path)]) == 0
     [row] = json.loads(capsys.readouterr().out)["candidates"]
     assert row["rule"]["placeholder_ok"] and row["reward"] == 1.0
@@ -852,8 +864,8 @@ def _nested(depth: int, kind: str) -> str:
 
 @pytest.mark.parametrize("kind", ["array", "object"])
 def test_loads_finite_accepts_the_depth_limit(kind):
-    value = layout.loads_finite(_nested(layout.MAX_JSON_DEPTH, kind))
-    for _ in range(layout.MAX_JSON_DEPTH - 1):
+    value = json_reader.loads_finite(_nested(json_reader.MAX_JSON_DEPTH, kind))
+    for _ in range(json_reader.MAX_JSON_DEPTH - 1):
         value = value[0] if kind == "array" else value["a"]
     assert value == ([] if kind == "array" else {"a": 1})
 
@@ -866,10 +878,10 @@ def test_loads_finite_accepts_the_depth_limit(kind):
     [("eval", 2, "FormatError", "BatchFormatError"), ("assemble", 1, "LayoutSyntaxError", "LayoutSchemaError")],
 )
 @pytest.mark.parametrize("kind", ["array", "object"])
-@pytest.mark.parametrize("extra", [0, 1, 1400 - layout.MAX_JSON_DEPTH])
+@pytest.mark.parametrize("extra", [0, 1, 1400 - json_reader.MAX_JSON_DEPTH])
 def test_cli_json_depth_limit(tmp_path, capsys, command, code, error, shape_error, kind, extra):
     deep_path = tmp_path / "deep.json"
-    deep_path.write_text(_nested(layout.MAX_JSON_DEPTH + extra, kind))
+    deep_path.write_text(_nested(json_reader.MAX_JSON_DEPTH + extra, kind))
     if command == "eval":
         argv = ["eval", str(deep_path)]
     else:

@@ -37,6 +37,7 @@ from docpost.idtp import (
     verify_restoration,
     write_ppm,
 )
+from docpost.rewards import rule_checks
 from docpost.table_grid import TableError, parse_grid, serialize_grid
 from oracles import mask_reference, restore_reference, verify_reference
 
@@ -794,6 +795,36 @@ def test_restore_and_verify_match_the_per_tag_reference(case, strict_ids):
     assert got == want  # every field but the grid, which equality skips
     assert (got.grid, got.grid.warnings) == (want.grid, want.grid.warnings)
     assert verify_restoration(got.html, pmap).to_dict() == verify_reference(got.html, pmap).to_dict()
+
+
+@settings(max_examples=300, deadline=None, derandomize=DERANDOMIZE)
+@given(
+    cells=st.lists(
+        st.lists(
+            # pieces that name no image file, so every tag still waits. The
+            # rule reward counts the whole candidate and restore the cells, so
+            # no "<tr>", after which markup up to the next cell is in none,
+            # and no "/", whose "</" the table reader writes as a comment,
+            # where "-->" can become a tag's src
+            st.sampled_from(
+                [
+                    p for p in _IMG_PIECES + _TEXT_PIECES
+                    if ".png" not in p and p not in ("<tr>", "/")
+                ]
+            ),
+            max_size=6,
+        ).map("".join),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_rule_checks_expects_the_tags_restore_finds(cells):
+    """The rule reward and restore count tags by one rule: on a one-table
+    candidate whose tags all wait for restoration, the count restore finds
+    is the count the placeholder check expects."""
+    html = "<table><tr>" + "".join(f"<td>{c}</td>" for c in cells) + "</tr></table>"
+    found = restore_images(html, pmap_of()).found
+    assert rule_checks(html, found).placeholder_ok
 
 
 def test_restore_and_verify_read_an_unterminated_img_run_in_one_pass():

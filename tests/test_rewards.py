@@ -58,6 +58,16 @@ def test_rule_checks_placeholder_count():
     assert rule_checks(html, expected_placeholders=1).placeholder_ok
 
 
+def test_rule_checks_counts_tags_by_the_restore_rule():
+    # an "<img" with no ">" after it holds no tag, as restore_images reads it
+    unterminated = "<table><tr><td>a <img"
+    assert not rule_checks(unterminated, expected_placeholders=1).placeholder_ok
+    assert rule_checks(unterminated, expected_placeholders=0).placeholder_ok
+    # a tag runs to the first ">" after its "<img"
+    nested = "<table><tr><td><img<img></td></tr></table>"
+    assert rule_checks(nested, expected_placeholders=1).placeholder_ok
+
+
 def test_rule_checks_ragged_is_not_rectangular():
     ragged = "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td></tr></table>"
     report = rule_checks(ragged)

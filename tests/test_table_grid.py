@@ -76,6 +76,21 @@ def test_parse_preserves_cell_markup_verbatim():
     assert rows[0][0][0] == '<img src="placeholder://0" width="10"/> and <b>bold</b>'
 
 
+@pytest.mark.parametrize(
+    "text, tags",
+    [
+        ("<img>", ["<img>"]),
+        ("a<IMG src='x.png'/>b<img\n>", ["<IMG src='x.png'/>", "<img\n>"]),
+        ("<img<img>", ["<img<img>"]),  # a tag runs to the first ">" after its "<img"
+        ("<img", []),
+        ("<img> <img src=a.png", ["<img>"]),
+        ("<imgx> <im g>", []),
+    ],
+)
+def test_img_tags(text, tags):
+    assert [m.group() for m in table_grid.img_tags(text)] == tags
+
+
 def test_parse_keeps_entities_verbatim():
     rows = table_grid._table_rows("<table><tr><td>a &amp; b &#38; c</td></tr></table>")
     assert rows[0][0][0] == "a &amp; b &#38; c"
