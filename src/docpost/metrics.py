@@ -285,12 +285,80 @@ def tree_edit_distance(t1: DocTree | None, t2: DocTree | None) -> float:
     return _distance(A, B, _structure_bound(A.tags, B.tags))
 
 
+def _children(lmds: list[int], node: int) -> list[int]:
+    """The children of ``node`` in postorder lists with these leftmost
+    leaves, first to last: each child ends just before the next one's
+    subtree starts."""
+    kids, child = [], node - 1
+    while child >= lmds[node]:
+        kids.append(child)
+        child = lmds[child] - 1
+    kids.reverse()
+    return kids
+
+
+def _top_down_cost(A: _Annotated, B: _Annotated, limit: int) -> int:
+    """The cost of one top-down mapping of two annotated trees, with every
+    unequal rename at 1; ``limit + 1`` once the running cost passes ``limit``.
+
+    The roots are paired. At each pair, the equal leading and trailing child
+    subtrees of the two nodes (equal slices of tags, contents and subtree
+    sizes in postorder, which fix the shape) map to each other at cost 0,
+    the other children are paired in order and the walk goes into each
+    pair, and the children left over are deleted or inserted at the size of
+    their subtree. A pair costs 0 when its tags and contents are equal and 1
+    otherwise. A node is compared at most twice for each of its ancestors,
+    so the walk is linear on trees of bounded depth, such as tables.
+    """
+    sizes_a = [i - lmd for i, lmd in enumerate(A.lmds)]  # subtree size - 1
+    sizes_b = [j - lmd for j, lmd in enumerate(B.lmds)]
+
+    def same(a: int, b: int) -> bool:
+        la, lb = A.lmds[a], B.lmds[b]
+        return (
+            sizes_a[a] == sizes_b[b]
+            and A.tags[la : a + 1] == B.tags[lb : b + 1]
+            and A.contents[la : a + 1] == B.contents[lb : b + 1]
+            and sizes_a[la : a + 1] == sizes_b[lb : b + 1]
+        )
+
+    cost = 0
+    stack = [(len(A.tags) - 1, len(B.tags) - 1)]
+    while stack:
+        a, b = stack.pop()
+        if A.tags[a] != B.tags[b] or A.contents[a] != B.contents[b]:
+            cost += 1
+        kids_a, kids_b = _children(A.lmds, a), _children(B.lmds, b)
+        end_a, end_b = len(kids_a), len(kids_b)
+        start = 0
+        while start < min(end_a, end_b) and same(kids_a[start], kids_b[start]):
+            start += 1
+        while start < min(end_a, end_b) and same(kids_a[end_a - 1], kids_b[end_b - 1]):
+            end_a, end_b = end_a - 1, end_b - 1
+        paired = min(end_a, end_b) - start
+        stack.extend(zip(kids_a[start : start + paired], kids_b[start : start + paired]))
+        cost += sum(sizes_a[k] + 1 for k in kids_a[start + paired : end_a])
+        cost += sum(sizes_b[k] + 1 for k in kids_b[start + paired : end_b])
+        if cost > limit:
+            return limit + 1
+    return cost
+
+
 def _distance(A: _Annotated, B: _Annotated, bound: int) -> float:
     """Zhang-Shasha ordered tree edit distance of two annotated trees, with
     unit insert/delete.
 
-    ``bound`` is any lower bound on the distance. It only picks the first
-    band, so every lower bound gives the same result.
+    ``bound`` must be a true lower bound on the distance, no greater than
+    :func:`_structure_bound`. When :func:`_top_down_cost` equals it, the
+    result is ``float(bound)`` and no pass runs. That is the dynamic
+    program's value bit for bit: rounded addition and ``min`` are monotone,
+    so that float lies between two integer dynamic programs, each summed
+    exactly. In the first, every same-tag rename costs 0; its value is at
+    least :func:`_structure_bound` (Kailing et al.), so at least ``bound``.
+    In the second, every unequal rename costs 1; its value is at most the
+    cost of any one mapping under those costs, the top-down one among them.
+    Otherwise ``bound`` only picks the first band, and every lower bound
+    gives the same result.
 
     The dynamic program runs in a one-sided band (:func:`_zhang_shasha`).
     With ``delta = n1 - n2``, a mapping's deletions ``del`` and insertions
@@ -307,6 +375,8 @@ def _distance(A: _Annotated, B: _Annotated, bound: int) -> float:
     """
     if A == B:
         return 0.0
+    if bound > 0 and _top_down_cost(A, B, bound) == bound:  # unequal trees cost 1 or more
+        return float(bound)
     n1, n2 = len(A.tags), len(B.tags)
     delta = n1 - n2
     first = h = max(0, (bound - abs(delta)) // 2)

@@ -191,10 +191,11 @@ def test_tree_distance_equals_zhang_shasha_reference_on_random_trees(seed):
         assert distance(t1, t2, model) == zhang_shasha_reference(t1, t2, model)
 
 
-def table_tree(rows) -> DocTree:
-    """table -> tr -> cells from a list of rows of (tag, content) pairs."""
+def table_tree(rows, content="") -> DocTree:
+    """table -> tr -> cells from a list of rows of (tag, content) pairs; the
+    table node holds ``content``."""
     return DocTree(
-        "table", children=[DocTree("tr", children=[leaf(*c) for c in row]) for row in rows]
+        "table", content, [DocTree("tr", children=[leaf(*c) for c in row]) for row in rows]
     )
 
 
@@ -215,19 +216,19 @@ TD, TH = "td[1,1]", "th[1,1]"
 # Pairs that pin the recurrences and the band's passes. Each entry: the two
 # trees, and per model the (below, above) of each pass tree_edit_distance
 # runs (n1 + n2 on both sides is the whole table; no pass for equal
-# skeletons). With delta = n1 - n2, a pass at h runs at below = h +
-# max(delta, 0), above = h + max(-delta, 0) and is exact once need(d) =
-# (floor(d) - |delta|) // 2 is at most h.
+# skeletons, nor where the top-down mapping costs the tag-count bound). With
+# delta = n1 - n2, a pass at h runs at below = h + max(delta, 0), above = h +
+# max(-delta, 0) and is exact once need(d) = (floor(d) - |delta|) // 2 is at
+# most h.
 BAND_PAIRS = [
-    # an empty table against one cell: the one-row recurrence's subtree
-    # rename reads first_row[y - 1]; a band of 3 is wider than the 1-node tree
-    (table_tree([]), table_tree([[(TH, "ab")]]), {CONTENT: [(4, 4)], STRUCTURE: [(4, 4)]}),
-    # two rows against an empty table: the one-column recurrence adds
-    # treedist to fd[p][0] = p
+    # an empty table against one cell, and two rows against an empty table:
+    # the inserted and the deleted subtrees are the tag-count bound, so the
+    # top-down mapping settles both with no pass (their twins below run them)
+    (table_tree([]), table_tree([[(TH, "ab")]]), {CONTENT: [], STRUCTURE: []}),
     (
         table_tree([[("td[1,2]", "total")], [(TH, "12"), ("td[1,2]", "a")]]),
         table_tree([]),
-        {CONTENT: [(7, 7)], STRUCTURE: [(7, 7)]},
+        {CONTENT: [], STRUCTURE: []},
     ),
     # a same-shape pair finished on the diagonal: one rename, 1.0
     (
@@ -262,12 +263,11 @@ BAND_PAIRS = [
         table_tree([[(TD, "12"), (TH, "x y")]]),
         {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
     ),
-    # a dropped row: 3.0, three deletions, in a band cols + 2 wide with
-    # above == 0
+    # a dropped row: 3.0, three deletions, the bound, so no pass
     (
         table_tree([[(TD, "a"), (TD, "b")], [(TD, "c"), (TD, "d")], [(TD, "e"), (TD, "f")]]),
         table_tree([[(TD, "a"), (TD, "b")], [(TD, "e"), (TD, "f")]]),
-        {CONTENT: [(3, 0)], STRUCTURE: [(3, 0)]},
+        {CONTENT: [], STRUCTURE: []},
     ),
     # bound 0, different shapes: the diagonal holds no derivation (inf), so
     # h widens by one, where need(2.0) = 1 is exactly h
@@ -283,12 +283,42 @@ BAND_PAIRS = [
         table_tree([[(TD, f"{r}{c}") for c in range(3)] for r in range(3)]),
         {CONTENT: [(0, 0), (1, 1), (2, 2)], STRUCTURE: []},
     ),
-    # two tags changed: bound 2, so the first pass is at h = 1, and need(2.0)
-    # = 1 is exactly h
+    # two tags changed: the top-down mapping renames both, the bound 2
     (
         table_tree([[(TD, "a"), (TD, "b")], [(TD, "c")]]),
         table_tree([[(TH, "a"), (TH, "b")], [(TD, "c")]]),
-        {CONTENT: [(1, 1)], STRUCTURE: [(1, 1)]},
+        {CONTENT: [], STRUCTURE: []},
+    ),
+    # Twins of the four pairs above that no pass settles: one content edited
+    # where the shape fault is not, so the top-down mapping costs one more
+    # than the bound and the trees run the band that pair stood for; their
+    # skeletons run none. An empty table has no row, so there the table
+    # node's own content is edited.
+    # 2.5: the one-row recurrence's subtree rename reads first_row[y - 1];
+    # a band of 3 is wider than the 1-node tree
+    (
+        table_tree([], "ab"),
+        table_tree([[(TH, "ab")]], "a"),
+        {CONTENT: [(4, 4)], STRUCTURE: []},
+    ),
+    # 5.5: the one-column recurrence adds treedist to fd[p][0] = p
+    (
+        table_tree([[("td[1,2]", "total")], [(TH, "12"), ("td[1,2]", "a")]], "ab"),
+        table_tree([], "a"),
+        {CONTENT: [(7, 7)], STRUCTURE: []},
+    ),
+    # 4.0: three deletions and a rename, in a band cols + 2 wide with above == 0
+    (
+        table_tree([[(TD, "a"), (TD, "b")], [(TD, "c"), (TD, "d")], [(TD, "e"), (TD, "f")]]),
+        table_tree([[(TD, "x"), (TD, "b")], [(TD, "e"), (TD, "f")]]),
+        {CONTENT: [(3, 0)], STRUCTURE: []},
+    ),
+    # 3.0: bound 2, so the first pass is at h = 1, and need(3.0) = 1 is
+    # exactly h
+    (
+        table_tree([[(TD, "a"), (TD, "b")], [(TD, "c")]]),
+        table_tree([[(TH, "a"), (TH, "b")], [(TD, "x")]]),
+        {CONTENT: [(1, 1)], STRUCTURE: []},
     ),
 ]
 
@@ -321,6 +351,8 @@ FD_EDGE_PAIRS = [
 @example(t1=BAND_PAIRS[4][0], t2=BAND_PAIRS[4][1])
 @example(t1=BAND_PAIRS[5][0], t2=BAND_PAIRS[5][1])
 @example(t1=BAND_PAIRS[6][0], t2=BAND_PAIRS[6][1])
+@example(t1=BAND_PAIRS[11][0], t2=BAND_PAIRS[11][1])
+@example(t1=BAND_PAIRS[12][0], t2=BAND_PAIRS[12][1])
 @example(t1=FD_EDGE_PAIRS[0][0], t2=FD_EDGE_PAIRS[0][1])
 @example(t1=FD_EDGE_PAIRS[1][0], t2=FD_EDGE_PAIRS[1][1])
 def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
@@ -333,7 +365,8 @@ def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
     BAND_PAIRS,
     ids=[
         "one_row", "one_column", "at_k", "at_k_then_whole", "above_k", "above_k_both", "swap",
-        "dropped_row", "diagonal_inf", "rotated", "need_at_first_h",
+        "dropped_row", "diagonal_inf", "rotated", "need_at_first_h", "one_row_twin",
+        "one_column_twin", "dropped_row_twin", "need_at_first_h_twin",
     ],
 )
 def test_band_passes_of_pinned_pairs(monkeypatch, t1, t2, passes):
@@ -746,23 +779,36 @@ SHAPE_CORRUPTIONS = [
     (GT3.replace(ROW2, ""), 3.0),  # dropped row
     (GT3.replace(ROW2, ROW2 + ROW2), 3.0),  # duplicated row
 ]
+SHAPE_IDS = ["span", "dropped_row", "duplicated_row"]
 
 
-@pytest.mark.parametrize("pred, skeleton_distance", SHAPE_CORRUPTIONS)
-def test_teds_structure_of_shape_corruption_runs_the_dp(monkeypatch, pred, skeleton_distance):
+def twin(pred: str) -> str:
+    """``pred`` with the last row's "4" edited to "47", a rename of 0.5 in a
+    row that none of the shape faults touches."""
+    return pred.replace(">4<", ">47<")
+
+
+@pytest.mark.parametrize("pred, skeleton_distance", SHAPE_CORRUPTIONS, ids=SHAPE_IDS)
+def test_teds_structure_of_shape_corruption_runs_no_pass(monkeypatch, pred, skeleton_distance):
+    """A span, a dropped row and a duplicated row each cost the tag-count
+    bound, so the top-down mapping settles both distances with no pass. With
+    one content edited elsewhere as well, the trees run one pass and the
+    skeletons still none."""
     t1, t2 = (grid_to_tree(parse_grid(h)) for h in (pred, GT3))
     passes = record_passes(monkeypatch)
     assert distance(t1, t2, STRUCTURE) == skeleton_distance
-    assert len(passes) == 1 and passes[0][2]
-    passes.clear()
+    assert distance(t1, t2, CONTENT) == skeleton_distance
     assert teds(pred, GT3, structure_only=True) == 1.0 - skeleton_distance / max(
         t1.size(), t2.size()
     )
-    assert len(passes) == 1 and passes[0][2]
+    assert passes == []
     assert zhang_shasha_reference(t1, t2, STRUCTURE) == skeleton_distance
-    assert teds(pred, GT3, structure_only=True) == 1.0 - skeleton_distance / max(
-        t1.size(), t2.size()
-    )
+    edited = grid_to_tree(parse_grid(twin(pred)))
+    assert distance(edited, t2, STRUCTURE) == skeleton_distance
+    assert teds(twin(pred), GT3, structure_only=True) == teds(pred, GT3, structure_only=True)
+    assert passes == []
+    assert distance(edited, t2, CONTENT) == skeleton_distance + 0.5
+    assert len(passes) == 1 and not passes[0][2]
 
 
 def test_same_skeleton_edge_cases():
@@ -810,17 +856,22 @@ def test_structure_distance_matches_the_dp(seed):
 
 
 def test_evaluate_pair_pins_teds_structure_without_the_dp(monkeypatch):
-    """The tag-count bound settles GT3's shape corruptions, so only the
-    content-aware distance runs the dynamic program; it leaves the 3x1 table
-    against the 1x4 one open, so that pair also runs the structure-only
-    dynamic program, on the skeletons."""
+    """The top-down mapping settles GT3's shape corruptions with no pass; with
+    a content edited elsewhere as well (their twins), the tag-count bound
+    settles TEDS-S, so only the content-aware distance runs the dynamic
+    program. Neither settles the 3x1 table against the 1x4 one, so that pair
+    also runs the structure-only dynamic program, on the skeletons."""
     three_rows = "<table><tr><td>1</td></tr><tr><td>2</td></tr><tr><td>3</td></tr></table>"
     one_row = "<table><tr><td>1</td><td>2</td><td>3</td><td>4</td></tr></table>"
     ladder = [(1, 0), (2, 1), (3, 2)]
+    span, dropped, duplicated = (pred for pred, _ in SHAPE_CORRUPTIONS)
     pairs = [
-        (SHAPE_CORRUPTIONS[0][0], GT3, [(0, 1, False)]),
-        (SHAPE_CORRUPTIONS[1][0], GT3, [(0, 3, False)]),
-        (SHAPE_CORRUPTIONS[2][0], GT3, [(3, 0, False)]),
+        (span, GT3, []),
+        (dropped, GT3, []),
+        (duplicated, GT3, []),
+        (twin(span), GT3, [(0, 1, False)]),
+        (twin(dropped), GT3, [(0, 3, False)]),
+        (twin(duplicated), GT3, [(3, 0, False)]),
         (three_rows, one_row, [(*band, False) for band in ladder] + [(*band, True) for band in ladder]),
     ]
     passes = record_passes(monkeypatch)
@@ -990,6 +1041,139 @@ def test_structure_bound_pins_the_structure_distance(t1, t2, kind, seed):
         for model in (CONTENT, STRUCTURE)
     ]
     assert [score.hex() for score in metrics._table_scores(A, B)] == expected
+
+
+# -- the top-down certificate --------------------------------------------------------
+
+BIG = 10**9  # a limit no test pair reaches
+
+
+def annotated(t1, t2, model):
+    """Both trees annotated as ``_distance`` reads them under ``model``."""
+    if model == STRUCTURE:
+        t1, t2 = skeleton(t1), skeleton(t2)
+    return metrics._annotate(t1), metrics._annotate(t2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=DERANDOMIZE)
+@given(
+    t1=any_trees,
+    t2=any_trees,
+    kind=st.sampled_from(["span", "drop_row", "dup_row", None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(t1=BAND_PAIRS[7][0], t2=BAND_PAIRS[7][1], kind=None, seed=0)
+@example(t1=BAND_PAIRS[13][0], t2=BAND_PAIRS[13][1], kind=None, seed=0)
+def test_top_down_cost_settles_only_the_distance(t1, t2, kind, seed):
+    """Under both cost models the top-down mapping costs no less than the
+    reference's distance, and where it costs the tag-count bound,
+    ``_distance`` returns the reference bit for bit without a pass."""
+    if kind is not None:
+        t2 = corrupted(t1, kind, random.Random(seed))
+    for model in (CONTENT, STRUCTURE):
+        A, B = annotated(t1, t2, model)
+        want = zhang_shasha_reference(t1, t2, model)
+        cost = metrics._top_down_cost(A, B, BIG)
+        assert cost >= want
+        bound = metrics._structure_bound(A.tags, B.tags)
+        if cost == bound:
+            with mock.patch.object(metrics, "_zhang_shasha", side_effect=AssertionError):
+                assert metrics._distance(A, B, bound).hex() == want.hex()
+
+
+def section(*children):
+    return DocTree("section", children=list(children))
+
+
+def test_top_down_cost_tells_shapes_apart():
+    """a(a(a)) and a(a, a) list the same tags and contents in postorder, so
+    only their subtree sizes tell the two children of the roots apart: the
+    walk pairs them, deletes one a and inserts another, and costs the
+    distance 2, where the tag-count bound is 0."""
+    t1 = section(DocTree("a", children=[DocTree("a", children=[leaf("a")])]))
+    t2 = section(DocTree("a", children=[leaf("a"), leaf("a")]))
+    A, B = metrics._annotate(t1), metrics._annotate(t2)
+    assert A.tags == B.tags and A.contents == B.contents
+    assert metrics._top_down_cost(A, B, BIG) == zhang_shasha_reference(t1, t2, CONTENT) == 2
+
+
+SETTLED_PAIRS = [
+    # th[1,2] against the first th is a tag-mismatch pair; the second th is
+    # deleted
+    (
+        table_tree([[(TH, "A"), (TH, "B")], [(TD, "1"), (TD, "2")]]),
+        table_tree([[("th[1,2]", "A")], [(TD, "1"), (TD, "2")]]),
+        2,
+    ),
+    # the middle row of three dropped: its row and three cells deleted
+    (
+        table_tree([[(TD, f"{r}.{c}") for c in range(3)] for r in range(3)]),
+        table_tree([[(TD, f"{r}.{c}") for c in range(3)] for r in (0, 2)]),
+        4,
+    ),
+    # a general tree: a figure with its caption dropped from the middle of a
+    # section, and an em renamed two levels further down
+    (
+        section(
+            leaf("h", "Intro"),
+            section(leaf("p", "a"), DocTree("fig", "f", [leaf("cap", "c")]), leaf("p", "b")),
+            section(DocTree("p", "x", [leaf("em", "y")])),
+        ),
+        section(
+            leaf("h", "Intro"),
+            section(leaf("p", "a"), leaf("p", "b")),
+            section(DocTree("p", "x", [leaf("strong", "y")])),
+        ),
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "t1, t2, cost", SETTLED_PAIRS, ids=["span", "dropped_middle_row", "doc_tree"]
+)
+def test_top_down_cost_settles_pinned_pairs(monkeypatch, t1, t2, cost):
+    passes = record_passes(monkeypatch)
+    for model in (CONTENT, STRUCTURE):
+        A, B = annotated(t1, t2, model)
+        assert metrics._top_down_cost(A, B, BIG) == metrics._structure_bound(A.tags, B.tags) == cost
+        assert metrics._distance(A, B, cost).hex() == float(cost).hex()
+        assert zhang_shasha_reference(t1, t2, model).hex() == float(cost).hex()
+    assert passes == []
+
+
+def test_top_down_cost_one_above_the_bound_runs_the_ladder(monkeypatch):
+    """Two tags changed and one content: the top-down mapping costs 3, one
+    more than the bound, so the ladder runs its one pass at h = 1, as it
+    did before the certificate."""
+    t1, t2, pins = BAND_PAIRS[14]
+    A, B = metrics._annotate(t1), metrics._annotate(t2)
+    bound = metrics._structure_bound(A.tags, B.tags)
+    assert metrics._top_down_cost(A, B, BIG) == bound + 1 == 3
+    passes = record_passes(monkeypatch)
+    assert metrics._distance(A, B, bound).hex() == zhang_shasha_reference(t1, t2, CONTENT).hex()
+    assert [(below, above) for below, above, _ in passes] == pins[CONTENT] == [(1, 1)]
+
+
+def test_top_down_cost_stops_past_its_limit():
+    """A dropped row (3 deletions) and one rename cost 4; below that, the
+    walk returns ``limit + 1`` once the running cost passes the limit."""
+    A, B = (metrics._annotate(t) for t in BAND_PAIRS[13][:2])
+    assert [metrics._top_down_cost(A, B, limit) for limit in range(7)] == [1, 2, 3, 4, 4, 4, 4]
+
+
+def test_top_down_cost_walks_a_deep_chain():
+    """The walk keeps its own stack: two chains 5,000 deep whose leaves differ
+    cost one rename, the bound."""
+    chains = []
+    for tag in ("td[1,1]", "th[1,1]"):
+        chain = leaf(tag)
+        for _ in range(5000):
+            chain = DocTree("tr", children=[chain])
+        chains.append(chain)
+    A, B = (metrics._annotate(chain) for chain in chains)
+    assert metrics._top_down_cost(A, B, BIG) == metrics._structure_bound(A.tags, B.tags) == 1
+    assert tree_edit_distance(*chains) == 1.0
 
 
 EVAL_SHARDS = Path(__file__).parent / "fixtures" / "eval" / "shards.json"

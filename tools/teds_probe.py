@@ -4,13 +4,15 @@ Run from the root of a source checkout:
 
     PYTHONPATH=src python3 tools/teds_probe.py --size 60 --edits 4
     PYTHONPATH=src python3 tools/teds_probe.py --size 40 --rotate
+    PYTHONPATH=src python3 tools/teds_probe.py --size 150 --drop-row
 
 Every cell of the ground truth holds a distinct text. The prediction is a
-copy with ``--edits`` cell texts changed, or with every row rotated by one
-column (``--rotate``). Prints one JSON line: the size, the TEDS score, the
-``[below, above]`` band of each pass of the tree edit distance (the node
-counts' sum on both sides is the whole table), the wall time of the call in
-seconds and the process's peak RSS in MB.
+copy with ``--edits`` cell texts changed, with every row rotated by one
+column (``--rotate``), and with its middle row dropped (``--drop-row``).
+Prints one JSON line: the size, the TEDS score, the ``[below, above]`` band
+of each pass of the tree edit distance (the node counts' sum on both sides
+is the whole table), the wall time of the call in seconds and the process's
+peak RSS in MB.
 """
 
 from __future__ import annotations
@@ -32,12 +34,16 @@ def table_html(rows) -> str:
     return f"<table>{body}</table>"
 
 
-def probe_pair(size: int, edits: int, rotate: bool, seed: int = 0) -> tuple[str, str]:
+def probe_pair(
+    size: int, edits: int, rotate: bool, seed: int = 0, drop_row: bool = False
+) -> tuple[str, str]:
     rng = random.Random(seed)
     gt = [[f"{rng.choice(WORDS)} {r}.{c}" for c in range(size)] for r in range(size)]
     pred = [row[1:] + row[:1] if rotate else row[:] for row in gt]
     for r, c in rng.sample([(r, c) for r in range(size) for c in range(size)], edits):
         pred[r][c] = pred[r][c][::-1]
+    if drop_row:
+        del pred[size // 2]
     return table_html(pred), table_html(gt)
 
 
@@ -60,15 +66,17 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, required=True)
     parser.add_argument("--edits", type=int, default=0)
     parser.add_argument("--rotate", action="store_true")
+    parser.add_argument("--drop-row", action="store_true")
     args = parser.parse_args(argv)
-    pred, gt = probe_pair(args.size, args.edits, args.rotate)
+    pred, gt = probe_pair(args.size, args.edits, args.rotate, drop_row=args.drop_row)
     passes = record_passes()
     t0 = time.perf_counter()
     score = metrics.teds(pred, gt)
     seconds = time.perf_counter() - t0
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(json.dumps({
-        "size": args.size, "edits": args.edits, "rotate": args.rotate, "teds": score,
+        "size": args.size, "edits": args.edits, "rotate": args.rotate,
+        "drop_row": args.drop_row, "teds": score,
         "passes": passes, "s": round(seconds, 3), "peak_rss_mb": round(peak_kb / 1024, 1),
     }))
     return 0
