@@ -163,6 +163,22 @@ class DocTree:
         return 1 + sum(child.size() for child in self.children)
 
 
+def _blocks(texts, cap: int) -> list[list[str]]:
+    """The distinct non-empty ``texts``, in order, laid into blocks of at
+    most ``cap`` bits for :func:`_pack`; a longer text gets a block of its
+    own."""
+    blocks: list[list[str]] = []
+    width = cap
+    for text in dict.fromkeys(texts):
+        if text:
+            if width + len(text) > cap:
+                blocks.append([])
+                width = 0
+            blocks[-1].append(text)
+            width += len(text)
+    return blocks
+
+
 def _rename_costs(A: _Annotated, B: _Annotated, below: int, above: int) -> list[list[float]]:
     """Row ``i`` holds the rename costs of node ``i`` of ``A`` into each
     node ``j`` of ``B`` from ``max(0, i - below)`` to ``i + above``, the
@@ -178,18 +194,13 @@ def _rename_costs(A: _Annotated, B: _Annotated, below: int, above: int) -> list[
     """
     # a scan costs more the wider its block, and a narrow band reads few of
     # its fields: about 24 bits per band column, at least 256, ran fastest
-    cap = min(BLOCK_BITS, max(256, 24 * (below + above + 1)))
-    blocks: list[list[str]] = []  # B's contents, block by block
+    blocks = _blocks(B.contents, min(BLOCK_BITS, max(256, 24 * (below + above + 1))))
     fields = {}  # content -> its block, field mask and length
-    width = cap
-    for text in B.contents:
-        if text and text not in fields:
-            if width + len(text) > cap:
-                blocks.append([])
-                width = 0
-            fields[text] = len(blocks) - 1, ((1 << len(text)) - 1) << width, len(text)
-            blocks[-1].append(text)
-            width += len(text)
+    for block_no, block in enumerate(blocks):
+        offset = 0
+        for text in block:
+            fields[text] = block_no, ((1 << len(text)) - 1) << offset, len(text)
+            offset += len(text)
     packed: dict[int, tuple] = {}
     scans: dict[str, dict[int, tuple[int, int]]] = {}  # content of A -> block -> (vp, vn)
     lengths = {len(s) for s in (*fields, *A.contents)}
@@ -344,6 +355,78 @@ def _top_down_cost(A: _Annotated, B: _Annotated, limit: int) -> int:
     return cost
 
 
+def _diagonal(A: _Annotated, B: _Annotated) -> float:
+    """:func:`_zhang_shasha` at ``below = above = 0`` of two trees with equal
+    ``lmds``, as one fold in postorder: a node's subtree distance is its
+    children's, added left to right to ``0.0``, plus its own rename cost,
+    priced as :func:`_rename_costs` prices it (:func:`_distance` proves the
+    two equal)."""
+    done, starts = [], []  # distance and lmd of each subtree not yet under its parent
+    for lmd, tag, text, other_tag, other in zip(A.lmds, A.tags, A.contents, B.tags, B.contents):
+        k = len(starts)
+        while k and starts[k - 1] >= lmd:  # the node's children
+            k -= 1
+        dist = 0.0
+        for child in done[k:]:
+            dist += child
+        del done[k:], starts[k:]
+        if other_tag != tag:
+            cost = 1.0
+        elif other == text:
+            cost = 0.0
+        elif not text or not other:
+            cost = 1.0
+        else:
+            cost = _levenshtein(text, other) / max(len(text), len(other))
+        done.append(dist + cost)
+        starts.append(lmd)
+    return done[0]
+
+
+def _rename_floor(A: _Annotated, B: _Annotated, budget: int) -> float | None:
+    """``sum(min(1, m_i))`` over the nodes ``i`` of ``A``, where ``m_i`` is
+    no more than the cheapest rename of node ``i`` into any node of ``B``;
+    ``None`` when the scan would read more than ``budget`` fields and tokens.
+
+    ``m_i`` is 0 when the node's tag and content occur together in ``B``,
+    and otherwise 1 for an empty content. Any other content is scanned
+    (:func:`_myers`) against each distinct non-empty content of ``B``, in
+    blocks of :data:`BLOCK_BITS` bits, and ``m_i`` is the least normalized
+    edit distance over them, whatever their tags: that is the rename into a
+    same-tag node, and a rename into another tag costs 1.
+    """
+    keys = set(zip(B.tags, B.contents))
+    counts: dict[str, int] = {}  # content -> its nodes whose key B lacks
+    for key in zip(A.tags, A.contents):
+        if key not in keys:
+            counts[key[1]] = counts.get(key[1], 0) + 1
+    floor = float(counts.pop("", 0))
+    if not counts:
+        return floor
+    blocks = _blocks(B.contents, BLOCK_BITS)
+    fields = sum(map(len, blocks))
+    if sum(fields + len(text) * len(blocks) for text in counts) > budget:
+        return None
+    least = dict.fromkeys(counts, 1.0)
+    for block in blocks:
+        packed = _pack(block)
+        for text, low in least.items():
+            vp, vn = _myers(*packed, text)
+            n = len(text)
+            for other in block:  # each field in turn at the low end
+                k = len(other)
+                mask = (1 << k) - 1
+                cost = (n + (vp & mask).bit_count() - (vn & mask).bit_count()) / (n if n > k else k)
+                if cost < low:
+                    low = cost
+                vp >>= k
+                vn >>= k
+            least[text] = low
+    for text, count in counts.items():
+        floor += least[text] * count
+    return floor
+
+
 def _distance(A: _Annotated, B: _Annotated, bound: int) -> float:
     """Zhang-Shasha ordered tree edit distance of two annotated trees, with
     unit insert/delete.
@@ -371,7 +454,42 @@ def _distance(A: _Annotated, B: _Annotated, bound: int) -> float:
     ``need(d) <= h``. The passes climb from ``h = (bound - |delta|) // 2``
     (at least 0) to ``h + 1``, then to ``need(d)``; a pass whose band holds
     no derivation (``inf``) widens ``h`` by one. A band wider than the
-    smaller tree becomes the whole table.
+    smaller tree becomes the whole table. So does the first band when the
+    top-down mapping's cost ``c``, an upper bound on the distance, leaves
+    ``need(c) > h + 1`` and three passes, at least ``3 * width + 6``
+    columns together, would cover the smaller tree.
+
+    The pass at ``h = 0`` of two trees with equal ``lmds`` (one shape, so
+    ``delta = 0``) is :func:`_diagonal`'s fold, bit for bit. Equal lmds give
+    equal keyroots, and a band of width 0 fills only the table of two
+    keyroots at the same position, and in it only the diagonal ``fd[x][x]``;
+    ``fd[0][0] = 0.0``, and every other cell it reads is ``inf`` or, beside
+    ``fd[1][1]``, row 0 or column 0 plus 1, which is 2.0 where the rename
+    term is at most 1. So each diagonal cell is its third term:
+    ``fd[x - 1][x - 1]`` plus the rename cost where node ``ai`` spans the
+    forest, ``fd[p][p]`` plus ``treedist[ai]`` otherwise. Unrolled, the
+    forest up to the end of a child is the forest up to its start plus the
+    child's distance, and a first child's distance is the very sum stored
+    there; so a node's distance is ``0.0`` (``0.0 + x`` is ``x``) plus its
+    children's distances left to right, plus its rename: the fold's operands
+    in the fold's order.
+
+    A pass result with ``need(d) > h`` is exact all the same when ``d`` is
+    below every mapping the band misses. Such a mapping makes more than
+    ``above`` insertions, at 1 each, and deletes each node ``i`` of ``A`` at
+    1 or renames it at no less than ``m_i`` (:func:`_rename_floor`); so,
+    summed exactly, it costs at least ``L = above + 1 + sum(min(1, m_i))``.
+    Each rounding moves a value by at most one part in 2**53. The float of
+    a missed mapping sums at most ``n1 + n2`` non-negative terms, and ``L``'s
+    float takes at most ``2 * n1 + 2`` roundings; so a ``d`` below
+    ``L * (1 - (n1 + n2) * 2**-50)``, eight roundings per node, which also
+    cover that product's own, is below each such float, and the full
+    table's minimum is ``d``. ``L`` is computed once per pair, at the first
+    ``d`` that needs it, and only when the scan would read no more fields
+    and tokens than the next band stores rename costs and subtree distances
+    (``2 * n1`` per band column), so it never costs much against the pass it
+    may save; the next pass packs the same contents for its own rename
+    costs.
     """
     if A == B:
         return 0.0
@@ -380,14 +498,26 @@ def _distance(A: _Annotated, B: _Annotated, bound: int) -> float:
     n1, n2 = len(A.tags), len(B.tags)
     delta = n1 - n2
     first = h = max(0, (bound - abs(delta)) // 2)
+    tried, floor = False, None  # sum(min(1, m_i)), tried at the first d that needs it
     while True:
         below, above = h + max(delta, 0), h + max(-delta, 0)
+        width = below + above + 1
+        if h == 0 and A.lmds == B.lmds:
+            dist = _diagonal(A, B)
         # on table_eval pairs and on tables with rotated rows, cut-overs from
         # 0.75 of this width up ran alike and 0.5 ran 5-30% slower: even a
-        # wide band skips keyroot tables
-        if below + above + 1 > min(n1, n2):
+        # wide band skips keyroot tables. But where the top-down mapping's
+        # cost leaves need > h + 1, the ladder may run three passes, at least
+        # 3 * width + 6 columns together; where those cover the smaller tree,
+        # going straight to the whole table ran faster
+        elif width > min(n1, n2) or (
+            h == first
+            and 3 * width + 6 >= min(n1, n2)
+            and _top_down_cost(A, B, width + 2) > width + 2
+        ):
             return _zhang_shasha(A, B, n1 + n2, n1 + n2)  # every cell
-        dist = _zhang_shasha(A, B, below, above)
+        else:
+            dist = _zhang_shasha(A, B, below, above)
         if dist == math.inf:
             h += 1
             continue
@@ -397,7 +527,14 @@ def _distance(A: _Annotated, B: _Annotated, bound: int) -> float:
         # the first pass's d can be far above the distance (on a table with
         # rotated rows the diagonal renames every cell), so one step wider
         # before trusting need(d)
-        h = h + 1 if h == first else need
+        step = h + 1 if h == first else need
+        if not tried:
+            tried, floor = True, _rename_floor(A, B, 2 * n1 * (2 * step + abs(delta) + 1))
+        if floor is not None:
+            least = above + 1 + floor
+            if dist < least * (1 - (n1 + n2) * 2.0**-50):
+                return dist
+        h = step
 
 
 def _zhang_shasha(A: _Annotated, B: _Annotated, below: int, above: int) -> float:
@@ -587,6 +724,8 @@ def _structure_bound(tags1: list[str], tags2: list[str]) -> int:
     and ``u`` other pairs costs ``n1 + n2 - 2s - u``, and ``s`` is at most
     the size of the tags' multiset intersection, ``s + u`` at most
     ``min(n1, n2)``."""
+    if tags1 == tags2:
+        return 0
     shared = Counter(tags1) & Counter(tags2)
     return max(len(tags1), len(tags2)) - sum(shared.values())
 

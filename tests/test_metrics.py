@@ -213,13 +213,25 @@ ONE_CELL_ROWS = table_tree([[("td[1,1]", "a")], [("th[1,1]", "b")], [("td[1,2]",
 EMPTY_ROWS = table_tree([[], [("td[1,1]", "a"), ("td[1,1]", "b")], []])
 TD, TH = "td[1,1]", "th[1,1]"
 
+
+def shape_twins(rows1, rows2) -> tuple[DocTree, DocTree]:
+    """Tables of ``rows1`` and ``rows2`` with rows appended: two rows where
+    cell ``n`` sits in the first in one table and in the second in the other
+    (a change of shape at equal sizes), then three equal rows of four cells,
+    so that a ladder of three passes would not cover the smaller tree."""
+    tail = [[(TD, f"t{r}.{c}") for c in range(4)] for r in range(3)]
+    first, second = [[(TD, "m"), (TD, "n")], [(TD, "o")]], [[(TD, "m")], [(TD, "n"), (TD, "o")]]
+    return table_tree(rows1 + first + tail), table_tree(rows2 + second + tail)
+
+
 # Pairs that pin the recurrences and the band's passes. Each entry: the two
 # trees, and per model the (below, above) of each pass tree_edit_distance
 # runs (n1 + n2 on both sides is the whole table; no pass for equal
-# skeletons, nor where the top-down mapping costs the tag-count bound). With
+# skeletons, where the top-down mapping costs the tag-count bound, nor for
+# the diagonal of two trees of one shape, which _diagonal folds). With
 # delta = n1 - n2, a pass at h runs at below = h + max(delta, 0), above = h +
 # max(-delta, 0) and is exact once need(d) = (floor(d) - |delta|) // 2 is at
-# most h.
+# most h, or once d is below the rename floor of the mappings it misses.
 BAND_PAIRS = [
     # an empty table against one cell, and two rows against an empty table:
     # the inserted and the deleted subtrees are the tag-count bound, so the
@@ -230,11 +242,12 @@ BAND_PAIRS = [
         table_tree([]),
         {CONTENT: [], STRUCTURE: []},
     ),
-    # a same-shape pair finished on the diagonal: one rename, 1.0
+    # a same-shape pair finished on the diagonal, which for one shape is
+    # _diagonal's fold and runs no pass: one rename, 1.0
     (
         table_tree([[(TH, "a")]]),
         table_tree([[(TH, "x y")]]),
-        {CONTENT: [(0, 0)], STRUCTURE: []},
+        {CONTENT: [], STRUCTURE: []},
     ),
     # two shapes of 5 nodes each: the diagonal holds no derivation (inf), and
     # h = 1 is exact, 3.0 for the trees and 2.0 for the skeletons
@@ -243,25 +256,26 @@ BAND_PAIRS = [
         table_tree([[], [(TH, "")], []]),
         {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
     ),
-    # 1.5 on the diagonal, where need(1.5) = 0
+    # 1.5 on the diagonal (the fold), where need(1.5) = 0
     (
         table_tree([[(TD, "ab"), (TD, "12"), (TH, "ab")]]),
         table_tree([[(TD, "ab"), (TD, "total"), (TH, "a")]]),
-        {CONTENT: [(0, 0)], STRUCTURE: []},
+        {CONTENT: [], STRUCTURE: []},
     ),
-    # 2.0 on both: the diagonal renames three cells (3.0 on the trees, 2.0 on
+    # 2.0 on both: the fold renames three cells (3.0 on the trees, 2.0 on
     # the skeletons, need 1), h = 1 deletes one and inserts one
     (
         table_tree([[(TD, "x y"), (TH, "ab"), (TH, "x y")]]),
         table_tree([[(TH, "ab"), (TH, "x y"), (TD, "ba")]]),
-        {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
+        {CONTENT: [(1, 1)], STRUCTURE: [(1, 1)]},
     ),
-    # two cells that swap: the diagonal already returns 2.0 on both, but
-    # need(2.0) = 1, so h = 1 certifies it
+    # two cells that swap: the fold already returns 2.0 on both, but
+    # need(2.0) = 1, and each node's tag and content occur in the other
+    # tree, so the rename floor is 0 and cannot certify it; h = 1 does
     (
         table_tree([[(TH, "x y"), (TD, "12")]]),
         table_tree([[(TD, "12"), (TH, "x y")]]),
-        {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
+        {CONTENT: [(1, 1)], STRUCTURE: [(1, 1)]},
     ),
     # a dropped row: 3.0, three deletions, the bound, so no pass
     (
@@ -276,12 +290,12 @@ BAND_PAIRS = [
         table_tree([[(TD, "a")], [(TD, "b"), (TD, "c")]]),
         {CONTENT: [(0, 0), (1, 1)], STRUCTURE: [(0, 0), (1, 1)]},
     ),
-    # every row of a 3x3 table rotated by one column: the diagonal and h = 1
+    # every row of a 3x3 table rotated by one column: the fold and h = 1
     # both return 4.5, whose need is 2, so a third pass at h = 2 certifies it
     (
         table_tree([[(TD, f"{r}{(c + 1) % 3}") for c in range(3)] for r in range(3)]),
         table_tree([[(TD, f"{r}{c}") for c in range(3)] for r in range(3)]),
-        {CONTENT: [(0, 0), (1, 1), (2, 2)], STRUCTURE: []},
+        {CONTENT: [(1, 1), (2, 2)], STRUCTURE: []},
     ),
     # two tags changed: the top-down mapping renames both, the bound 2
     (
@@ -319,6 +333,32 @@ BAND_PAIRS = [
         table_tree([[(TD, "a"), (TD, "b")], [(TD, "c")]]),
         table_tree([[(TH, "a"), (TH, "b")], [(TD, "x")]]),
         {CONTENT: [(1, 1)], STRUCTURE: []},
+    ),
+    # 3.0 from the fold, need 1, but no node renames for less than 1 into
+    # any node of the other tree, so no mapping outside the diagonal costs
+    # less than 1 + 3 and the rename floor certifies the fold
+    (
+        table_tree([[(TD, "abc"), (TD, "def"), (TD, "ghi")]]),
+        table_tree([[(TD, "xyz"), (TD, "uvw"), (TD, "rst")]]),
+        {CONTENT: [], STRUCTURE: []},
+    ),
+    # Equal-size twins of a different shape (shape_twins) of the two pairs
+    # above whose ladder now climbs from the fold, so that their first pass
+    # is _zhang_shasha at (0, 0) again: inf, as for every pair of two shapes.
+    # The swap and a moved cell: 4.0 on both, where h = 1 returns more and
+    # h = 2 is exact
+    (
+        *shape_twins([[(TH, "x y"), (TD, "12")]], [[(TD, "12"), (TH, "x y")]]),
+        {CONTENT: [(0, 0), (1, 1), (2, 2)], STRUCTURE: [(0, 0), (1, 1), (2, 2)]},
+    ),
+    # the rotated 3x3 and a moved cell: 6.5, reached at need(d) = 3 after
+    # h = 1; the skeletons cost the moved cell, 2.0, at h = 1
+    (
+        *shape_twins(
+            [[(TD, f"{r}{(c + 1) % 3}") for c in range(3)] for r in range(3)],
+            [[(TD, f"{r}{c}") for c in range(3)] for r in range(3)],
+        ),
+        {CONTENT: [(0, 0), (1, 1), (3, 3)], STRUCTURE: [(0, 0), (1, 1)]},
     ),
 ]
 
@@ -366,7 +406,8 @@ def test_tree_distance_equals_zhang_shasha_reference_on_tables(t1, t2):
     ids=[
         "one_row", "one_column", "at_k", "at_k_then_whole", "above_k", "above_k_both", "swap",
         "dropped_row", "diagonal_inf", "rotated", "need_at_first_h", "one_row_twin",
-        "one_column_twin", "dropped_row_twin", "need_at_first_h_twin",
+        "one_column_twin", "dropped_row_twin", "need_at_first_h_twin", "rename_floor",
+        "swap_shape_twin", "rotated_shape_twin",
     ],
 )
 def test_band_passes_of_pinned_pairs(monkeypatch, t1, t2, passes):
@@ -770,8 +811,8 @@ def test_teds_structure_of_text_corruption_skips_the_dp(monkeypatch):
     assert teds(pred, GT3, structure_only=True) == 1.0
     assert distance(t1, t2, STRUCTURE) == 0.0
     assert passes == []
-    assert teds(pred, GT3) < 1.0  # the content-aware distance still runs the DP
-    assert passes == [(0, 0, False)]
+    assert teds(pred, GT3) < 1.0  # the content-aware distance is _diagonal's fold
+    assert passes == []
 
 
 SHAPE_CORRUPTIONS = [
@@ -860,10 +901,13 @@ def test_evaluate_pair_pins_teds_structure_without_the_dp(monkeypatch):
     a content edited elsewhere as well (their twins), the tag-count bound
     settles TEDS-S, so only the content-aware distance runs the dynamic
     program. Neither settles the 3x1 table against the 1x4 one, so that pair
-    also runs the structure-only dynamic program, on the skeletons."""
+    also runs the structure-only dynamic program, on the skeletons. Its
+    top-down mapping costs 7, which leaves the ladder up to need(7) = 3:
+    passes (1, 0), (2, 1) and (3, 2) that cover the 6-node tree, so
+    each distance fills the whole table at once."""
     three_rows = "<table><tr><td>1</td></tr><tr><td>2</td></tr><tr><td>3</td></tr></table>"
     one_row = "<table><tr><td>1</td><td>2</td><td>3</td><td>4</td></tr></table>"
-    ladder = [(1, 0), (2, 1), (3, 2)]
+    ladder = [(13, 13)]
     span, dropped, duplicated = (pred for pred, _ in SHAPE_CORRUPTIONS)
     pairs = [
         (span, GT3, []),
@@ -1176,6 +1220,148 @@ def test_top_down_cost_walks_a_deep_chain():
     assert tree_edit_distance(*chains) == 1.0
 
 
+# -- the diagonal's fold and the rename floor ---------------------------------------
+
+
+def relabelled(tree: DocTree, rng: random.Random) -> DocTree:
+    """A tree of the same shape as ``tree``: about half its contents and a
+    fifth of its tags drawn again."""
+    return DocTree(
+        rng.choice(["td[1,1]", "th[1,1]", "tr"]) if rng.random() < 0.2 else tree.tag,
+        rng.choice(["", "a", "ab", "ba", "zz", "total", "x y"]) if rng.random() < 0.5 else tree.content,
+        [relabelled(child, rng) for child in tree.children],
+    )
+
+
+def relabelled_pair(seed: int) -> tuple[DocTree, DocTree]:
+    rng = random.Random(seed)
+    tree = random_tree(rng, 14)
+    return tree, relabelled(tree, rng)
+
+
+# two tables of one shape: each cell and the table node carry a (tag,
+# content) pair per table, so tags and texts differ cell by cell; and two
+# general trees of one shape
+same_shape_pairs = st.one_of(
+    st.builds(
+        lambda rows, contents: (
+            table_tree([[a for a, _ in row] for row in rows], contents[0]),
+            table_tree([[b for _, b in row] for row in rows], contents[1]),
+        ),
+        st.lists(st.lists(st.tuples(table_cells, table_cells), max_size=4), max_size=5),
+        st.tuples(st.sampled_from(["", "a"]), st.sampled_from(["", "ab"])),
+    ),
+    st.integers(0, 2**32 - 1).map(relabelled_pair),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=DERANDOMIZE)
+@given(pair=same_shape_pairs)
+@example(pair=(FOUR_BY_FOUR, table_tree([[(TD, f"{r}.{c}") for c in range(4)] for r in range(4)])))
+@example(pair=(BAND_PAIRS[9][0], BAND_PAIRS[9][1]))
+def test_diagonal_fold_is_the_diagonal_pass(pair):
+    """On two trees of one shape, the fold is the dynamic program's pass at
+    below = above = 0 bit for bit under both cost models, and it is the
+    reference's distance wherever need(d) = floor(d) // 2 is 0; ``_distance``
+    is the reference's distance everywhere."""
+    t1, t2 = pair
+    for model in (CONTENT, STRUCTURE):
+        A, B = annotated(t1, t2, model)
+        assert A.lmds == B.lmds
+        fold = metrics._diagonal(A, B)
+        assert fold.hex() == metrics._zhang_shasha(A, B, 0, 0).hex()
+        want = zhang_shasha_reference(t1, t2, model)
+        if math.floor(fold) // 2 == 0:
+            assert fold.hex() == want.hex()
+        bound = metrics._structure_bound(A.tags, B.tags)
+        assert metrics._distance(A, B, bound).hex() == want.hex()
+
+
+def least_renames(A, B) -> float:
+    """The sum over the nodes of ``A`` of their cheapest rename into any node
+    of ``B``, from the whole table of rename costs."""
+    return sum(min(row, default=1.0) for row in rename_costs(A, B, None))
+
+
+@settings(max_examples=200, deadline=None, derandomize=DERANDOMIZE)
+@given(pair=st.one_of(same_shape_pairs, st.tuples(any_trees, any_trees)))
+def test_rename_floor_certifies_only_the_distance(pair):
+    """The rename floor is at most the cheapest renames' sum, and at every h
+    a pass result below ``L = above + 1 + floor`` by the rounding margin is
+    the reference's distance bit for bit: no mapping outside the band costs
+    less. That holds at each h, not only where the ladder asks."""
+    t1, t2 = pair
+    for model in (CONTENT, STRUCTURE):
+        A, B = annotated(t1, t2, model)
+        floor = metrics._rename_floor(A, B, BIG)
+        assert floor <= least_renames(A, B) + 1e-9
+        want = zhang_shasha_reference(t1, t2, model)
+        n1, n2 = len(A.tags), len(B.tags)
+        delta = n1 - n2
+        for h in range(4):
+            below, above = h + max(delta, 0), h + max(-delta, 0)
+            if h == 0 and A.lmds == B.lmds:
+                dist = metrics._diagonal(A, B)
+            else:
+                dist = metrics._zhang_shasha(A, B, below, above)
+            least = above + 1 + floor
+            if dist < least * (1 - (n1 + n2) * 2.0**-50):
+                assert dist.hex() == want.hex()
+
+
+def test_rename_floor_stays_within_its_budget(monkeypatch):
+    """Past its budget of fields and tokens the floor is ``None`` and scans
+    nothing. Each of the four edited contents of a 20x20 table reads 400
+    fields and its tokens once per block."""
+    spec = importlib.util.spec_from_file_location("teds_probe", PROBE)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    A, B = (metrics._annotate_grid(parse_grid(html)) for html in probe.probe_pair(20, 4, False))
+    blocks = metrics._blocks(B.contents, metrics.BLOCK_BITS)
+    edited = {a for a, b in zip(A.contents, B.contents) if a != b}
+    work = sum(400 + len(text) * len(blocks) for text in edited)
+    assert len(edited) == 4 and sum(map(len, blocks)) == 400
+    assert metrics._rename_floor(A, B, work) is not None
+    monkeypatch.setattr(metrics, "_myers", mock.Mock(side_effect=AssertionError))
+    assert metrics._rename_floor(A, B, work - 1) is None
+
+
+def test_rename_floor_of_a_pinned_pair():
+    """An empty cell renames for 1 where the other table has no empty cell
+    of its tag (its rows' empty contents do not count), an edited cell for
+    its least normalized edit distance, 1/4, and a row and a table, whose
+    tag and content occur together in the other table, for 0."""
+    A = metrics._annotate(table_tree([[(TD, ""), (TD, "abcd")]]))
+    B = metrics._annotate(table_tree([[(TH, ""), (TD, "abxd")]]))
+    assert metrics._rename_floor(A, B, BIG) == 1.25
+
+
+# Same-shape rows whose fold d needs h = 1 (floor(d) >= 2), with d at the
+# rename floor L = 1 + sum(min(1, m_i)) of the mappings off the diagonal
+NEAR_TIES = [
+    # d = 2.5 against L = 2.666...: certified, no pass
+    (["b", "b", "abc"], ["ba", "c", "xyz"], pytest.approx(1 / 6), []),
+    # d = L = 2.333...: a mapping off the diagonal might tie, so h = 1 runs
+    (["xy", "bba", "abd"], ["zz", "ba", "xyz"], 0.0, [(1, 1)]),
+    # d = 2.9999999999999996, one ulp below L = 3.0 and inside the rounding
+    # margin, so h = 1 runs
+    (["abc", "bba", "xy", "aab"], ["abd", "aab", "b", "a"], 2.0**-51, [(1, 1)]),
+]
+
+
+@pytest.mark.parametrize("row1, row2, gap, want_passes", NEAR_TIES, ids=["below", "tie", "one_ulp"])
+def test_rename_floor_near_ties(monkeypatch, row1, row2, gap, want_passes):
+    t1, t2 = (table_tree([[(TD, text) for text in row]]) for row in (row1, row2))
+    A, B = metrics._annotate(t1), metrics._annotate(t2)
+    fold = metrics._diagonal(A, B)
+    least = 1 + metrics._rename_floor(A, B, BIG)
+    assert math.floor(fold) // 2 == 1
+    assert least - fold == gap
+    passes = record_passes(monkeypatch)
+    assert distance(t1, t2, CONTENT).hex() == zhang_shasha_reference(t1, t2, CONTENT).hex()
+    assert [(below, above) for below, above, _ in passes] == want_passes
+
+
 EVAL_SHARDS = Path(__file__).parent / "fixtures" / "eval" / "shards.json"
 
 
@@ -1200,22 +1386,31 @@ PROBE = Path(__file__).resolve().parent.parent / "tools" / "teds_probe.py"
 
 def test_teds_memory_follows_the_band():
     """One content ``teds()`` call on a 20x20 table with four cell texts
-    edited (421 nodes a side, passes on the diagonal and at below = above =
-    1) peaks under 1.5 MB, less than one 421 x 421 list of floats: subtree
+    edited (421 nodes a side) peaks under 1.5 MB, less than one 421 x 421
+    list of floats, and so does its pass at below = above = 1: subtree
     distances, rename costs and forest tables are kept in the band only.
-    Rows of every column peaked at 4.6 MB on this call, band rows at 0.6 MB."""
+    Rows of every column peaked at 4.6 MB on this call, band rows at 0.6 MB.
+    The call itself now runs no pass (the diagonal's fold, certified by the
+    rename floor), so the pass is measured on its own."""
     spec = importlib.util.spec_from_file_location("teds_probe", PROBE)
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
     pred, gt = probe.probe_pair(20, 4, rotate=False)
+    A, B = (metrics._annotate_grid(parse_grid(html)) for html in (pred, gt))
     teds(GT, GT)  # the parser's first call sets up its caches
-    tracemalloc.start()
-    try:
-        score = teds(pred, gt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    score, peak = peak_of(lambda: teds(pred, gt))
     assert 0.99 < score < 1.0
+    assert peak < 1.5 * 2**20
+    dist, peak = peak_of(lambda: metrics._zhang_shasha(A, B, 1, 1))
+    assert dist == metrics._diagonal(A, B)
     assert peak < 1.5 * 2**20
 
 
